@@ -8,24 +8,26 @@ The paper's recipe — exploit timing when it holds, survive it when it
 does not, adapt the optimistic bound online — applied to a
 message-passing failure detector (§4's suggested extension):
 
-* five nodes heartbeat each other over FIFO channels (emulated on atomic
-  registers, so the whole run is deterministic);
-* node 0 (the rightful leader) suffers a long stall — its heartbeats
-  blow through everyone's optimistic timeout, it gets suspected, and
-  leadership churns to node 1;
+* five nodes heartbeat each other over the deterministic message
+  transport (so the whole run is reproducible);
+* node 0 (the rightful leader) suffers a long stall — a delay spike on
+  its links, the networked timing failure: its heartbeats blow through
+  everyone's optimistic timeout, it gets suspected, and leadership
+  churns to node 1;
 * when the stall ends, node 0's heartbeats return; the detectors
   *unsuspect* it and grow their timeouts (the adaptive rule), and the
   group converges back to leader 0 — and stays there, because the grown
   timeouts now absorb stalls of that size.
 """
 
-from repro.mp import OmegaElection, eventual_agreement
-from repro.sim import (
-    ConstantTiming,
-    Engine,
-    FailureWindowTiming,
-    failure_window,
+from repro.net import (
+    DelaySpike,
+    NetFaultPlan,
+    OmegaElection,
+    Transport,
+    eventual_agreement,
 )
+from repro.sim import ConstantTiming, Engine
 
 N = 5
 ROUNDS = 60
@@ -35,18 +37,19 @@ def main() -> None:
     omega = OmegaElection(
         n=N, heartbeat_period=1.0, initial_timeout=2.5, timeout_growth=2.0
     )
-    timing = FailureWindowTiming(
-        ConstantTiming(0.05),
-        [failure_window(start=8.0, end=20.0, pids=[0], stretch=100.0)],
+    stall = DelaySpike(start=8.0, end=20.0, extra=12.0, pids=(0,))
+    transport = Transport(N, bound=0.5, seed=0, faults=NetFaultPlan(spikes=(stall,)))
+    engine = Engine(
+        delta=1.0, timing=ConstantTiming(0.05), max_time=10_000.0,
+        transport=transport,
     )
-    engine = Engine(delta=1.0, timing=timing, max_time=10_000.0)
     for pid in range(N):
         engine.spawn(omega.run(pid, ROUNDS), pid=pid)
     result = engine.run()
 
     samples = dict(result.returns)
     print(f"run status       : {result.status.value}")
-    print(f"timing failures  : {len(result.trace.timing_failures())}")
+    print(f"messages sent    : {transport.stats.messages_sent}")
 
     # Show node 1's view of leadership over time.
     view = samples[1]

@@ -18,9 +18,9 @@ the whole idea.
 
 from repro.core.consensus import run_consensus
 from repro.core.optimistic import AimdEstimator, tune
-from repro.runtime import measure_host_delta
 from repro.sim import ConstantTiming, HookTiming
 from repro.sim.adversary import round_conflict_hook
+from repro.sim.timing import measure_host_delta
 
 TRUE_DELTA = 1.0
 

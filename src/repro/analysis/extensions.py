@@ -3,7 +3,7 @@
 * **X1** — the self-tuning Algorithm 3 (:mod:`repro.core.adaptive`):
   starting from a 100x underestimate of Δ, the shared estimate grows on
   sensed doorway breaches until the doorway serializes again.
-* **X2** — Ω leader election over messages (:mod:`repro.mp`): leadership
+* **X2** — Ω leader election over messages (:mod:`repro.net.omega`): leadership
   churns during a stall window, and the adaptive timeout restores — and
   keeps — agreement on the rightful leader.
 * **X3** — RMR accounting (local-spinning, after ref [25]): remote
@@ -22,14 +22,8 @@ from typing import Sequence
 from ..algorithms import BakeryLock, FischerLock, TicketLock, mutex_session
 from ..core.adaptive import default_adaptive_mutex
 from ..core.mutex import default_time_resilient_mutex
-from ..mp import OmegaElection, eventual_agreement
-from ..sim import (
-    ConstantTiming,
-    Engine,
-    FailureWindowTiming,
-    UniformTiming,
-    failure_window,
-)
+from ..net import DelaySpike, NetFaultPlan, OmegaElection, Transport, eventual_agreement
+from ..sim import ConstantTiming, Engine, UniformTiming
 from ..sim.registers import RegisterNamespace
 from ..spec import check_mutual_exclusion
 from .ablations import embedded_population
@@ -88,18 +82,17 @@ def run_x2(n: int = 4, rounds: int = 60) -> ExperimentTable:
         ["scenario", "eventual leader", "leader-0 suspected meanwhile",
          "false suspicions adapted"],
     )
-    for name, windows in (
-        ("clean", []),
+    for name, spikes in (
+        ("clean", ()),
         ("node-0 stalled 12 periods",
-         [failure_window(8.0, 20.0, pids=[0], stretch=100.0)]),
+         (DelaySpike(8.0, 20.0, extra=12.0, pids=(0,)),)),
     ):
         omega = OmegaElection(n, heartbeat_period=1.0, initial_timeout=2.5,
-                              timeout_growth=2.0,
-                              namespace=RegisterNamespace(("x2", name)))
-        timing = ConstantTiming(0.05)
-        if windows:
-            timing = FailureWindowTiming(timing, windows)
-        engine = Engine(delta=DELTA, timing=timing, max_time=50_000.0)
+                              timeout_growth=2.0)
+        transport = Transport(n, bound=0.5 * DELTA, seed=f"x2:{name}",
+                              faults=NetFaultPlan(spikes=spikes))
+        engine = Engine(delta=DELTA, timing=ConstantTiming(0.05),
+                        max_time=50_000.0, transport=transport)
         for pid in range(n):
             engine.spawn(omega.run(pid, rounds), pid=pid)
         res = engine.run()
@@ -119,6 +112,10 @@ def run_x2(n: int = 4, rounds: int = 60) -> ExperimentTable:
     table.notes.append(
         "Ω's contract is eventual agreement: temporary disagreement during "
         "the stall is allowed; the adaptive timeout makes the recovery stick"
+    )
+    table.notes.append(
+        "Ω speaks broadcast/recv on Engine(transport=...) (repro.net.omega); "
+        "the stall is a DelaySpike on node 0's links"
     )
     return table
 

@@ -47,20 +47,15 @@ __all__ = [
     "replay",
 ]
 
-# Schema history:
-#   1 — original format (campaign, payload, violation, provenance).
-#   2 — adds optional observability sidecars: "net_stats" (transport
-#       counters of the failing run) and "timeliness" (the mined
-#       timeliness graph of the replayed trace, repro.obs.timeliness).
-#       Loading stays tolerant of schema-1 files: the sidecars are
-#       simply absent.
-#   3 — adds "kind": "violation" (the default; absent in older files)
-#       archives a failing run, "stabilization" archives a *converged*
-#       recover run whose "violation" slot holds the stabilization
-#       verdict — replay then demands zero violations plus the identical
-#       verdict, instead of an identical violation.
+# The one schema this build writes and reads: campaign, payload,
+# violation and provenance; "kind" — "violation" archives a failing run,
+# "stabilization" archives a *converged* recover run whose "violation"
+# slot holds the stabilization verdict (replay then demands zero
+# violations plus the identical verdict, instead of an identical
+# violation); and the optional observability sidecars "net_stats"
+# (transport counters of the failing run) and "timeliness" (the mined
+# timeliness graph of the replayed trace, repro.obs.timeliness).
 SCHEMA_VERSION = 3
-_READABLE_SCHEMAS = (1, 2, 3)
 ARTIFACT_KINDS = ("violation", "stabilization")
 
 
@@ -81,7 +76,7 @@ class Artifact:
     max_steps: int = DEFAULT_MAX_STEPS  # sim replay budget
     net_params: Optional[NetParams] = None
     provenance: Dict[str, Any] = field(default_factory=dict, compare=False)
-    # Observability sidecars (schema >= 2); never part of identity.
+    # Observability sidecars; never part of identity.
     net_stats: Optional[Dict[str, int]] = field(default=None, compare=False)
     timeliness: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
@@ -125,10 +120,10 @@ class Artifact:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Artifact":
         schema = data.get("schema")
-        if schema not in _READABLE_SCHEMAS:
+        if schema != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported artifact schema {schema!r} "
-                f"(this build reads schemas {_READABLE_SCHEMAS})"
+                f"(this build reads schema {SCHEMA_VERSION})"
             )
         substrate = data["substrate"]
         violation = ChaosViolation(
@@ -139,7 +134,7 @@ class Artifact:
         if substrate == "sim":
             payload: Any = tuple(int(pid) for pid in data["schedule"])
             net_params = None
-            max_steps = int(data.get("max_steps", DEFAULT_MAX_STEPS))
+            max_steps = int(data["max_steps"])
         else:
             payload = tuple(
                 tuple((op[0], int(op[1]), op[2]) for op in client_ops)
@@ -152,7 +147,7 @@ class Artifact:
             campaign=campaign_from_dict(data["campaign"]),
             payload=payload,
             violation=violation,
-            kind=data.get("kind", "violation"),
+            kind=data["kind"],
             target=data.get("target"),
             run_seed=data.get("run_seed"),
             max_steps=max_steps,

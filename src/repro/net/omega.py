@@ -1,9 +1,9 @@
 """A heartbeat failure detector and Ω-style leader election over messages.
 
 This is the paper's resilience recipe transplanted to message passing
-(Discussion, §4): assume a delivery bound (our ``Δ``, via the mailbox
-emulation), run with an *optimistic* timeout, and recover automatically
-when the timing constraints are violated:
+(Discussion, §4): assume a delivery bound (the transport's, playing the
+role of ``Δ``), run with an *optimistic* timeout, and recover
+automatically when the timing constraints are violated:
 
 * every process broadcasts heartbeats with period ``heartbeat_period``;
 * a process suspects a peer whose heartbeat is overdue by the current
@@ -16,22 +16,21 @@ when the timing constraints are violated:
   failures stop and timeouts have adapted, everyone converges on the
   smallest live pid and stays there.
 
-Like every algorithm in this package it runs on the simulator, so the
-whole behaviour — suspicion churn during failure windows, convergence
-after — is deterministic and testable.
+It speaks ``broadcast``/``recv`` on an ``Engine(transport=...)``; a stall
+is a :class:`~repro.net.faults.DelaySpike` on the stalled node's links.
+On the simulator the whole behaviour — suspicion churn during failure
+windows, convergence after — is deterministic and testable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..sim import ops
 from ..sim.process import Program
-from ..sim.registers import RegisterNamespace
-from .channels import Network
 
-__all__ = ["HeartbeatMonitor", "OmegaElection", "LeaderSample"]
+__all__ = ["HeartbeatMonitor", "OmegaElection", "LeaderSample", "eventual_agreement"]
 
 _HEARTBEAT = "hb"
 
@@ -107,7 +106,6 @@ class OmegaElection:
         n: int,
         heartbeat_period: float,
         initial_timeout: float,
-        namespace: Optional[RegisterNamespace] = None,
         timeout_growth: float = 1.5,
     ) -> None:
         if heartbeat_period <= 0:
@@ -118,27 +116,24 @@ class OmegaElection:
         self.heartbeat_period = heartbeat_period
         self.initial_timeout = initial_timeout
         self.timeout_growth = timeout_growth
-        ns = namespace if namespace is not None else RegisterNamespace.unique("omega")
-        self.network = Network(n, namespace=ns)
-        # A shared clock surrogate: processes cannot read the engine clock,
-        # so each tracks time locally by counting its own periods.  For
-        # sampling purposes that is enough (samples carry local time).
 
     def run(self, pid: int, rounds: int) -> Program:
         """Participate for ``rounds`` heartbeat periods; returns samples."""
-        endpoint = self.network.endpoint(pid)
+        peers = tuple(p for p in range(self.n) if p != pid)
         monitor = HeartbeatMonitor(
             pid,
-            peers={p for p in range(self.n) if p != pid},
+            peers=set(peers),
             initial_timeout=self.initial_timeout,
             timeout_growth=self.timeout_growth,
         )
         samples: List[LeaderSample] = []
+        # A clock surrogate: processes cannot read the engine clock, so
+        # each tracks time locally by counting its own periods.  For
+        # sampling purposes that is enough (samples carry local time).
         now = 0.0
         for _ in range(rounds):
-            yield from endpoint.broadcast((_HEARTBEAT, pid))
-            inbox = yield from endpoint.poll()
-            for sender, message in inbox:
+            yield ops.broadcast((_HEARTBEAT, pid), dests=peers)
+            for sender, message in (yield ops.recv()):
                 if message[0] == _HEARTBEAT:
                     monitor.observe_heartbeat(sender, now)
             monitor.update_suspicions(now)

@@ -1,7 +1,6 @@
 """ABD-style atomic registers emulated over crash-prone messages.
 
-The converse of :mod:`repro.mp` (which builds channels *from* registers):
-following Attiya–Bar-Noy–Dolev and Mostéfaoui–Raynal's time-efficient
+Following Attiya–Bar-Noy–Dolev and Mostéfaoui–Raynal's time-efficient
 formulation, a :class:`QuorumSystem` builds atomic read/write registers
 *from* unreliable messages, so every register-only algorithm in this repo
 — Algorithm 1 consensus, Fischer, Algorithm 3 mutex — runs over a
@@ -39,13 +38,12 @@ import itertools
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Sequence, Tuple
 
 from ..sim import ops
-from ..sim.engine import RunResult
+from ..sim.engine import Engine, RunResult
 from ..sim.failures import CrashSchedule
 from ..sim.process import Program
 from ..sim.scheduler import TieBreak
 from ..sim.timing import ConstantTiming, TimingModel
 from . import resilience
-from .engine import NetEngine
 from .faults import NetFaultPlan
 from .transport import Transport
 
@@ -341,12 +339,12 @@ class QuorumSystem:
 
     # -- running ------------------------------------------------------------
 
-    def build_engine(self, client_programs: Sequence[Program]) -> NetEngine:
-        """Spawn wrapped clients and replicas on a fresh :class:`NetEngine`."""
+    def build_engine(self, client_programs: Sequence[Program]) -> Engine:
+        """Spawn wrapped clients and replicas on a fresh :class:`Engine`."""
         if not isinstance(self.transport, Transport):
             raise RuntimeError(
                 "this QuorumSystem is bound to a live substrate — drive its "
-                "programs with repro.serve.AsyncioDriver, not a NetEngine"
+                "programs with repro.serve.AsyncioDriver, not an Engine"
             )
         if self._ran:
             raise RuntimeError(
@@ -358,7 +356,7 @@ class QuorumSystem:
                 f"expected {self.clients} client programs, got {len(client_programs)}"
             )
         self._ran = True
-        engine = NetEngine(
+        engine = Engine(
             delta=self.delta,
             timing=self.timing,
             transport=self.transport,

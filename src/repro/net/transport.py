@@ -1,7 +1,7 @@
 """Deterministic in-simulation message transport.
 
 One :class:`Transport` carries all messages of one
-:class:`~repro.net.engine.NetEngine` run.  It is *not* an executor: the
+:class:`~repro.sim.engine.Engine` run.  It is *not* an executor: the
 engine linearizes each ``Send`` at its completion instant and hands the
 message here; the transport decides the message's fate (delivered when?
 dropped?) and parks it in the destination's delivery queue until a

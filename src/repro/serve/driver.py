@@ -2,31 +2,33 @@
 
 Everything in this repo that computes — Algorithm 3's doorway, the ABD
 quorum phases, the replica service loop — is a Python generator yielding
-:mod:`repro.sim.ops` operations.  On the sim substrates those ops are
-interpreted by the discrete-event engines; :class:`AsyncioDriver`
-interprets the *same generators* against a live
-:class:`~repro.serve.substrate.Substrate`:
+:mod:`repro.sim.ops` operations.  On the sim substrate the discrete-event
+engine decides when each takes effect; :class:`AsyncioDriver` is the
+wall-clock interpreter of the *same generators*.  What an op does is the
+op's own :meth:`~repro.sim.ops.Op.perform`, applied to the driver's two
+resources — the live :class:`~repro.serve.substrate.Substrate` message
+ops reach (``transport``: real socket writes, a non-blocking ``collect``
+with the engine's poll-don't-block contract) and the
+:class:`~repro.sim.registers.Memory` shared ops reach.  An op whose
+resource is absent is rejected: a driver without a memory tells register
+programs to go through
+:meth:`repro.net.QuorumSystem.emulate_registers` first, exactly as on
+the net substrate.  What is left here is scheduling:
 
-* ``Send``/``Broadcast`` — synchronous substrate sends (real socket
-  writes on the asyncio substrate), followed by a zero-sleep so the
-  event loop stays fair;
-* ``Recv`` — a non-blocking ``collect``, the same poll-don't-block
-  contract the net engine gives;
+* after every op the program yields to the event loop, so programs
+  interleave per op — exactly the model's atomicity: each op is applied
+  in one uninterrupted slice of the loop, no lock needed;
 * ``Delay(d)`` — ``asyncio.sleep(d · time_scale)``.  A delay is a *real*
   suspension of at least ``d`` scaled seconds: Algorithm 3's doorway
   delay must genuinely elapse, so the driver never shortcuts it.  As an
   efficiency valve only, a delay that immediately follows an *empty*
-  recv may be interrupted early by message arrival
-  (``eager_wakeup=True``, the default) — waking early from a polling
-  nap is indistinguishable from having polled faster, and the engine's
-  semantics promise nothing about poll granularity.  Doorway delays
-  follow reads/writes, never an empty recv, so they are never shortened;
+  recv may be interrupted early by message arrival — waking early from
+  a polling nap is indistinguishable from having polled faster, and the
+  engine's semantics promise nothing about poll granularity.  Doorway
+  delays follow reads/writes, never an empty recv, so they are never
+  shortened;
 * ``LocalWork(d)`` — also a scaled sleep (think time is think time);
-* ``Label`` — a tracer record, free;
-* shared-memory ops (``Read``/``Write``/RMW) — rejected.  The live
-  substrate has no shared memory; register programs must be wrapped by
-  :meth:`repro.net.QuorumSystem.emulate_registers` first, exactly as on
-  the net substrate.
+* ``Label`` — a tracer record, free.
 
 This is the substrate-interface payoff: *no algorithm code changes*
 between a simulated run and a live one — only the driver differs.
@@ -40,6 +42,8 @@ from typing import Any, Dict, List, Optional
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim import ops
 from repro.sim.process import Program
+from repro.sim.registers import Memory
+from repro.sim.trace import EventKind
 
 from .substrate import Substrate
 
@@ -47,36 +51,38 @@ __all__ = ["AsyncioDriver"]
 
 
 class AsyncioDriver:
-    """Spawn and drive generator programs over a live substrate.
+    """Spawn and drive generator programs against the wall clock.
 
     Parameters
     ----------
     substrate:
-        Any :class:`~repro.serve.substrate.Substrate`; the driver uses
-        its clock when it is an :class:`AsyncioSubstrate` (or any object
-        with a ``clock.now``), else a loop-relative clock of its own.
+        The :class:`~repro.serve.substrate.Substrate` message ops reach
+        (kept as ``transport``), or ``None`` for register-only programs.
+        The driver uses its clock when it is an
+        :class:`AsyncioSubstrate` (or any object with a ``clock.now``),
+        else the running loop's.
     time_scale:
         Real seconds per model time unit.  The sim substrates express
         delays in units of the delivery bound; live programs usually
         pass real-second durations directly (scale 1.0).
-    eager_wakeup:
-        Allow message arrival to cut short a delay that directly follows
-        an empty recv (polling naps only; see module docstring).
+    memory:
+        The :class:`~repro.sim.registers.Memory` shared ops reach, or
+        ``None`` for message-only programs.
     """
 
     def __init__(
         self,
-        substrate: Substrate,
+        substrate: Optional[Substrate] = None,
         time_scale: float = 1.0,
         tracer: Optional[Tracer] = None,
-        eager_wakeup: bool = True,
+        memory: Optional[Memory] = None,
     ) -> None:
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
-        self.substrate = substrate
+        self.transport = substrate
+        self.memory = memory
         self.time_scale = float(time_scale)
         self.tracer = tracer if tracer is not None else active_tracer()
-        self.eager_wakeup = eager_wakeup
         self.tasks: Dict[int, "asyncio.Task"] = {}
         self.returns: Dict[int, Any] = {}
         self._clock = getattr(substrate, "clock", None)
@@ -86,8 +92,7 @@ class AsyncioDriver:
     def now(self) -> float:
         if self._clock is not None:
             return self._clock.now
-        loop = asyncio.get_event_loop()
-        return loop.time()
+        return asyncio.get_running_loop().time()
 
     # -- spawning ------------------------------------------------------------
 
@@ -117,9 +122,9 @@ class AsyncioDriver:
     # -- the interpreter -----------------------------------------------------
 
     async def _drive(self, program: Program, pid: int) -> Any:
-        substrate = self.substrate
         scale = self.time_scale
         tracer = self.tracer
+        waiter = getattr(self.transport, "wait_for_message", None)
         send_value: Any = None
         # True when the previous op was a Recv that came back empty —
         # the only state in which a following Delay is a polling nap.
@@ -132,55 +137,35 @@ class AsyncioDriver:
                 if tracer is not None:
                     tracer.done(pid, self.now())
                 return stop.value
-            if isinstance(op, ops.Recv):
-                send_value = substrate.collect(pid, self.now())
-                empty_poll = not send_value
-                await asyncio.sleep(0)
-                continue
-            if isinstance(op, ops.Broadcast):
-                now = self.now()
-                dests = op.dests if op.dests is not None else substrate.peers(pid)
-                for dest in dests:
-                    substrate.send(pid, dest, op.payload, now)
-                send_value = None
-                empty_poll = False
-                await asyncio.sleep(0)
-                continue
-            if isinstance(op, ops.Send):
-                substrate.send(pid, op.dest, op.payload, self.now())
-                send_value = None
-                empty_poll = False
-                await asyncio.sleep(0)
-                continue
+            if not isinstance(op, ops.Op):
+                raise TypeError(f"live driver cannot interpret {op!r}")
+            if op.is_shared and self.memory is None:
+                raise TypeError(
+                    f"this driver has no shared memory — wrap register "
+                    f"programs with QuorumSystem.emulate_registers, or pass "
+                    f"AsyncioDriver(memory=...) (got {op!r})"
+                )
+            if op.is_message and self.transport is None:
+                raise TypeError(
+                    f"this driver has no substrate to carry messages — pass "
+                    f"AsyncioDriver(substrate) (got {op!r})"
+                )
+            now = self.now()
+            send_value = op.perform(self, pid, now)
             if isinstance(op, (ops.Delay, ops.LocalWork)):
                 duration = op.duration * scale
-                waiter = getattr(substrate, "wait_for_message", None)
-                if (
-                    self.eager_wakeup
-                    and empty_poll
-                    and isinstance(op, ops.Delay)
-                    and waiter is not None
-                ):
+                if empty_poll and waiter is not None and op.trace_kind == EventKind.DELAY:
                     await waiter(pid, duration)
                 elif duration > 0:
                     await asyncio.sleep(duration)
                 else:
                     await asyncio.sleep(0)
-                send_value = None
-                empty_poll = False
-                continue
-            if isinstance(op, ops.Label):
+            elif op.trace_kind == EventKind.LABEL:
                 if tracer is not None:
-                    tracer.label(pid, op.kind, self.now())
-                send_value = None
-                empty_poll = False
-                continue
-            if op.is_shared:
-                raise TypeError(
-                    f"the live driver has no shared memory — wrap register "
-                    f"programs with QuorumSystem.emulate_registers (got {op!r})"
-                )
-            raise TypeError(f"live driver cannot interpret {op!r}")
+                    tracer.label(pid, op.kind, now)
+            else:
+                await asyncio.sleep(0)
+            empty_poll = isinstance(op, ops.Recv) and not send_value
 
     def __repr__(self) -> str:
         live = sum(1 for t in self.tasks.values() if not t.done())

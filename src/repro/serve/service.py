@@ -26,7 +26,7 @@ machinery runs at *shard* granularity and client requests are local:
 
 The keeper's program is a plain generator over :mod:`repro.sim.ops` —
 the *same* function runs under the discrete-event
-:class:`~repro.net.engine.NetEngine` (see
+:class:`~repro.sim.engine.Engine` (see
 :func:`repro.serve.workload.lease_churn_sim`) and under the live
 :class:`~repro.serve.driver.AsyncioDriver`, which is the substrate
 seam's whole argument.

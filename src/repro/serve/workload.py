@@ -3,7 +3,7 @@
 :func:`lease_churn_sim` runs the exact
 :func:`~repro.serve.service.keeper_program` generator that the live
 service spawns, but under the deterministic
-:class:`~repro.net.engine.NetEngine` via
+:class:`~repro.sim.engine.Engine` via
 :meth:`~repro.net.quorum.QuorumSystem.run` — the acceptance criterion's
 "identical lease workload on the sim substrate through the same
 Substrate protocol with no algorithm-code changes", and the body behind

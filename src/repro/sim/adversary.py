@@ -187,11 +187,10 @@ def round_conflict_hook(delta: float, slow_pid: int = 1, fast_pid: int = 0) -> H
 
     def hook(ctx: StepContext, nominal: float) -> Optional[float]:
         leaf = register_leaf(ctx.op.register.name)
-        if isinstance(ctx.op, Write) and leaf == "x":
-            return delta
-        if isinstance(ctx.op, Write) and leaf == "y" and ctx.pid == slow_pid:
-            return delta
-        if isinstance(ctx.op, Read) and leaf == "decide":
+        if isinstance(ctx.op, Write):
+            if leaf == "x" or (leaf == "y" and ctx.pid == slow_pid):
+                return delta
+        elif isinstance(ctx.op, Read) and leaf == "decide":
             if ctx.pid == fast_pid:
                 return delta
             if ctx.pid == slow_pid and first_decide[slow_pid]:

@@ -12,11 +12,23 @@ The engine realizes the paper's model directly:
   completion instant; same-instant completions linearize in the order the
   configured :class:`~repro.sim.scheduler.TieBreak` dictates.
 
+With a ``transport`` attached the engine also carries the three message
+operations (``Send``/``Broadcast``/``Recv``): handing a message to the
+network costs ``send_cost`` local time (the *delivery* delay is the
+transport's job), collecting costs ``recv_cost``.  Both must be positive
+— a zero cost would let a polling loop livelock the event loop, the same
+reason shared steps must take positive time.  Registers, delays, labels,
+crashes, restarts and run limits are unchanged, so programs may freely
+mix shared-memory steps and messages.
+
 Crash failures (for the wait-freedom experiments) are pre-scheduled from a
 :class:`~repro.sim.failures.CrashSchedule`: a crashed process takes no
 further steps, and an in-flight operation whose completion would linearize
 at or after the crash instant is discarded — the crash really does strike
-"between the invocation and the effect".
+"between the invocation and the effect".  A crashed process's queued
+messages stay undelivered on the transport, so a crash really does
+silence an endpoint mid-conversation; if it restarts, the successor's
+first ``Recv`` collects whatever arrived while it was down.
 
 Determinism: given the same programs, timing model (with its seed), tie
 break and crash schedule, a run is bit-for-bit reproducible.
@@ -29,19 +41,22 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import Tracer, active_tracer
 
 from .clock import VirtualClock
 from .failures import CrashSchedule, MemoryFault, RecoverSchedule
 from .instrument import EngineProbe, active_probe
-from .ops import Delay, Label, LocalWork, Op, Read, ReadModifyWrite, Write
+from .ops import Delay, Label, LocalWork, Op
 from .process import Process, ProcessState, Program, ProgramFactory
 from .registers import Memory
 from .scheduler import FifoTieBreak, TieBreak
 from .timing import StepContext, TimingModel
 from .trace import EventKind, Trace, TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover - repro.net imports this module
+    from repro.net.transport import Transport
 
 __all__ = ["Engine", "RunResult", "RunStatus", "SimulationError"]
 
@@ -134,9 +149,6 @@ FAULT_PID = -1
 class Engine:
     """Discrete-event executor for generator programs.
 
-    Class attribute ``_TRACE_SUBSTRATE`` names the substrate in emitted
-    trace records (overridden by :class:`repro.net.NetEngine`).
-
     Parameters
     ----------
     delta:
@@ -169,9 +181,17 @@ class Engine:
         :func:`~repro.obs.tracer.trace_scope` tracer, i.e. ``None``
         outside any scope.  Tracing is pure observation: a traced run is
         bit-identical to an untraced one.
+    transport:
+        Optional :class:`~repro.net.transport.Transport` carrying this
+        run's messages; without one, message ops are rejected.  One
+        transport per engine — its RNG and queues are consumed by the
+        run.  Trace records then carry substrate ``"net"`` instead of
+        ``"sim"``, and the probe picks up the transport's counters.
+    send_cost / recv_cost:
+        Local duration of handing a message to (collecting messages
+        from) the network.  Default: ``bound / 20`` of the transport —
+        small against the delivery bound, but positive.
     """
-
-    _TRACE_SUBSTRATE = "sim"
 
     def __init__(
         self,
@@ -186,6 +206,9 @@ class Engine:
         faults: Optional[List[MemoryFault]] = None,
         probe: Optional[EngineProbe] = None,
         tracer: Optional[Tracer] = None,
+        transport: Optional["Transport"] = None,
+        send_cost: Optional[float] = None,
+        recv_cost: Optional[float] = None,
     ) -> None:
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
@@ -215,6 +238,21 @@ class Engine:
         # FifoTieBreak priorities are just the issue sequence number; skip
         # the method call and the 1-tuple per push for the default policy.
         self._fifo = type(self.tie_break) is FifoTieBreak
+        self.transport = transport
+        if transport is not None:
+            # An explicitly-passed tracer must also see the wire: mirror it
+            # onto the transport (which defaulted to the ambient tracer).
+            if tracer is not None:
+                transport.tracer = tracer
+            default_cost = transport.bound / 20.0
+            self.send_cost = send_cost if send_cost is not None else default_cost
+            self.recv_cost = recv_cost if recv_cost is not None else default_cost
+            if self.send_cost <= 0 or self.recv_cost <= 0:
+                raise ValueError(
+                    f"send/recv costs must be positive, got "
+                    f"{self.send_cost}/{self.recv_cost} (zero would livelock "
+                    f"polling loops)"
+                )
         for fault in faults or ():
             self._push(fault.at, FAULT_PID, _FAULT, payload=fault)
 
@@ -242,6 +280,11 @@ class Engine:
             pid = len(self.processes)
         if pid in self.processes:
             raise ValueError(f"pid {pid} already spawned")
+        if self.transport is not None and not 0 <= pid < self.transport.n:
+            raise ValueError(
+                f"pid {pid} is not an endpoint of the transport "
+                f"(0..{self.transport.n - 1})"
+            )
         proc = Process(pid, program, name, factory=factory)
         proc.started_at = start_time
         proc.crash_time = self.crashes.crash_time(pid)
@@ -293,7 +336,9 @@ class Engine:
         tracer = self._tracer
         if tracer is not None:
             tracer.engine_run(
-                self._TRACE_SUBSTRATE, self.delta, list(self.processes)
+                "sim" if self.transport is None else "net",
+                self.delta,
+                list(self.processes),
             )
         status = RunStatus.COMPLETED
         # The event loop is the simulator's hot path: bind everything it
@@ -371,6 +416,12 @@ class Engine:
             probe.writes += self.memory.write_count
             probe.rmws += self.memory.rmw_count
             probe.registers_touched += self.memory.register_count
+            if self.transport is not None:
+                stats = self.transport.stats
+                probe.messages_sent += stats.messages_sent
+                probe.messages_delivered += stats.messages_delivered
+                probe.messages_dropped += stats.messages_dropped
+                probe.quorum_rtts += stats.quorum_rtts
         return RunResult(
             status=status,
             trace=self.trace,
@@ -436,28 +487,31 @@ class Engine:
             self._tracer.restart(proc.pid, now)
         self._resume(proc, None, now)
 
-    def _complete(self, proc: Process, op: Optional[Op], issued: float, now: float) -> None:
+    def _complete(self, proc: Process, op: Op, issued: float, now: float) -> None:
         """Apply an in-flight operation's effect at its completion instant."""
-        send_value: Any = None
-        if isinstance(op, Read):
-            send_value = self.memory.read(op.register)
-            self._record_shared(proc, EventKind.READ, op.register.name, send_value, issued, now)
-        elif isinstance(op, Write):
-            self.memory.write(op.register, op.value)
-            self._record_shared(proc, EventKind.WRITE, op.register.name, op.value, issued, now)
-        elif isinstance(op, ReadModifyWrite):
-            send_value = self.memory.rmw(op.register, op.transform)
-            self._record_shared(
-                proc, EventKind.RMW, op.register.name, send_value, issued, now
+        pid = proc.pid
+        send_value = op.perform(self, pid, now)
+        target, value = op.trace_fields(self, pid, send_value)
+        kind = op.trace_kind
+        shared = op.is_shared
+        # Only a shared step can be a timing failure.
+        exceeded = shared and (now - issued) > self.delta * (1.0 + _DELTA_TOLERANCE)
+        self.trace.append(
+            TraceEvent(
+                seq=next(self._event_seq),
+                pid=pid,
+                kind=kind,
+                issued=issued,
+                completed=now,
+                register=target,
+                value=value,
+                exceeded_delta=exceeded,
             )
-        elif isinstance(op, Delay):
-            self._record(proc, EventKind.DELAY, None, op.duration, issued, now)
-        elif isinstance(op, LocalWork):
-            self._record(proc, EventKind.LOCAL, None, op.duration, issued, now)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unexpected in-flight op {op!r}")
+        )
+        if self._tracer is not None:
+            self._tracer.op(kind, pid, target, issued, now, exceeded)
         proc.total_ops += 1
-        if isinstance(op, (Read, Write, ReadModifyWrite)):
+        if shared:
             proc.shared_steps += 1
             self.total_shared_steps += 1
             if proc.shared_steps >= proc.crash_step:
@@ -528,85 +582,42 @@ class Engine:
         )
 
     def _duration_of(self, proc: Process, op: Op, now: float) -> float:
-        if isinstance(op, (Read, Write, ReadModifyWrite)):
-            ctx = StepContext(pid=proc.pid, op=op, now=now, step_index=proc.shared_steps)
-            duration = self.timing.shared_step_duration(ctx)
-            if duration <= 0:
-                raise SimulationError(
-                    f"timing model produced nonpositive step duration {duration}"
+        if isinstance(op, Op):
+            if op.is_shared:
+                ctx = StepContext(
+                    pid=proc.pid, op=op, now=now, step_index=proc.shared_steps
                 )
-            return duration
-        if isinstance(op, Delay):
-            duration = self.timing.delay_duration(proc.pid, op.duration, now)
-            if duration < op.duration:
-                raise SimulationError(
-                    f"delay({op.duration}) shortened to {duration}: delay must "
-                    f"last at least the requested time"
-                )
-            return duration
-        if isinstance(op, LocalWork):
-            duration = self.timing.local_duration(proc.pid, op.duration, now)
-            if duration < 0:
-                raise SimulationError(
-                    f"local work duration must be >= 0, got {duration}"
-                )
-            return duration
-        if isinstance(op, Op) and op.is_message:
-            raise SimulationError(
-                f"process {proc.pid} ({proc.name}) yielded message op {op!r}; "
-                f"message operations need the network-aware engine "
-                f"(repro.net.NetEngine)"
-            )
+                duration = self.timing.shared_step_duration(ctx)
+                if duration <= 0:
+                    raise SimulationError(
+                        f"timing model produced nonpositive step duration {duration}"
+                    )
+                return duration
+            if op.is_message:
+                if self.transport is None:
+                    raise SimulationError(
+                        f"process {proc.pid} ({proc.name}) yielded message op "
+                        f"{op!r}; message operations need a transport, and this "
+                        f"engine has none (pass Engine(transport=...))"
+                    )
+                if op.trace_kind == EventKind.RECV:
+                    return self.recv_cost
+                return self.send_cost
+            if isinstance(op, Delay):
+                duration = self.timing.delay_duration(proc.pid, op.duration, now)
+                if duration < op.duration:
+                    raise SimulationError(
+                        f"delay({op.duration}) shortened to {duration}: delay "
+                        f"must last at least the requested time"
+                    )
+                return duration
+            if isinstance(op, LocalWork):
+                duration = self.timing.local_duration(proc.pid, op.duration, now)
+                if duration < 0:
+                    raise SimulationError(
+                        f"local work duration must be >= 0, got {duration}"
+                    )
+                return duration
         raise SimulationError(
             f"process {proc.pid} ({proc.name}) yielded a non-operation: {op!r}"
         )
-
-    # -- trace recording ----------------------------------------------------------
-
-    def _record_shared(
-        self,
-        proc: Process,
-        kind: str,
-        register_name: Any,
-        value: Any,
-        issued: float,
-        completed: float,
-    ) -> None:
-        exceeded = (completed - issued) > self.delta * (1.0 + _DELTA_TOLERANCE)
-        self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=kind,
-                issued=issued,
-                completed=completed,
-                register=register_name,
-                value=value,
-                exceeded_delta=exceeded,
-            )
-        )
-        if self._tracer is not None:
-            self._tracer.op(kind, proc.pid, register_name, issued, completed, exceeded)
-
-    def _record(
-        self,
-        proc: Process,
-        kind: str,
-        register_name: Any,
-        value: Any,
-        issued: float,
-        completed: float,
-    ) -> None:
-        self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=kind,
-                issued=issued,
-                completed=completed,
-                register=register_name,
-                value=value,
-            )
-        )
-        if self._tracer is not None:
-            self._tracer.op(kind, proc.pid, register_name, issued, completed)

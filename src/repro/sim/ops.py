@@ -1,17 +1,23 @@
 """Operation vocabulary for simulated processes.
 
 A simulated process is a Python generator that *yields* operations and
-receives their results back through ``send``.  The same operation objects
-are interpreted by three different executors:
+receives their results back through ``send``.  What an operation *does*
+is the same everywhere and lives on the operation: :meth:`Op.perform`
+applies it to a *world* — whichever interpreter pulled it from the
+generator, which owns the ``memory`` shared operations reach and the
+``transport`` message operations reach.  The interpreters differ only in
+*when* an operation takes effect:
 
-* :class:`repro.sim.engine.Engine` — the discrete-event timing simulator,
-  which charges each shared-memory operation a duration drawn from a
-  :class:`repro.sim.timing.TimingModel`;
-* :class:`repro.verify.explorer.Explorer` — the model checker, which
-  explores interleavings of shared-memory operations under fully
-  asynchronous semantics (``Delay`` provides no guarantee there, which is
-  exactly the paper's notion of a timing failure);
-* :class:`repro.runtime.executor.ThreadedExecutor` — a real-thread backend.
+* :class:`repro.sim.engine.Engine` — the discrete-event timing simulator:
+  at a virtual completion instant, after a duration drawn from a
+  :class:`repro.sim.timing.TimingModel` (with a ``transport`` attached it
+  also carries the message operations);
+* :class:`repro.verify.sandbox.Sandbox` — the model checker's untimed
+  semantics: whenever the explorer picks the process (``Delay`` provides
+  no guarantee there, which is exactly the paper's notion of a timing
+  failure);
+* :class:`repro.serve.driver.AsyncioDriver` — the wall clock: as soon as
+  the event loop runs the process, with delays as real sleeps.
 
 Only :class:`Read` and :class:`Write` touch shared memory and are therefore
 "steps" in the sense of the paper's timing assumption (there is a known
@@ -63,26 +69,40 @@ __all__ = [
 
 
 class Op:
-    """Base class for everything a simulated process may yield."""
+    """Base class for everything a simulated process may yield.
+
+    Every concrete subclass declares ``trace_kind``, the
+    :class:`~repro.sim.trace.EventKind` string its trace record carries
+    (not ``kind``: :class:`Label` has a field of that name).
+    """
 
     __slots__ = ()
 
-    @property
-    def is_shared(self) -> bool:
-        """True when the operation accesses shared memory (a "step")."""
-        return False
+    #: True when the operation accesses shared memory (a "step").
+    is_shared = False
 
-    @property
-    def is_message(self) -> bool:
-        """True when the operation touches the message substrate.
+    #: True when the operation touches the message substrate.  Message
+    #: operations are the networked analogue of shared steps: the
+    #: per-link delivery bound plays the role the paper's ``Δ`` plays for
+    #: shared-memory steps (see :mod:`repro.net`).  They need a world
+    #: with a ``transport``.
+    is_message = False
 
-        Message operations are the networked analogue of shared steps:
-        the per-link delivery bound plays the role the paper's ``Δ``
-        plays for shared-memory steps (see :mod:`repro.net`).  Only the
-        network-aware engine (:class:`repro.net.NetEngine`) interprets
-        them; the plain :class:`~repro.sim.engine.Engine` rejects them.
+    trace_kind: str
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
+        """Apply the operation's effect to ``world`` on behalf of ``pid``.
+
+        Returns the value sent back into the program.  ``now`` is the
+        world's clock reading at the effect (``None`` where time does not
+        exist).  Operations that only consume time have no effect.
         """
-        return False
+        return None
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        """The ``(register-or-dest, value)`` pair of the trace record,
+        given the ``result`` :meth:`perform` returned."""
+        return None, None
 
 
 @dataclass(frozen=True)
@@ -93,9 +113,14 @@ class Read(Op):
 
     __slots__ = ("register",)
 
-    @property
-    def is_shared(self) -> bool:
-        return True
+    is_shared = True
+    trace_kind = "read"
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
+        return world.memory.read(self.register)
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return self.register.name, result
 
     def __repr__(self) -> str:
         return f"Read({self.register.name!r})"
@@ -110,9 +135,14 @@ class Write(Op):
 
     __slots__ = ("register", "value")
 
-    @property
-    def is_shared(self) -> bool:
-        return True
+    is_shared = True
+    trace_kind = "write"
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> None:
+        world.memory.write(self.register, self.value)
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return self.register.name, self.value
 
     def __repr__(self) -> str:
         return f"Write({self.register.name!r}, {self.value!r})"
@@ -138,9 +168,14 @@ class ReadModifyWrite(Op):
     transform: "Callable[[Any], tuple]"
     name: str = "rmw"
 
-    @property
-    def is_shared(self) -> bool:
-        return True
+    is_shared = True
+    trace_kind = "rmw"
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
+        return world.memory.rmw(self.register, self.transform)
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return self.register.name, result
 
     def __repr__(self) -> str:
         return f"ReadModifyWrite({self.register.name!r}, {self.name})"
@@ -194,9 +229,14 @@ class Delay(Op):
 
     __slots__ = ("duration",)
 
+    trace_kind = "delay"
+
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise ValueError(f"delay duration must be >= 0, got {self.duration}")
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return None, self.duration
 
 
 @dataclass(frozen=True)
@@ -211,9 +251,14 @@ class LocalWork(Op):
 
     __slots__ = ("duration",)
 
+    trace_kind = "local"
+
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise ValueError(f"local work duration must be >= 0, got {self.duration}")
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return None, self.duration
 
 
 @dataclass(frozen=True)
@@ -230,6 +275,8 @@ class Label(Op):
     # dataclass (no ``slots=True``); Labels are rare enough not to matter.
     kind: str
     payload: Optional[Hashable] = None
+
+    trace_kind = "label"
 
 
 @dataclass(frozen=True)
@@ -248,9 +295,14 @@ class Send(Op):
 
     __slots__ = ("dest", "payload")
 
-    @property
-    def is_message(self) -> bool:
-        return True
+    is_message = True
+    trace_kind = "send"
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> None:
+        world.transport.send(pid, self.dest, self.payload, now)
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return self.dest, self.payload
 
     def __repr__(self) -> str:
         return f"Send(to={self.dest}, {self.payload!r})"
@@ -273,9 +325,19 @@ class Broadcast(Op):
     # which conflicts with same-named slots before Python 3.10 (same
     # trade-off as Label above).
 
-    @property
-    def is_message(self) -> bool:
-        return True
+    is_message = True
+    trace_kind = "send"
+
+    def _audience(self, world: Any, pid: int) -> Tuple[int, ...]:
+        return self.dests if self.dests is not None else world.transport.peers(pid)
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> None:
+        send = world.transport.send
+        for dest in self._audience(world, pid):
+            send(pid, dest, self.payload, now)
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return tuple(self._audience(world, pid)), self.payload
 
     def __repr__(self) -> str:
         to = "all" if self.dests is None else f"{list(self.dests)}"
@@ -288,15 +350,19 @@ class Recv(Op):
 
     The process receives a list of ``(sender, payload)`` pairs, ordered
     by delivery time (ties by transport sequence).  Non-blocking: the
-    list is empty when nothing has arrived — receivers poll, exactly
-    like the register-backed mailboxes in :mod:`repro.mp.channels`.
+    list is empty when nothing has arrived — receivers poll.
     """
 
     __slots__ = ()
 
-    @property
-    def is_message(self) -> bool:
-        return True
+    is_message = True
+    trace_kind = "recv"
+
+    def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
+        return world.transport.collect(pid, now)
+
+    def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
+        return None, result
 
     def __repr__(self) -> str:
         return "Recv()"

@@ -97,8 +97,9 @@ class Memory:
 
     The simulator is single-threaded and applies each shared-memory
     operation at a single instant of virtual time, so plain dictionary
-    reads and writes are trivially atomic/linearizable here.  (The real
-    thread backend in :mod:`repro.runtime` uses a lock per memory instead.)
+    reads and writes are trivially atomic/linearizable here.  (So does
+    the wall-clock :class:`~repro.serve.driver.AsyncioDriver`: one event
+    loop, each op applied in one uninterrupted slice of it.)
     """
 
     __slots__ = (

@@ -27,9 +27,11 @@ construction, so every simulation is reproducible from its parameters.
 from __future__ import annotations
 
 import random
+import threading
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .failures import TimingFailureWindow
 from .ops import Op
@@ -44,6 +46,8 @@ __all__ = [
     "AsynchronousTiming",
     "HookTiming",
     "EmpiricalTiming",
+    "HostDeltaReport",
+    "measure_host_delta",
 ]
 
 
@@ -233,10 +237,10 @@ class AsynchronousTiming(TimingModel):
 class EmpiricalTiming(TimingModel):
     """Step durations bootstrapped from a measured sample set.
 
-    Bridges the real-thread backend and the simulator: measure the host's
-    inter-step gaps under contention
-    (:func:`repro.runtime.timing.measure_host_delta` exposes the samples'
-    distribution), rescale them into simulator time units, and replay them
+    Bridges the real machine and the simulator: measure the host's
+    inter-step gaps under contention (:func:`measure_host_delta` exposes
+    the samples' distribution), rescale them into simulator time units,
+    and replay them
     here — the simulation then exercises the algorithms against the
     *actual* timing texture of the machine, GIL stalls included, while
     staying fully deterministic and replayable.
@@ -276,6 +280,80 @@ class EmpiricalTiming(TimingModel):
         return (
             f"EmpiricalTiming({len(self._samples)} samples, seed={self.seed})"
         )
+
+
+@dataclass(frozen=True)
+class HostDeltaReport:
+    """Distribution of observed inter-step gaps (seconds)."""
+
+    samples: int
+    mean: float
+    p50: float
+    p99: float
+    maximum: float
+
+    def optimistic(self, quantile: float = 0.99) -> float:
+        """An optimistic(Δ) choice: covers ``quantile`` of observed steps."""
+        if not (0.0 < quantile <= 1.0):
+            raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+        if quantile >= 0.99:
+            return self.p99
+        if quantile >= 0.5:
+            return self.p50
+        return self.mean
+
+    def __repr__(self) -> str:
+        return (
+            f"HostDeltaReport(n={self.samples}, mean={self.mean * 1e6:.1f}us, "
+            f"p99={self.p99 * 1e6:.1f}us, max={self.maximum * 1e6:.1f}us)"
+        )
+
+
+def measure_host_delta(
+    threads: int = 4, steps_per_thread: int = 2_000
+) -> HostDeltaReport:
+    """Sample the host's inter-step gaps under GIL contention.
+
+    The paper's practical advice (§1.2): a *sound* ``Δ`` must absorb
+    preemption, cache misses and contention, so it is enormous; run with
+    ``optimistic(Δ)`` instead and rely on resilience for the rare
+    violations.  Each worker repeatedly performs a tiny shared-memory-ish
+    operation (a dict write under a lock) and timestamps it; the gaps
+    between a thread's consecutive steps approximate the paper's
+    per-statement time, preemption included.
+    """
+    if threads < 1 or steps_per_thread < 2:
+        raise ValueError("need >= 1 thread and >= 2 steps per thread")
+    lock = threading.Lock()
+    store = {}
+    gaps: List[float] = []
+    gaps_lock = threading.Lock()
+
+    def worker(tid: int) -> None:
+        stamps = []
+        for i in range(steps_per_thread):
+            with lock:
+                store[tid] = i
+            stamps.append(time.monotonic())
+        local = [b - a for a, b in zip(stamps, stamps[1:])]
+        with gaps_lock:
+            gaps.extend(local)
+
+    pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+
+    gaps.sort()
+    n = len(gaps)
+    return HostDeltaReport(
+        samples=n,
+        mean=sum(gaps) / n,
+        p50=gaps[n // 2],
+        p99=gaps[min(n - 1, int(0.99 * n))],
+        maximum=gaps[-1],
+    )
 
 
 class HookTiming(TimingModel):

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..sim import ops as op_defs
-from ..sim.ops import Delay, Label, LocalWork, Op, Read, ReadModifyWrite, Write
+from ..sim.ops import Label, LocalWork, Op, Write
 from ..sim.registers import Memory, _freeze
 
 __all__ = ["Sandbox", "ProgramFactory", "op_kind", "op_register"]
@@ -61,15 +61,7 @@ def op_kind(op: Optional[Op]) -> str:
     (:mod:`repro.chaos.runner`, :mod:`repro.verify.fuzz`): the returned
     string is the ``op`` field of a ``repro.obs`` op record.
     """
-    if isinstance(op, Read):
-        return "read"
-    if isinstance(op, Write):
-        return "write"
-    if isinstance(op, ReadModifyWrite):
-        return "rmw"
-    if isinstance(op, LocalWork):
-        return "local"
-    return "step"
+    return op.trace_kind if op is not None else "step"
 
 
 def op_register(op: Optional[Op]) -> Optional[str]:
@@ -129,23 +121,14 @@ class Sandbox:
         if self._op_count[pid] >= self.max_ops:
             raise ValueError(f"pid {pid} is suspended at the op bound")
         self._op_count[pid] += 1
-        if isinstance(op, Read):
-            value = self.memory.read(op.register)
-            self._read_history[pid].append(_freeze(value))
-            self._advance(pid, value)
-        elif isinstance(op, Write):
-            self.memory.write(op.register, op.value)
-            self._advance(pid, None)
-        elif isinstance(op, ReadModifyWrite):
-            result = self.memory.rmw(op.register, op.transform)
-            # An RMW's result re-enters the program like a read's value, so
-            # it must join the read history for fingerprint soundness.
+        # A pause point (LocalWork) just ends: its perform is the no-op.
+        result = op.perform(self, pid, None)
+        if op.is_shared and not isinstance(op, Write):
+            # A read's value — and an RMW's result, which re-enters the
+            # program the same way — must join the read history for
+            # fingerprint soundness.
             self._read_history[pid].append(_freeze(result))
-            self._advance(pid, result)
-        elif isinstance(op, LocalWork):
-            self._advance(pid, None)  # the pause ends; no memory effect
-        else:  # pragma: no cover - _advance parks only Read/Write/LocalWork
-            raise AssertionError(f"pending op must be steppable, got {op!r}")
+        self._advance(pid, result)
 
     def _advance(self, pid: int, send_value: Any) -> None:
         """Run ``pid`` forward to its next shared op (or to completion)."""
@@ -158,18 +141,21 @@ class Sandbox:
                 self._done[pid] = True
                 self._results[pid] = stop.value
                 return
-            if isinstance(op, (Read, Write, ReadModifyWrite)):
+            if not isinstance(op, Op):
+                raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+            if op.is_message:
+                raise TypeError(
+                    f"pid {pid} yielded message op {op!r}; message operations "
+                    f"need a transport, and the untimed sandbox has none"
+                )
+            if op.is_shared or (isinstance(op, LocalWork) and op.duration > 0):
+                # A shared step, or a pause point (e.g. the CS body).
                 self._pending[pid] = op
-                return
-            if isinstance(op, LocalWork) and op.duration > 0:
-                self._pending[pid] = op  # pause point (e.g. the CS body)
                 return
             if isinstance(op, Label):
                 self._observe_label(pid, op)
-            elif isinstance(op, (Delay, LocalWork)):
-                pass  # no guarantee under asynchrony: skip
-            else:
-                raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+            # Anything else is a delay or zero-length local work, which
+            # guarantee nothing under asynchrony: skip.
             send_value = None
         raise RuntimeError(
             f"pid {pid} executed {_MAX_NONSHARED_RUN} consecutive non-shared "

@@ -1,6 +1,8 @@
 """Cross-module integration: the same algorithm objects driven through
-all three executors, end-to-end pipelines combining several subsystems,
-and the public API surface."""
+all three interpreters, end-to-end pipelines combining several
+subsystems, and the public API surface."""
+
+import asyncio
 
 import pytest
 
@@ -11,13 +13,14 @@ from repro.core.consensus import TimeResilientConsensus, labeled_decision
 from repro.core.derived import Universal
 from repro.core.mutex import default_time_resilient_mutex
 from repro.core.resilience import check_resilience
-from repro.runtime import ThreadedExecutor
+from repro.serve import AsyncioDriver
 from repro.sim import (
     ConstantTiming,
     Engine,
     FailureWindowTiming,
     failure_window,
 )
+from repro.sim.registers import Memory
 from repro.spec import (
     QueueModel,
     check_linearizability,
@@ -42,7 +45,7 @@ class TestPublicApi:
 
 
 class TestSameAlgorithmThreeExecutors:
-    """One consensus object definition; simulator, checker, threads."""
+    """One consensus object definition; simulator, checker, wall clock."""
 
     def _factories(self, consensus, inputs):
         return {
@@ -64,12 +67,16 @@ class TestSameAlgorithmThreeExecutors:
 
     def test_threads(self):
         consensus = TimeResilientConsensus(delta=1.0)
-        ex = ThreadedExecutor()
-        for pid, v in enumerate([0, 1]):
-            ex.spawn(consensus.propose(pid, v), pid=pid)
-        res = ex.run(timeout=30.0)
-        assert res.ok
-        assert len(set(res.returns.values())) == 1
+
+        async def body():
+            driver = AsyncioDriver(memory=Memory(), time_scale=1e-3)
+            for pid, v in enumerate([0, 1]):
+                driver.spawn(consensus.propose(pid, v), pid=pid)
+            return await asyncio.wait_for(driver.wait(), 30.0)
+
+        returns = asyncio.run(body())
+        assert len(returns) == 2
+        assert len(set(returns.values())) == 1
 
 
 class TestFullPipelineMutex:

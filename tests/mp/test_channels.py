@@ -1,113 +1,93 @@
-"""Tests for the message-passing emulation."""
+"""Channel properties of the message layer: ``send``/``broadcast``/``recv``
+on an ``Engine(transport=...)``.
+
+Raw links order deliveries by arrival instant, not send order; a link
+whose deliveries all take the same time (``min_factor=1.0``) is FIFO.
+"""
 
 import pytest
 
-from repro.mp import Network
-from repro.sim import ConstantTiming, Engine, RunStatus, UniformTiming
+from repro.net import Transport
+from repro.sim import ConstantTiming, Engine, RunStatus, UniformTiming, ops
+from repro.sim.registers import Register
 
 
-def run(programs, timing=None, max_time=50_000.0):
+def run(transport, programs, timing=None, max_time=50_000.0):
     eng = Engine(delta=1.0, timing=timing or ConstantTiming(0.3),
-                 max_time=max_time)
+                 max_time=max_time, transport=transport)
     for pid, prog in programs.items():
         eng.spawn(prog, pid=pid)
     return eng.run()
 
 
+def receiver(expect):
+    got = []
+    while len(got) < expect:
+        got.extend((yield ops.recv()))
+        yield ops.delay(0.1)
+    return got
+
+
 class TestMailbox:
     def test_send_receive_roundtrip(self):
-        net = Network(2)
+        def sender():
+            yield ops.send(1, "hello")
+            yield ops.send(1, "world")
 
-        def sender(pid):
-            endpoint = net.endpoint(0)
-            yield from endpoint.send(1, "hello")
-            yield from endpoint.send(1, "world")
-
-        def receiver(pid):
-            endpoint = net.endpoint(1)
-            got = []
-            while len(got) < 2:
-                inbox = yield from endpoint.poll()
-                got.extend(m for _, m in inbox)
-            return got
-
-        res = run({0: sender(0), 1: receiver(1)})
+        res = run(Transport(2, min_factor=1.0), {0: sender(), 1: receiver(2)})
         assert res.status is RunStatus.COMPLETED
-        assert res.returns[1] == ["hello", "world"]
+        assert res.returns[1] == [(0, "hello"), (0, "world")]
 
     def test_fifo_per_channel(self):
-        net = Network(2)
         count = 10
+        gate = Register("gate", 0)
 
-        def sender(pid):
-            endpoint = net.endpoint(0)
+        def sender():
             for i in range(count):
-                yield from endpoint.send(1, i)
+                yield gate.read()  # a jittered step between sends
+                yield ops.send(1, i)
 
-        def receiver(pid):
-            endpoint = net.endpoint(1)
-            got = []
-            while len(got) < count:
-                inbox = yield from endpoint.poll()
-                got.extend(m for _, m in inbox)
-            return got
-
-        res = run({0: sender(0), 1: receiver(1)},
+        res = run(Transport(2, min_factor=1.0),
+                  {0: sender(), 1: receiver(count)},
                   timing=UniformTiming(0.05, 1.0, seed=2))
-        assert res.returns[1] == list(range(count))
+        assert [m for _, m in res.returns[1]] == list(range(count))
 
     def test_broadcast_reaches_everyone(self):
         n = 4
-        net = Network(n)
 
-        def caster(pid):
-            endpoint = net.endpoint(0)
-            yield from endpoint.broadcast("ping")
+        def caster():
+            yield ops.broadcast("ping")
 
-        def listener(pid):
-            endpoint = net.endpoint(pid)
-            while True:
-                inbox = yield from endpoint.poll()
-                if inbox:
-                    return inbox
-
-        programs = {0: caster(0)}
-        programs.update({p: listener(p) for p in range(1, n)})
-        res = run(programs)
+        programs = {0: caster()}
+        programs.update({p: receiver(1) for p in range(1, n)})
+        res = run(Transport(n), programs)
         for p in range(1, n):
             assert res.returns[p] == [(0, "ping")]
 
     def test_channels_are_independent(self):
-        net = Network(3)
+        # A slow link into pid 2 does not hold back the fast one.
+        transport = Transport(3, min_factor=1.0, link_bounds={(0, 2): 20.0})
 
-        def sender(pid, dest, msg):
-            endpoint = net.endpoint(pid)
-            yield from endpoint.send(dest, msg)
+        def sender(msg):
+            yield ops.send(2, msg)
 
-        def receiver(pid):
-            endpoint = net.endpoint(pid)
-            while True:
-                inbox = yield from endpoint.poll()
-                if inbox:
-                    return inbox
-
-        res = run({
-            0: sender(0, 2, "a"),
-            1: sender(1, 2, "b"),
-            2: receiver(2),
-        })
-        senders = {s for s, _ in res.returns[2]}
-        # Receiver may catch one or both in the first nonempty poll.
-        assert senders <= {0, 1} and senders
+        res = run(transport, {0: sender("slow"), 1: sender("fast"),
+                              2: receiver(2)})
+        assert res.returns[2] == [(1, "fast"), (0, "slow")]
 
     def test_endpoint_validation(self):
-        net = Network(2)
         with pytest.raises(ValueError):
-            net.endpoint(5)
+            Transport(0)
+
+        def stray():
+            yield ops.send(5, "nowhere")
+
         with pytest.raises(ValueError):
-            Network(0)
+            run(Transport(2), {0: stray()})
 
     def test_no_self_mailbox(self):
-        net = Network(2)
-        with pytest.raises(KeyError):
-            net.mailbox(1, 1)
+        def narcissist():
+            yield ops.send(1, "to myself")
+
+        with pytest.raises(ValueError):
+            run(Transport(2), {1: narcissist()})

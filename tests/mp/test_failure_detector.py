@@ -2,23 +2,33 @@
 
 import pytest
 
-from repro.mp import HeartbeatMonitor, OmegaElection, eventual_agreement
-from repro.sim import (
-    ConstantTiming,
-    CrashSchedule,
-    Engine,
-    FailureWindowTiming,
-    failure_window,
+from repro.net import (
+    DelaySpike,
+    HeartbeatMonitor,
+    NetFaultPlan,
+    OmegaElection,
+    Transport,
+    eventual_agreement,
 )
+from repro.sim import ConstantTiming, CrashSchedule, Engine
 
 
-def run_omega(omega, n, rounds, timing=None, crashes=None, max_time=50_000.0):
-    eng = Engine(delta=1.0, timing=timing or ConstantTiming(0.1),
-                 crashes=crashes, max_time=max_time)
+def run_omega(omega, n, rounds, spikes=(), crashes=None, max_time=50_000.0):
+    """Run ``n`` of ``omega``'s nodes over a transport with delivery bound
+    0.5 — well inside the optimistic timeouts unless a spike strikes."""
+    transport = Transport(omega.n, bound=0.5, seed=0,
+                          faults=NetFaultPlan(spikes=tuple(spikes)))
+    eng = Engine(delta=1.0, timing=ConstantTiming(0.1), crashes=crashes,
+                 max_time=max_time, transport=transport)
     for pid in range(n):
         eng.spawn(omega.run(pid, rounds), pid=pid)
     res = eng.run()
     return res, dict(res.returns)
+
+
+# Node 0's links deliver 12 periods late for a while: the networked
+# timing failure, far past every optimistic timeout below.
+STALL = DelaySpike(5.0, 15.0, extra=12.0, pids=(0,))
 
 
 class TestHeartbeatMonitor:
@@ -88,22 +98,14 @@ class TestOmegaUnderTimingFailures:
         n = 3
         omega = OmegaElection(n, heartbeat_period=1.0, initial_timeout=2.5,
                               timeout_growth=2.0)
-        timing = FailureWindowTiming(
-            ConstantTiming(0.1),
-            [failure_window(5.0, 15.0, pids=[0], stretch=60.0)],
-        )
-        res, samples = run_omega(omega, n, rounds=60, timing=timing)
+        res, samples = run_omega(omega, n, rounds=60, spikes=[STALL])
         leader = eventual_agreement(samples, tail_fraction=0.2)
         assert leader == 0  # pid 0 survived; after adaptation it leads again
 
     def test_suspicion_churn_happens_during_window(self):
         n = 3
         omega = OmegaElection(n, heartbeat_period=1.0, initial_timeout=2.5)
-        timing = FailureWindowTiming(
-            ConstantTiming(0.1),
-            [failure_window(5.0, 15.0, pids=[0], stretch=60.0)],
-        )
-        res, samples = run_omega(omega, n, rounds=60, timing=timing)
+        res, samples = run_omega(omega, n, rounds=60, spikes=[STALL])
         # Someone suspected pid 0 at some point (the window's footprint).
         suspected_zero = any(
             0 in s.suspected

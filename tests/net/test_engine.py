@@ -1,18 +1,19 @@
-"""Tests for the network-aware engine (message ops on the event loop)."""
+"""Tests for the engine with a transport (message ops on the event loop)."""
 
 import pytest
 
-from repro.net import NetEngine, Transport
+from repro.net import Transport
+from repro.obs.tracer import Tracer
 from repro.sim import ConstantTiming, Engine, RunStatus, ops
 from repro.sim.engine import SimulationError
-from repro.sim.failures import CrashSchedule
+from repro.sim.failures import CrashSchedule, RecoverSchedule
 from repro.sim.instrument import EngineProbe, probe_scope
 from repro.sim.trace import EventKind
 
 
 def build(n=2, bound=1.0, seed=0, **kwargs):
     transport = Transport(n, bound=bound, seed=seed)
-    engine = NetEngine(
+    engine = Engine(
         delta=1.0, timing=ConstantTiming(0.05), transport=transport, **kwargs
     )
     return engine, transport
@@ -40,7 +41,7 @@ class TestMessageOps:
         result = engine.run()
         assert result.status is RunStatus.COMPLETED
         # Raw links are not FIFO (each delivery draws its own delay) —
-        # ordering is the quorum/mp layers' job; the fabric promises
+        # ordering is the quorum layer's job; the fabric promises
         # delivery, not order.
         assert sorted(result.returns[1]) == [(0, "ping"), (0, "pong")]
 
@@ -107,10 +108,17 @@ class TestMessageOps:
         assert sends[0].completed - sends[0].issued == pytest.approx(engine.send_cost)
         assert recvs[0].completed - recvs[0].issued == pytest.approx(engine.recv_cost)
 
+    def test_spawn_rejects_a_pid_that_is_not_an_endpoint(self):
+        engine, _ = build(n=2)
+        with pytest.raises(ValueError, match="not an endpoint"):
+            engine.spawn(pollster(1), pid=7)
+        with pytest.raises(ValueError, match="not an endpoint"):
+            engine.spawn(pollster(1), pid=-1)
+
     def test_zero_costs_are_rejected(self):
         transport = Transport(2)
         with pytest.raises(ValueError):
-            NetEngine(
+            Engine(
                 delta=1.0,
                 timing=ConstantTiming(0.1),
                 transport=transport,
@@ -134,6 +142,46 @@ class TestCrashes:
         assert transport.stats.messages_sent == 1
         assert transport.stats.messages_delivered == 0
         assert transport.in_flight(1) == 1  # parked forever, not dropped
+
+
+    def test_restarted_endpoint_collects_what_queued_while_it_was_down(self):
+        # pid 1 dies with a Recv in flight (issued 0.0, due 0.05) and
+        # restarts at 5.0 as a fresh incarnation; two messages arrive in
+        # between.
+        tracer = Tracer()
+        engine, transport = build(
+            crashes=CrashSchedule(at_time={1: 0.01}),
+            recoveries=RecoverSchedule(at_time={1: 5.0}),
+            tracer=tracer,
+        )
+        incarnations = []
+
+        def sender():
+            yield ops.delay(1.0)
+            yield ops.send(1, "first")
+            yield ops.send(1, "second")
+
+        def listener(pid):
+            incarnations.append(len(incarnations))
+            return (yield ops.recv())
+
+        engine.spawn(sender(), pid=0)
+        engine.spawn(listener(1), pid=1, factory=listener)
+        result = engine.run()
+
+        assert result.status is RunStatus.COMPLETED
+        assert incarnations == [0, 1]
+        # The dead incarnation's Recv never completed: the one RECV in
+        # the trace is the successor's, after the restart.
+        recvs = [e for e in result.trace if e.kind == EventKind.RECV]
+        assert len(recvs) == 1 and recvs[0].issued == 5.0
+        assert [e.kind for e in result.trace if e.pid == 1][:2] == [
+            EventKind.CRASH, EventKind.RESTART,
+        ]
+        assert sorted(result.returns[1]) == [(0, "first"), (0, "second")]
+        assert transport.in_flight(1) == 0
+        engines = [r for r in tracer.records if r["kind"] == "engine"]
+        assert [r["substrate"] for r in engines] == ["net"]
 
 
 class TestProbe:

@@ -1,4 +1,4 @@
-"""Artifact schema v2: observability sidecars, schema-1 tolerance."""
+"""Artifact observability sidecars, and the one readable schema."""
 
 import json
 
@@ -15,11 +15,20 @@ ARTIFACT = "tests/chaos/artifacts/fischer_n3_violation.json"
 
 
 class TestSchemaTolerance:
-    def test_committed_schema_1_artifact_still_loads(self):
+    def test_committed_artifact_is_current_schema_without_sidecars(self):
         raw = json.load(open(ARTIFACT))
-        assert raw["schema"] == 1  # the fixture predates the sidecars
+        assert raw["schema"] == SCHEMA_VERSION
         artifact = load_artifact(ARTIFACT)
         assert artifact.net_stats is None and artifact.timeliness is None
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_older_schemas_are_rejected(self, tmp_path, schema):
+        raw = json.load(open(ARTIFACT))
+        raw["schema"] = schema
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="unsupported artifact schema"):
+            load_artifact(path)
 
     def test_unknown_schema_is_rejected(self, tmp_path):
         raw = json.load(open(ARTIFACT))
@@ -37,7 +46,7 @@ class TestAttachObservability:
         assert enriched.timeliness["substrate"] == "steps"
         assert enriched.timeliness["links"]["p0"]["starved"]
 
-        # Round trip: saved at schema 2, sidecar survives reloading,
+        # Round trip: sidecar survives saving and reloading,
         # and identity (campaign/payload/violation) is unchanged.
         path = tmp_path / "enriched.json"
         save_artifact(enriched, path)

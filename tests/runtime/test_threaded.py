@@ -1,18 +1,64 @@
-"""Tests for the real-thread backend.
+"""The algorithms on the wall clock: ``AsyncioDriver`` over one ``Memory``.
 
-These run actual threads; wall-clock budgets are kept tiny (the default
-time unit is 1 ms) and assertions avoid anything scheduler-dependent
-beyond the algorithms' own guarantees.
+These run against real time; budgets are kept tiny (one model time unit
+is 1 ms) and assertions avoid anything scheduler-dependent beyond the
+algorithms' own guarantees.  Programs interleave per op — the loop may
+switch process after every read and write — so Algorithm 1 must never
+disagree and Algorithm 3 must never lose mutual exclusion, whatever
+order the event loop picks.
 """
+
+import asyncio
 
 import pytest
 
 from repro.algorithms import BakeryLock, mutex_session
 from repro.core.consensus import TimeResilientConsensus, labeled_decision
 from repro.core.mutex import default_time_resilient_mutex
-from repro.runtime import ThreadedExecutor, measure_host_delta
+from repro.obs.tracer import Tracer
+from repro.serve import AsyncioDriver
 from repro.sim import ops
-from repro.sim.registers import Register
+from repro.sim.registers import Memory, Register
+from repro.sim.timing import measure_host_delta
+
+
+class Run:
+    """Outcome of driving ``{pid: program}`` to completion on one memory."""
+
+    def __init__(self, programs, time_scale=1e-3, timeout=60.0):
+        self.memory = Memory()
+        self.tracer = Tracer()
+
+        async def body():
+            driver = AsyncioDriver(
+                memory=self.memory, time_scale=time_scale, tracer=self.tracer
+            )
+            for pid, program in programs.items():
+                driver.spawn(program, pid=pid)
+            try:
+                return await asyncio.wait_for(driver.wait(), timeout)
+            finally:
+                await driver.cancel()
+
+        self.returns = asyncio.run(body())
+
+    def labels(self):
+        """``(pid, label)`` pairs in the order the loop emitted them."""
+        return [(r["pid"], r["label"]) for r in self.tracer.records
+                if r["kind"] == "label"]
+
+    def cs_overlap_detected(self):
+        """Whether two programs were ever inside their CS at once (one
+        loop emits the labels, so their order is the real order)."""
+        inside = set()
+        for pid, label in self.labels():
+            if label == ops.CS_ENTER:
+                if inside:
+                    return True
+                inside.add(pid)
+            elif label == ops.CS_EXIT:
+                inside.discard(pid)
+        return False
 
 
 class TestExecutorBasics:
@@ -24,64 +70,62 @@ class TestExecutorBasics:
             yield ops.write(x, v + 1)
             return v
 
-        ex = ThreadedExecutor()
-        ex.spawn(prog(0))
-        res = ex.run(timeout=10.0)
-        assert res.ok
+        res = Run({0: prog(0)}, timeout=10.0)
         assert res.returns == {0: 0}
-        assert res.store.peek(x) == 1
+        assert res.memory.peek(x) == 1
 
     def test_labels_recorded(self):
         def prog(pid):
             yield ops.label(ops.DECIDED, 42)
             yield ops.read(Register("y", 0))
 
-        ex = ThreadedExecutor()
-        ex.spawn(prog(0))
-        res = ex.run(timeout=10.0)
-        assert res.decisions() == {0: 42}
+        res = Run({0: prog(0)}, timeout=10.0)
+        assert res.labels() == [(0, ops.DECIDED)]
 
     def test_errors_reported(self):
         def bad(pid):
             yield ops.read(Register("z", 0))
             raise RuntimeError("boom")
 
-        ex = ThreadedExecutor()
-        ex.spawn(bad(0))
-        res = ex.run(timeout=10.0)
-        assert not res.ok
-        assert isinstance(res.errors[0], RuntimeError)
+        with pytest.raises(RuntimeError, match="boom"):
+            Run({0: bad(0)}, timeout=10.0)
 
     def test_duplicate_pid_rejected(self):
-        ex = ThreadedExecutor()
-        ex.spawn(iter(()), pid=0)
-        with pytest.raises(ValueError):
-            ex.spawn(iter(()), pid=0)
+        def idle():
+            yield ops.delay(0.001)
+
+        async def body():
+            driver = AsyncioDriver(memory=Memory())
+            task = driver.spawn(idle(), pid=0)
+            with pytest.raises(ValueError):
+                driver.spawn(idle(), pid=0)
+            await task
+
+        asyncio.run(body())
 
     def test_bad_time_unit(self):
         with pytest.raises(ValueError):
-            ThreadedExecutor(time_unit=0)
+            AsyncioDriver(memory=Memory(), time_scale=0)
 
 
 class TestConsensusOnThreads:
     @pytest.mark.parametrize("trial", range(3))
     def test_agreement_on_real_threads(self, trial):
         consensus = TimeResilientConsensus(delta=2.0)
-        ex = ThreadedExecutor(time_unit=1e-3)
         n = 4
-        for pid in range(n):
-            ex.spawn(labeled_decision(consensus.propose(pid, pid % 2)), pid=pid)
-        res = ex.run(timeout=30.0)
-        assert res.ok, res.errors
+        res = Run(
+            {pid: labeled_decision(consensus.propose(pid, pid % 2))
+             for pid in range(n)},
+            timeout=30.0,
+        )
         decisions = set(res.returns.values())
+        assert len(res.returns) == n
         assert len(decisions) == 1
         assert decisions.pop() in (0, 1)
 
     def test_solo_fast(self):
         consensus = TimeResilientConsensus(delta=1.0)
-        ex = ThreadedExecutor()
-        ex.spawn(consensus.propose(0, 1), pid=0)
-        res = ex.run(timeout=10.0)
+        res = Run({0: consensus.propose(0, 1)}, timeout=10.0)
         assert res.returns == {0: 1}
 
 
@@ -90,24 +134,23 @@ class TestMutexOnThreads:
     def test_algorithm3_no_cs_overlap(self, trial):
         n = 3
         lock = default_time_resilient_mutex(n, delta=2.0)
-        ex = ThreadedExecutor(time_unit=1e-3)
-        for pid in range(n):
-            ex.spawn(mutex_session(lock, pid, sessions=3, cs_duration=0.5,
-                                   ncs_duration=0.2), pid=pid)
-        res = ex.run(timeout=60.0)
-        assert res.ok, res.errors
+        res = Run({
+            pid: mutex_session(lock, pid, sessions=3, cs_duration=0.5,
+                               ncs_duration=0.2)
+            for pid in range(n)
+        })
         assert not res.cs_overlap_detected()
-        assert set(res.returns.values()) == {3}
+        assert res.returns == {pid: 3 for pid in range(n)}
 
     def test_bakery_no_cs_overlap(self):
         n = 3
         lock = BakeryLock(n)
-        ex = ThreadedExecutor(time_unit=1e-3)
-        for pid in range(n):
-            ex.spawn(mutex_session(lock, pid, sessions=3, cs_duration=0.5,
-                                   ncs_duration=0.2), pid=pid)
-        res = ex.run(timeout=60.0)
-        assert res.ok
+        res = Run({
+            pid: mutex_session(lock, pid, sessions=3, cs_duration=0.5,
+                               ncs_duration=0.2)
+            for pid in range(n)
+        })
+        assert len(res.returns) == n
         assert not res.cs_overlap_detected()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.serve import AsyncioDriver, AsyncioSubstrate
 from repro.sim import ops
-from repro.sim.registers import Register
+from repro.sim.registers import Memory, Register
 
 
 def _pinger(peer):
@@ -63,6 +63,54 @@ def test_driver_rejects_shared_memory_ops():
             await substrate.close()
 
     asyncio.run(body())
+
+
+def test_driver_without_a_substrate_rejects_message_ops():
+    async def body():
+        driver = AsyncioDriver(memory=Memory())
+        task = driver.spawn(_ponger(), pid=0)
+        with pytest.raises(TypeError, match="no substrate"):
+            await task
+
+    asyncio.run(body())
+
+
+def test_register_programs_interleave_per_op_on_a_memory():
+    reg = Register("turn", 0)
+
+    def bumper():
+        seen = []
+        for _ in range(3):
+            seen.append((yield reg.read()))
+            yield reg.write(seen[-1] + 1)
+        return seen
+
+    async def body():
+        memory = Memory()
+        driver = AsyncioDriver(memory=memory)
+        for pid in range(2):
+            driver.spawn(bumper(), pid=pid)
+        returns = await driver.wait()
+        # Both read before either writes, every round: the loop switches
+        # program after each op, so updates are lost exactly as the
+        # model's read/write atomicity allows.
+        assert returns == {0: [0, 1, 2], 1: [0, 1, 2]}
+        assert memory.peek(reg) == 3
+
+    asyncio.run(body())
+
+
+def test_now_uses_the_running_loop_without_a_substrate_clock():
+    async def body():
+        driver = AsyncioDriver(memory=Memory())
+        loop = asyncio.get_running_loop()
+        before = loop.time()
+        assert before <= driver.now() <= loop.time()
+
+    asyncio.run(body())
+    # ... and only the running loop: no deprecated implicit loop creation.
+    with pytest.raises(RuntimeError, match="no running event loop"):
+        AsyncioDriver(memory=Memory()).now()
 
 
 def test_driver_rejects_duplicate_pid_and_bad_scale():

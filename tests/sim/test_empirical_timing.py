@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core.consensus import run_consensus
-from repro.runtime import measure_host_delta
 from repro.sim import ConstantTiming, EmpiricalTiming
 from repro.sim.ops import Read
 from repro.sim.registers import Register
-from repro.sim.timing import StepContext
+from repro.sim.timing import StepContext, measure_host_delta
 
 
 def ctx(pid=0):

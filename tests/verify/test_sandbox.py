@@ -152,6 +152,14 @@ def test_non_op_yield_rejected():
         Sandbox({0: bad}, max_ops=10)
 
 
+def test_message_op_rejected_for_want_of_a_transport():
+    def talker(pid):
+        yield ops.recv()
+
+    with pytest.raises(TypeError, match="message op Recv.*need a transport"):
+        Sandbox({0: talker}, max_ops=10)
+
+
 def test_double_cs_enter_rejected():
     def bad(pid):
         yield ops.label(ops.CS_ENTER)
