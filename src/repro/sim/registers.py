@@ -22,6 +22,7 @@ Lynch–Shavit lower bound of Theorem 3.1.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
 __all__ = ["Register", "Array", "Memory", "RegisterNamespace"]
@@ -109,12 +110,15 @@ class Memory:
         "_read_count",
         "_rmw_count",
         "_initials",
+        "_fingerprint_keys",
     )
 
     def __init__(self) -> None:
         self._store: Dict[Hashable, Any] = {}
         self._touched: Set[Hashable] = set()
         self._initials: Dict[Hashable, Any] = {}
+        # name -> (sort key, frozen name), filled by fingerprint().
+        self._fingerprint_keys: Dict[Hashable, Tuple[str, Hashable]] = {}
         self._write_count = 0
         self._read_count = 0
         self._rmw_count = 0
@@ -203,16 +207,27 @@ class Memory:
         processes, which keeps the model checker's memoization sound *and*
         effective.
         """
+        keys = self._fingerprint_keys
         items = []
         for name, value in self._store.items():
             if name in self._initials and value == self._initials[name]:
                 continue
-            items.append((_freeze(name), _freeze(value)))
-        items.sort(key=repr)
-        return tuple(items)
+            key = keys.get(name)
+            if key is None:
+                frozen = _freeze(name)
+                # Names are distinct, so they alone fix the order; the
+                # comma keeps it what sorting on the pair's repr gave when
+                # one name's repr is a prefix of another's.
+                key = keys[name] = (repr(frozen) + ",", frozen)
+            items.append((key[0], (key[1], _freeze(value))))
+        items.sort(key=_sort_key)
+        return tuple([cell for _, cell in items])
 
     def __repr__(self) -> str:
         return f"Memory({len(self._store)} cells, {len(self._touched)} touched)"
+
+
+_sort_key = itemgetter(0)
 
 
 def _freeze(value: Any) -> Hashable:

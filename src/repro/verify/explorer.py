@@ -7,10 +7,14 @@ shared steps* is exactly that quantifier — so exhaustively exploring
 interleavings of small configurations machine-checks Theorems 2.2/2.3 and
 Algorithm 3's mutual exclusion, and machine-*finds* Fischer's violation.
 
-Exploration is depth-first over schedules (sequences of pids).  Python
-generators cannot be forked, so each visited node re-executes the
-programs from scratch along its schedule prefix — O(depth) per node —
-with two prunings that keep small configurations tractable:
+Exploration is depth-first over schedules (sequences of pids), on one
+sandbox for the whole search: a transition is one ``step``, backtracking
+one ``undo``, both O(1).  That rests on the same assumption as fingerprint
+soundness — a deterministic program's position is a function of the
+values its steps returned, so a position once seen is never recomputed
+(:mod:`repro.verify.sandbox` has the details, and the programs that break
+it: those closing over shared mutable state, lint rule TMF003).  Two
+prunings keep small configurations tractable:
 
 * **fingerprint memoization** — sound, see
   :meth:`repro.verify.sandbox.Sandbox.fingerprint`;
@@ -27,10 +31,10 @@ the exact schedule that produced it (replayable with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .properties import SafetyProperty
-from .sandbox import ProgramFactory, Sandbox
+from .sandbox import ProgramFactory, Sandbox, _UndoSandbox
 
 __all__ = ["Violation", "ExplorationResult", "explore", "replay_schedule"]
 
@@ -114,21 +118,21 @@ def explore(
     """
     result = ExplorationResult(states=0, transitions=0, max_depth=0)
     seen: Set[Hashable] = set()
+    sandbox = _UndoSandbox(factories, max_ops=max_ops)
+    schedule: List[int] = []
 
-    def visit(schedule: List[int]) -> bool:
-        """DFS; returns False to abort the whole search."""
-        sandbox = Sandbox(factories, max_ops=max_ops)
-        for pid in schedule:
-            sandbox.step(pid)
+    def arrive() -> Optional[Sequence[int]]:
+        """Check the state just reached; the pids to try from it, or
+        ``None`` to abort the whole search."""
         fingerprint = sandbox.fingerprint()
         if fingerprint in seen:
-            return True
+            return ()
+        if result.states >= max_states:
+            result.complete = False
+            return None
         seen.add(fingerprint)
         result.states += 1
         result.max_depth = max(result.max_depth, len(schedule))
-        if result.states > max_states:
-            result.complete = False
-            return False
 
         for prop in properties:
             message = prop.check(sandbox)
@@ -138,7 +142,7 @@ def explore(
                 )
                 if stop_at_first_violation:
                     result.complete = False
-                    return False
+                    return None
 
         enabled = sandbox.enabled()
         if not enabled:
@@ -151,21 +155,26 @@ def explore(
                     )
                     if stop_at_first_violation:
                         result.complete = False
-                        return False
-            return True
-        for pid in enabled:
-            result.transitions += 1
-            if not visit(schedule + [pid]):
-                return False
-        return True
+                        return None
+        return enabled
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    # Depth can reach n_processes * max_ops; give the recursion room.
-    sys.setrecursionlimit(max(old_limit, 10_000))
-    try:
-        visit([])
-    finally:
-        sys.setrecursionlimit(old_limit)
+    start = arrive()
+    # untried[d]: the pids not yet tried from the state d steps down the
+    # current schedule.
+    untried: List[Iterator[int]] = [] if start is None else [iter(start)]
+    while untried:
+        pid = next(untried[-1], None)
+        if pid is None:
+            untried.pop()
+            if schedule:
+                sandbox.undo()
+                schedule.pop()
+            continue
+        result.transitions += 1
+        sandbox.step(pid)
+        schedule.append(pid)
+        todo = arrive()
+        if todo is None:
+            break
+        untried.append(iter(todo))
     return result

@@ -18,21 +18,34 @@ strike at any moment.  Accordingly:
 * ``Label`` updates the observer state (critical-section occupancy,
   decisions) without consuming a transition.
 
-Python generators cannot be forked, so exploration re-executes programs
-from scratch along each schedule prefix (see
-:mod:`repro.verify.explorer`).  A :class:`Sandbox` is one such execution:
-feed it pids with :meth:`step` and inspect the resulting state.
+A :class:`Sandbox` is one such execution: feed it pids with :meth:`step`
+and inspect the resulting state.
 
-Soundness of fingerprint memoization: a deterministic program's future
-behaviour is a function of the sequence of values its reads returned, so
-``(memory contents, per-process read histories, per-process liveness)``
-fully determines the reachable futures.  :meth:`fingerprint` returns
-exactly that.
+One assumption carries everything that is memoized here: a deterministic
+program's future behaviour is a function of the sequence of values its
+steps returned.
+
+* Fingerprints are sound because of it: ``(memory contents, per-process
+  read histories, per-process liveness)`` fully determines the reachable
+  futures, and :meth:`Sandbox.fingerprint` returns exactly that.
+* Backtracking needs no re-execution because of it.  Python generators
+  cannot be forked, but a program's *position* — its pending op, the
+  labels it emitted on the way there, whether it finished and with what
+  — is that same function of the returned values, so the explorer's
+  :class:`_UndoSandbox` records every ``(position, returned value) ->
+  next position`` edge the first time a generator produces it and
+  afterwards walks the recorded positions in both directions.  A
+  generator is rebuilt, by re-sending the values recorded on the way to
+  a position, only when an edge not seen before leaves a position the
+  live generator has already moved past.
+
+Programs that close over shared mutable state (lint rule TMF003) are not
+such functions, and break both.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from ..sim import ops as op_defs
 from ..sim.ops import Label, LocalWork, Op, Write
@@ -232,19 +245,156 @@ class Sandbox:
         points advance the position without touching memory, so the op
         count is not derivable from the read history alone).
         """
-        procs = tuple(
-            (
-                pid,
-                self._done[pid],
-                self._op_count[pid],
-                tuple(self._read_history[pid]),
-            )
-            for pid in sorted(self._programs)
-        )
+        procs = tuple(self._process_key(pid) for pid in sorted(self._programs))
         return (self.memory.fingerprint(), procs)
+
+    def _process_key(self, pid: int) -> Hashable:
+        """``pid``'s share of the fingerprint."""
+        return (
+            pid,
+            self._done[pid],
+            self._op_count[pid],
+            tuple(self._read_history[pid]),
+        )
 
     def __repr__(self) -> str:
         return (
             f"Sandbox(enabled={self.enabled()}, done="
             f"{sorted(p for p, d in self._done.items() if d)})"
         )
+
+
+_UNDECIDED = object()
+
+
+class _Position(NamedTuple):
+    """Where one program stands after a given sequence of returned values.
+
+    Everything the sandbox learns by resuming the generator to here, so
+    that arriving a second time — or coming back — resumes nothing.
+    """
+
+    parent: Optional["_Position"]  # one step earlier; None at the start
+    sent: Any  # the value that step returned into the program
+    next: Dict[Hashable, "_Position"]  # by frozen returned value, as discovered
+    op: Optional[Op]
+    done: bool
+    result: Any
+    in_cs: bool
+    decision: Any
+    labels: List[Tuple[int, str, Any]]  # what arriving appends to labels_seen
+    key: Hashable  # Sandbox._process_key here
+
+
+class _UndoSandbox(Sandbox):
+    """A sandbox whose steps can be taken back, for depth-first search.
+
+    :meth:`step` is :meth:`Sandbox.step` plus an undo record; only
+    ``_advance`` differs, consulting the recorded positions (module
+    docstring) before it resumes a generator.  The flat per-pid state of
+    the base class is kept current, so inspection and properties work
+    unchanged.  Costs a table of positions, which is why the linear
+    callers (fuzz, chaos, replay) stay on the base class.
+    """
+
+    def __init__(self, factories: Dict[int, ProgramFactory], max_ops: int) -> None:
+        self._factories = factories
+        self._position: Dict[int, _Position] = {}
+        # Where each live generator stands, which is not where its process
+        # stands once the search has backed up.
+        self._generator_at: Dict[int, _Position] = {}
+        self._undo_log: List[Tuple[int, _Position, Any, Any]] = []
+        super().__init__(factories, max_ops)
+
+    def step(self, pid: int) -> None:
+        """:meth:`Sandbox.step`, remembering what :meth:`undo` must restore."""
+        here = self._position.get(pid)
+        register = getattr(self._pending.get(pid), "register", None)
+        before = None if register is None else self.memory.peek(register)
+        super().step(pid)
+        self._undo_log.append((pid, here, register, before))
+
+    def undo(self) -> None:
+        """Take back the most recent :meth:`step` not yet undone."""
+        pid, here, register, before = self._undo_log.pop()
+        arrived = len(self._position[pid].labels)
+        if arrived:
+            del self.labels_seen[-arrived:]
+        if register is not None:
+            self.memory.poke(register, before)
+        _pid, _done, op_count, history = here.key
+        self._op_count[pid] = op_count
+        del self._read_history[pid][len(history):]
+        self._place(pid, here)
+
+    def restart(self, pid: int, factory: ProgramFactory) -> None:
+        raise NotImplementedError("positions do not span incarnations")
+
+    def _advance(self, pid: int, send_value: Any) -> None:
+        here = self._position.get(pid)  # None while __init__ finds the starts
+        edge = _freeze(send_value)
+        there = here.next.get(edge) if here is not None else None
+        if there is not None:
+            self.labels_seen.extend(there.labels)
+            self._place(pid, there)
+            return
+        if self._generator_at.get(pid) is not here:
+            self._rebuild(pid, here)
+        mark = len(self.labels_seen)
+        super()._advance(pid, send_value)
+        there = _Position(
+            parent=here,
+            sent=send_value,
+            next={},
+            op=self._pending[pid],
+            done=self._done[pid],
+            result=self._results.get(pid),
+            in_cs=pid in self.in_cs,
+            decision=self.decisions.get(pid, _UNDECIDED),
+            labels=self.labels_seen[mark:],
+            key=super()._process_key(pid),
+        )
+        if here is not None:
+            here.next[edge] = there
+        self._position[pid] = self._generator_at[pid] = there
+
+    def _place(self, pid: int, position: _Position) -> None:
+        """Make ``position`` the state of ``pid`` that inspection sees."""
+        self._position[pid] = position
+        self._pending[pid] = position.op
+        self._done[pid] = position.done
+        if position.done:
+            self._results[pid] = position.result
+        else:
+            self._results.pop(pid, None)
+        if position.in_cs:
+            self.in_cs.add(pid)
+        else:
+            self.in_cs.discard(pid)
+        if position.decision is _UNDECIDED:
+            self.decisions.pop(pid, None)
+        else:
+            self.decisions[pid] = position.decision
+
+    def _rebuild(self, pid: int, target: _Position) -> None:
+        """Replace ``pid``'s generator by a fresh one driven to ``target``."""
+        sent = []
+        position: Optional[_Position] = target
+        while position is not None:
+            sent.append(position.sent)
+            position = position.parent
+        self._programs[pid].close()
+        self._programs[pid] = self._factories[pid](pid)
+        # The labels on the way are already accounted for; let the replay
+        # announce them to observers nobody reads.
+        observers = self.in_cs, self.decisions, self.labels_seen
+        self.in_cs, self.decisions, self.labels_seen = set(), {}, []
+        try:
+            for value in reversed(sent):
+                super()._advance(pid, value)
+        finally:
+            self.in_cs, self.decisions, self.labels_seen = observers
+        self._generator_at[pid] = target
+
+    def _process_key(self, pid: int) -> Hashable:
+        return self._position[pid].key

@@ -13,6 +13,7 @@ from repro.verify import (
     InvariantProperty,
     MutualExclusionProperty,
     ValidityProperty,
+    Violation,
     explore,
     replay_schedule,
 )
@@ -25,6 +26,12 @@ def lock_factories(lock, n, cs_duration=1.0):
         pid: (lambda p: mutex_session(lock, p, sessions=1, cs_duration=cs_duration))
         for pid in range(n)
     }
+
+
+def spinner(pid):
+    while True:
+        v = yield ops.read(X)
+        yield ops.write(X, (v + 1) % 100)
 
 
 class TestExplorerMechanics:
@@ -40,13 +47,15 @@ class TestExplorerMechanics:
         assert res.terminal_states >= 1
 
     def test_max_states_marks_incomplete(self):
-        def spinner(pid):
-            while True:
-                v = yield ops.read(X)
-                yield ops.write(X, (v + 1) % 100)
-
         res = explore({0: spinner, 1: spinner}, [], max_ops=30, max_states=50)
         assert not res.complete
+        assert res.states == 50
+
+    def test_deep_schedule_needs_no_recursion(self):
+        # The first path alone runs to depth 2 * max_ops.
+        res = explore({0: spinner, 1: spinner}, [], max_ops=1000, max_states=2500)
+        assert not res.complete
+        assert res.max_depth == 2000
 
     def test_invariant_violation_found_with_schedule(self):
         def prog(pid):
@@ -151,7 +160,8 @@ class TestPaperSafetyTheorems:
 
     @pytest.mark.slow
     def test_algorithm3_exclusion_exhaustive_n2(self):
-        """Algorithm 3's stabilization, exhaustively (slower: ~2 min)."""
+        """Algorithm 3's stabilization, exhaustively: 188 898 states, no
+        process parked at the bound (about 5 s; CI runs it with ``-m slow``)."""
         lock = default_time_resilient_mutex(2, delta=1.0)
         res = explore(lock_factories(lock, 2), [MutualExclusionProperty()],
                       max_ops=40)
@@ -174,3 +184,104 @@ class TestPaperSafetyTheorems:
         res = explore(factories, [AgreementProperty()], max_ops=20)
         assert not res.ok
         assert res.violations[0].property_name == "agreement"
+
+
+def reference_explore(factories, properties, max_ops):
+    """The explorer at its simplest: rebuild every node by replay, and
+    never stop at a violation."""
+    seen = set()
+    found = {"states": 0, "transitions": 0, "max_depth": 0,
+             "terminal_states": 0, "violations": []}
+
+    def visit(schedule):
+        sandbox = replay_schedule(factories, schedule, max_ops)
+        fingerprint = sandbox.fingerprint()
+        if fingerprint in seen:
+            return
+        seen.add(fingerprint)
+        found["states"] += 1
+        found["max_depth"] = max(found["max_depth"], len(schedule))
+        for prop in properties:
+            message = prop.check(sandbox)
+            if message is not None:
+                found["violations"].append(
+                    Violation(prop.name, message, tuple(schedule)))
+        enabled = sandbox.enabled()
+        found["terminal_states"] += not enabled
+        for pid in enabled:
+            found["transitions"] += 1
+            visit(schedule + [pid])
+
+    visit([])
+    return found
+
+
+def fischer_case():
+    lock = FischerLock(delta=1.0)
+    return lock_factories(lock, 2), [MutualExclusionProperty()], 14, True
+
+
+def algorithm3_case():
+    lock = default_time_resilient_mutex(2, delta=1.0)
+    return lock_factories(lock, 2), [MutualExclusionProperty()], 14, False
+
+
+def consensus_case():
+    consensus = TimeResilientConsensus(delta=1.0, max_rounds=2)
+    inputs = {0: 0, 1: 1}
+    factories = {
+        pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
+        for pid in inputs
+    }
+    return factories, [AgreementProperty(), ValidityProperty(inputs)], 30, False
+
+
+def rmw_case():
+    def prog(pid):
+        ticket = yield ops.fetch_and_add(X)
+        if ticket == 0:
+            yield ops.label(ops.CS_ENTER)
+            yield ops.local_work(1.0)
+            yield ops.label(ops.CS_EXIT)
+        swapped = yield ops.compare_and_swap(X, 2, 0)
+        if swapped:
+            yield ops.label(ops.DECIDED, pid)
+        return (yield ops.get_and_set(X, pid))
+
+    full = InvariantProperty(
+        lambda sb: sb.memory.peek(X) < 3, name="x<3", message="x reached 3")
+    return {pid: prog for pid in range(3)}, [full, AgreementProperty()], 5, True
+
+
+class TestAgainstReplayReference:
+    """Step/undo over memoized positions must be invisible in the result."""
+
+    @pytest.mark.parametrize(
+        "case", [fischer_case, algorithm3_case, consensus_case, rmw_case])
+    def test_same_search_as_replaying_every_node(self, case):
+        factories, properties, max_ops, violates = case()
+        res = explore(factories, properties, max_ops=max_ops,
+                      stop_at_first_violation=False)
+        ref = reference_explore(factories, properties, max_ops)
+        assert (res.states, res.transitions, res.max_depth,
+                res.terminal_states) == (
+            ref["states"], ref["transitions"], ref["max_depth"],
+            ref["terminal_states"])
+        assert res.violations == ref["violations"]
+        assert (len(res.violations) > 1) == violates
+        by_name = {prop.name: prop for prop in properties}
+        for violation in res.violations:
+            sandbox = replay_schedule(factories, violation.schedule, max_ops)
+            assert by_name[violation.property_name].check(sandbox) == violation.message
+
+    @pytest.mark.parametrize("max_ops, expected", [
+        (14, (2_122, 3_650, 28, 58)),
+        (22, (19_998, 32_174, 44, 755)),
+    ])
+    def test_algorithm3_counts_pinned(self, max_ops, expected):
+        lock = default_time_resilient_mutex(2, delta=1.0)
+        res = explore(lock_factories(lock, 2), [MutualExclusionProperty()],
+                      max_ops=max_ops, stop_at_first_violation=False)
+        assert res.ok and res.complete
+        assert (res.states, res.transitions, res.max_depth,
+                res.terminal_states) == expected

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import ops
 from repro.sim.registers import Register
-from repro.verify.sandbox import Sandbox
+from repro.verify.sandbox import Sandbox, _UndoSandbox
 
 X = Register("x", 0)
 Y = Register("y", 0)
@@ -215,3 +215,79 @@ class TestRestart:
         sb = Sandbox({0: incrementer}, max_ops=10)
         with pytest.raises(ValueError, match="unknown pid"):
             sb.restart(7, incrementer)
+
+
+class TestUndo:
+    """The explorer's sandbox: ``step; undo`` leaves no trace."""
+
+    @staticmethod
+    def observed(sb):
+        pids = sorted(sb._programs)
+        return (
+            sb.fingerprint(),
+            sb.memory.fingerprint(),
+            set(sb.in_cs),
+            dict(sb.decisions),
+            list(sb.labels_seen),
+            sb.enabled(),
+            [(sb.done(p), sb.result(p), sb.op_count(p), repr(sb.pending_op(p)))
+             for p in pids],
+        )
+
+    @staticmethod
+    def worker(pid):
+        v = yield ops.read(X)                        # read
+        yield ops.write(Y, v + pid + 1)              # write
+        old = yield ops.fetch_and_add(X, 2)          # RMW
+        yield ops.label(ops.CS_ENTER)
+        yield ops.local_work(1.0)                    # pause point
+        yield ops.label(ops.CS_EXIT)
+        yield ops.write(Y, 0)                        # back to the initial value
+        yield ops.label(ops.DECIDED, old)
+        yield ops.write(X, [old, pid])               # then finishes
+        return old
+
+    def test_every_kind_of_step_round_trips(self):
+        sb = _UndoSandbox({0: self.worker, 1: self.worker}, max_ops=10)
+        for pid in (0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1):
+            before = self.observed(sb)
+            sb.step(pid)
+            assert self.observed(sb) != before
+            sb.undo()
+            assert self.observed(sb) == before
+            sb.step(pid)  # the second time over a recorded position
+        assert sb.done(0) and sb.done(1) and sb.enabled() == []
+        assert sb.decisions == {0: 0, 1: 2}
+
+    def test_agrees_with_a_plain_sandbox_after_backtracking(self):
+        factories = {0: self.worker, 1: self.worker}
+        sb = _UndoSandbox(factories, max_ops=10)
+        for pid in (0, 0, 0, 1, 1):
+            sb.step(pid)
+        for _ in range(5):
+            sb.undo()
+        # pid 0's generator has run three steps ahead of its process; once
+        # pid 1 has changed X, pid 0's first read returns a value not seen
+        # at that position, which only a rebuilt generator can be sent.
+        ahead = sb._programs[0]
+        plain = Sandbox(factories, max_ops=10)
+        for pid in (1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0):
+            sb.step(pid)
+            plain.step(pid)
+            assert self.observed(sb) == self.observed(plain)
+        assert sb._programs[0] is not ahead
+        assert sb.done(0) and sb.done(1)
+
+    def test_undo_restores_what_the_step_found_in_memory(self):
+        sb = _UndoSandbox({0: self.worker}, max_ops=10)
+        sb.step(0)
+        sb.memory.poke(Y, 41)  # e.g. a corruption between steps
+        before = self.observed(sb)
+        sb.step(0)  # overwrites Y
+        sb.undo()
+        assert self.observed(sb) == before and sb.memory.peek(Y) == 41
+
+    def test_restart_is_refused(self):
+        sb = _UndoSandbox({0: incrementer}, max_ops=10)
+        with pytest.raises(NotImplementedError):
+            sb.restart(0, incrementer)
