@@ -293,8 +293,7 @@ def _parallel_shard_overhead() -> Dict[str, int]:
     schedules = 48
     shards = make_shards(schedules, 4, master_seed=0)
     with WorkerPool(1) as pool:
-        results = pool.run(_campaign_shard, shards,
-                           ("fischer_n3", 0, schedules, False))
+        results = pool.run(_campaign_shard, shards, ("fischer_n3", 0, False))
     merged = merge_fuzz_results([r.value for r in results])
     return {
         "parallel_shards": len(shards),

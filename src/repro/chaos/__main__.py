@@ -12,7 +12,8 @@ Subcommands::
 
 Exit codes: 0 = expectation met, 1 = violated (a hit under ``--expect
 clean``, no hit under ``--expect violation``, or a replay mismatch),
-2 = usage error.
+2 = usage error (an empty run — ``--campaigns 0`` or ``--schedules 0`` —
+is one, not a vacuous pass).
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
+    for flag, count in (
+        ("--campaigns", args.campaigns), ("--schedules", args.schedules)
+    ):
+        if count < 1:
+            # Zero runs would meet any --expect vacuously.
+            print(
+                f"an empty campaign explores nothing: {flag} must be "
+                f"positive, got {count}",
+                file=sys.stderr,
+            )
+            return 2
     if args.trace is not None and args.substrate != "sim":
         print("--trace is sim-only", file=sys.stderr)
         return 2

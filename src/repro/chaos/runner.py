@@ -29,9 +29,16 @@ usually delete every window — see :mod:`repro.chaos.shrink`.)
 
 **Net substrate.**  A chaos run is a seeded client workload over the ABD
 quorum emulation under the campaign's fault plan, checked against the
-atomic-register linearizability spec — the same harness as
-:mod:`repro.net.fuzz`, but with the explicit (campaign, workload, seed)
-triple the shrinker and the artifacts need.
+atomic-register linearizability spec — through
+:func:`repro.net.fuzz.run_workload`, the harness the net fuzzer calls
+too, with the explicit (campaign, workload, seed) triple the shrinker
+and the artifacts need.
+
+**Campaigns.**  On either substrate a campaign is one loop
+(:func:`_sim_runs` / :func:`_net_runs`) over a range of global run
+indices, run in-process over the whole range or sliced over shard
+workers, and folded into a :class:`CampaignReport` by
+:func:`repro.parallel.merge.merge_campaign_runs` either way.
 """
 
 from __future__ import annotations
@@ -50,9 +57,11 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.tracer import active_tracer
+from repro.obs.tracer import Tracer, active_tracer, trace_scope
 
-from ..sim import ops
+from ..net.fuzz import Workload, run_workload, sample_workload
+from ..parallel import WorkerPool, make_shards, timing_rows
+from ..parallel.merge import RunRecord, merge_campaign_runs
 from ..sim.registers import Register
 from ..verify.properties import (
     AgreementProperty,
@@ -441,10 +450,16 @@ def run_sim(
                     return True
         return False
 
-    stopped = False
-    if generating:
+    def budget():
+        # Generation's slot source: "scheduler's choice" (None) for as
+        # long as the step budget lasts.  Replay's is the recorded pids.
         while clock < max_steps:
-            settle()
+            yield None
+
+    stopped = False
+    for pid in budget() if generating else schedule:
+        settle()
+        if pid is None:
             runnable = [p for p in sandbox.enabled() if p not in halted]
             if not runnable:
                 break
@@ -454,35 +469,20 @@ def run_sim(
                 if not any(w.affects(p, clock) for w in windows)
             ]
             pid = rng.choice(free or runnable)
-            pending = sandbox.pending_op(pid) if tracer is not None else None
-            sandbox.step(pid)
-            recorded.append(pid)
-            clock += 1
-            if tracer is not None:
-                tracer.op(
-                    op_kind(pending), pid, op_register(pending),
-                    float(clock - 1), float(clock),
-                )
-            if check_monitors():
-                stopped = True
-                break
-    else:
-        for pid in schedule:
-            settle()
-            if pid in halted or pid not in sandbox.enabled():
-                continue  # tolerant replay: skip unrunnable slots
-            pending = sandbox.pending_op(pid) if tracer is not None else None
-            sandbox.step(pid)
-            recorded.append(pid)
-            clock += 1
-            if tracer is not None:
-                tracer.op(
-                    op_kind(pending), pid, op_register(pending),
-                    float(clock - 1), float(clock),
-                )
-            if check_monitors():
-                stopped = True
-                break
+        elif pid in halted or pid not in sandbox.enabled():
+            continue  # tolerant replay: skip unrunnable slots
+        pending = sandbox.pending_op(pid) if tracer is not None else None
+        sandbox.step(pid)
+        recorded.append(pid)
+        clock += 1
+        if tracer is not None:
+            tracer.op(
+                op_kind(pending), pid, op_register(pending),
+                float(clock - 1), float(clock),
+            )
+        if check_monitors():
+            stopped = True
+            break
 
     done = (not stopped) and all(sandbox.done(pid) for pid in factories)
     verdicts: List[ChaosViolation] = []
@@ -551,59 +551,54 @@ class CampaignReport:
         )
 
 
-def _traced_sim_run(
+def _sim_runs(
     target: SimTarget,
     campaign: Campaign,
-    run_seed: str,
+    indices: Sequence[int],
     max_steps: int,
     trace: bool,
-) -> Tuple[SimOutcome, Optional[List[Dict[str, Any]]]]:
-    """One generated run, optionally under a private tracer."""
-    if not trace:
-        return run_sim(
-            target, campaign, run_seed=run_seed, max_steps=max_steps
-        ), None
-    from repro.obs import Tracer, trace_scope
+) -> List[RunRecord]:
+    """The sim campaign loop: generated runs up to the first failure.
 
-    tracer = Tracer()
-    with trace_scope(tracer):
-        outcome = run_sim(
-            target, campaign, run_seed=run_seed, max_steps=max_steps
-        )
-    return outcome, tracer.take()
-
-
-def _sim_shard(shard, payload) -> List[Any]:
-    """Shard worker: one slice of a sim campaign's run-index range.
-
-    Module-level for the spawn pool; the target travels by *name* (its
-    build closures cannot cross a process boundary) while the frozen
-    campaign pickles as-is.  Each run is seeded by its global index
-    exactly as in the sequential loop, and the shard stops at its own
-    first failure — runs past the globally-first failure are discarded
-    by the merge, so stopping early only saves work.
+    Each run is seeded by its global index, so a slice of the index
+    range is exactly that slice of the whole campaign; runs past the
+    globally-first failure are discarded by the merge, so stopping at
+    the slice's own first failure only saves work.  ``trace`` records
+    each run under a private tracer (otherwise an ambient one, if any,
+    sees the runs unchunked).
     """
-    from ..parallel.merge import RunRecord
-
-    target_name, campaign, max_steps, trace = payload
-    target = sim_target(target_name)
-    records: List[Any] = []
-    for index in range(shard.start, shard.stop):
-        outcome, chunk = _traced_sim_run(
-            target, campaign, str(index), max_steps, trace
-        )
+    tracer = Tracer() if trace else active_tracer()
+    records: List[RunRecord] = []
+    for index in indices:
+        with trace_scope(tracer):
+            outcome = run_sim(
+                target, campaign, run_seed=str(index), max_steps=max_steps
+            )
         records.append(
             RunRecord(
                 index=index,
                 steps=outcome.steps,
                 outcome=None if outcome.ok else outcome,
                 verdict=outcome.verdicts[0] if outcome.verdicts else None,
-                trace=chunk,
+                trace=tracer.take() if trace else None,
             )
         )
         if not outcome.ok:
             break
     return records
+
+
+def _sim_shard(shard, payload) -> List[RunRecord]:
+    """Shard worker (module-level for the spawn pool).
+
+    The target travels by *name* — its build closures cannot cross a
+    process boundary — while the frozen campaign pickles as-is.
+    """
+    target_name, campaign, max_steps, trace = payload
+    return _sim_runs(
+        sim_target(target_name), campaign,
+        range(shard.start, shard.stop), max_steps, trace,
+    )
 
 
 def _run_campaign_sharded(
@@ -614,10 +609,7 @@ def _run_campaign_sharded(
     workers: int,
     pool,
 ) -> CampaignReport:
-    """Common sharded path for both substrates' campaign loops."""
-    from ..parallel import WorkerPool, make_shards, timing_rows
-    from ..parallel.merge import merge_campaign_runs
-
+    """Common sharded path for both substrates' campaigns."""
     shards = make_shards(schedules, workers, master_seed=str(campaign.seed))
     own_pool = pool is None
     if own_pool:
@@ -644,10 +636,11 @@ def run_sim_campaign(
     """Run ``schedules`` generated executions; stop at the first failure.
 
     ``workers > 1`` shards the run-index range over processes (reusing
-    ``pool``, a :class:`repro.parallel.WorkerPool`, when given).  Runs
-    are seeded by global index, so the report — failing outcome,
+    ``pool``, a :class:`repro.parallel.WorkerPool`, when given).  The
+    sequential campaign is the shard body over the whole range, folded
+    by the same merge, so the report — failing outcome,
     ``schedules_run``, ``total_steps``, verdict counts, trace chunks —
-    is identical to the sequential path; only ``shard_timing`` differs.
+    is identical for every worker count; only ``shard_timing`` differs.
     ``trace=True`` records each run under a private ``repro.obs`` tracer
     and collects the chunks on the report in run-index order.
     """
@@ -657,33 +650,15 @@ def run_sim_campaign(
             (target.name, campaign, max_steps, trace),
             workers=workers if pool is None else pool.workers, pool=pool,
         )
-    report = CampaignReport(campaign=campaign)
-    for index in range(schedules):
-        outcome, chunk = _traced_sim_run(
-            target, campaign, str(index), max_steps, trace
-        )
-        report.schedules_run += 1
-        report.total_steps += outcome.steps
-        if chunk is not None:
-            report.trace_chunks.append((index, chunk))
-        if outcome.verdicts:
-            report.verdicts += 1
-            if report.first_verdict is None:
-                report.first_verdict = outcome.verdicts[0]
-        if not outcome.ok:
-            report.failing = outcome
-            break
-    return report
+    return merge_campaign_runs(
+        campaign,
+        [_sim_runs(target, campaign, range(schedules), max_steps, trace)],
+    )
 
 
 # ---------------------------------------------------------------------------
 # Net substrate: explicit workloads over the quorum emulation.
 # ---------------------------------------------------------------------------
-
-# A workload is one ops tuple per client; each op is ("write", reg, value)
-# or ("read", reg, None).
-Workload = Tuple[Tuple[Tuple[str, int, Any], ...], ...]
-
 
 @dataclass(frozen=True)
 class NetParams:
@@ -746,36 +721,10 @@ def sample_net_workload(
     campaign: Campaign, run_seed: str, params: NetParams
 ) -> Workload:
     """Draw the per-client read/write choices for one run."""
-    rng = random.Random(f"chaos:{campaign.seed}:{run_seed}:workload")
-    value = 1
-    workload: List[Tuple[Tuple[str, int, Any], ...]] = []
-    for _client in range(params.clients):
-        choices: List[Tuple[str, int, Any]] = []
-        for _ in range(params.ops_per_client):
-            if rng.random() < 0.5:
-                choices.append(("write", rng.randrange(params.registers), value))
-                value += 1
-            else:
-                choices.append(("read", rng.randrange(params.registers), None))
-        workload.append(tuple(choices))
-    return tuple(workload)
-
-
-def _net_client(
-    choices: Sequence[Tuple[str, int, Any]], registers: Sequence[Register]
-):
-    from ..spec.histories import INVOKE, RESPOND
-
-    for op_kind, reg_index, value in choices:
-        register = registers[reg_index]
-        if op_kind == "write":
-            yield ops.label(INVOKE, (register.name, "write", (value,)))
-            yield register.write(value)
-            yield ops.label(RESPOND, (register.name, None))
-        else:
-            yield ops.label(INVOKE, (register.name, "read", ()))
-            result = yield register.read()
-            yield ops.label(RESPOND, (register.name, result))
+    return sample_workload(
+        random.Random(f"chaos:{campaign.seed}:{run_seed}:workload"),
+        params.clients, params.ops_per_client, params.registers,
+    )
 
 
 def run_net(
@@ -791,19 +740,12 @@ def run_net(
     environment comes from the campaign's adapters, and the workload is
     explicit data — exactly the triple the shrinker minimizes.
     """
-    from ..net.quorum import QuorumSystem
-    from ..spec.histories import history_from_trace, pending_from_trace
-    from ..spec.linearizability import RegisterModel, check_linearizability
-
     if campaign.substrate != "net":
         raise ValueError(f"expected a net campaign, got {campaign.substrate!r}")
     if len(workload) != params.clients:
         raise ValueError(
             f"workload has {len(workload)} clients, params say {params.clients}"
         )
-    registers = [Register(f"r{i}") for i in range(params.registers)]
-    programs = [_net_client(choices, registers) for choices in workload]
-    crashes = campaign.crash_schedule()
     tracer = active_tracer()
     if tracer is not None:
         tracer.run_marker(
@@ -812,76 +754,48 @@ def run_net(
             run_seed=run_seed,
             pids=list(range(params.clients + params.replicas)),
         )
-        plan = campaign.net_plan()
-        for loss in plan.losses:
-            tracer.window(
-                float(loss.start), float(loss.end),
-                None if loss.pids is None else sorted(loss.pids), "loss",
-            )
-        for spike in plan.spikes:
-            tracer.window(
-                float(spike.start), float(spike.end),
-                None if spike.pids is None else sorted(spike.pids), "spike",
-            )
-        for partition in plan.partitions:
-            tracer.window(
-                float(partition.start), float(partition.end),
-                sorted(p for group in partition.groups for p in group),
-                "partition",
-            )
-    system = QuorumSystem(
-        params.clients,
-        replicas=params.replicas,
-        bound=params.bound,
-        seed=f"chaos:{campaign.seed}:{run_seed}:transport",
-        faults=campaign.net_plan(),
-        crashes=crashes if (campaign.crash_at or campaign.crash_after) else None,
-        max_time=200.0 * params.bound,
+    crashed = campaign.crash_at or campaign.crash_after
+    run = run_workload(
+        workload, params.registers, params.replicas, params.bound,
+        f"chaos:{campaign.seed}:{run_seed}:transport",
+        campaign.net_plan(), campaign.crash_schedule() if crashed else None,
     )
-    result = system.run(programs)
     outcome = NetOutcome(
         campaign=campaign,
         workload=workload,
-        status=result.status.value,
+        operations=run.operations,
+        pending=run.pending,
+        status=run.status,
         run_seed=run_seed,
-        net_stats=system.transport.stats.snapshot(),
+        net_stats=run.net_stats,
     )
-    for register in registers:
-        history = history_from_trace(result.trace, obj=register.name)
-        pending = pending_from_trace(result.trace, obj=register.name)
-        check = check_linearizability(
-            history, RegisterModel(initial=register.initial), pending=pending
-        )
-        outcome.operations += len(history)
-        outcome.pending += len(pending)
-        if not check.ok:
-            outcome.violations.append(
-                ChaosViolation(
-                    monitor="linearizability",
-                    message=(
-                        f"register {register.name!r}: {len(history)} completed "
-                        f"+ {len(pending)} pending operations admit no legal "
-                        f"sequential order"
-                    ),
-                    step=len(history),
-                )
+    for name, completed, pending in run.failing:
+        outcome.violations.append(
+            ChaosViolation(
+                monitor="linearizability",
+                message=(
+                    f"register {name!r}: {completed} completed "
+                    f"+ {pending} pending operations admit no legal "
+                    f"sequential order"
+                ),
+                step=completed,
             )
-            if tracer is not None:
-                tracer.violation("linearizability", result.end_time)
+        )
+        if tracer is not None:
+            tracer.violation("linearizability", run.end_time)
     return outcome
 
 
-def _net_shard(shard, payload) -> List[Any]:
-    """Shard worker: one slice of a net campaign's run-index range.
+def _net_runs(
+    campaign: Campaign, params: NetParams, indices: Sequence[int]
+) -> List[RunRecord]:
+    """The net campaign loop: sampled workloads up to the first failure.
 
-    Workloads are re-sampled inside the worker from the campaign seed
-    and the global run index — identical to the sequential loop's draws.
+    Workloads are drawn from the campaign seed and the global run index,
+    so slices compose exactly as in :func:`_sim_runs`.
     """
-    from ..parallel.merge import RunRecord
-
-    campaign, params = payload
-    records: List[Any] = []
-    for index in range(shard.start, shard.stop):
+    records: List[RunRecord] = []
+    for index in indices:
         run_seed = str(index)
         workload = sample_net_workload(campaign, run_seed, params)
         outcome = run_net(campaign, workload, params=params, run_seed=run_seed)
@@ -895,6 +809,12 @@ def _net_shard(shard, payload) -> List[Any]:
         if not outcome.ok:
             break
     return records
+
+
+def _net_shard(shard, payload) -> List[RunRecord]:
+    """Shard worker (module-level for the spawn pool)."""
+    campaign, params = payload
+    return _net_runs(campaign, params, range(shard.start, shard.stop))
 
 
 def run_net_campaign(
@@ -914,14 +834,6 @@ def run_net_campaign(
             campaign, schedules, _net_shard, (campaign, params),
             workers=workers if pool is None else pool.workers, pool=pool,
         )
-    report = CampaignReport(campaign=campaign)
-    for index in range(schedules):
-        run_seed = str(index)
-        workload = sample_net_workload(campaign, run_seed, params)
-        outcome = run_net(campaign, workload, params=params, run_seed=run_seed)
-        report.schedules_run += 1
-        report.total_steps += outcome.operations
-        if not outcome.ok:
-            report.failing = outcome
-            break
-    return report
+    return merge_campaign_runs(
+        campaign, [_net_runs(campaign, params, range(schedules))]
+    )

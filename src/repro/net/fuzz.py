@@ -29,12 +29,11 @@ Every random draw derives from ``Random(f"{seed}:{index}")``, so a
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.tracer import Tracer, trace_scope
+from repro.obs.tracer import Tracer, active_tracer, trace_scope
 
 from ..sim import ops
 from ..sim.failures import CrashSchedule
@@ -49,6 +48,10 @@ __all__ = [
     "PLAN_KINDS",
     "ScheduleOutcome",
     "NetFuzzReport",
+    "Workload",
+    "WorkloadRun",
+    "sample_workload",
+    "run_workload",
     "fuzz_quorum_register",
 ]
 
@@ -162,6 +165,29 @@ def _make_plan(
     raise ValueError(f"unknown plan kind {kind!r}")
 
 
+# A workload is one ops tuple per client; each op is ("write", reg, value)
+# or ("read", reg, None).
+Workload = Tuple[Tuple[Tuple[str, int, Any], ...], ...]
+
+
+def sample_workload(
+    rng: random.Random, clients: int, ops_per_client: int, registers: int
+) -> Workload:
+    """Draw each client's read/write choices (written values are unique)."""
+    value = 1
+    workload: List[Tuple[Tuple[str, int, Any], ...]] = []
+    for _client in range(clients):
+        choices: List[Tuple[str, int, Any]] = []
+        for _ in range(ops_per_client):
+            if rng.random() < 0.5:
+                choices.append(("write", rng.randrange(registers), value))
+                value += 1
+            else:
+                choices.append(("read", rng.randrange(registers), None))
+        workload.append(tuple(choices))
+    return tuple(workload)
+
+
 def _client_workload(
     choices: Sequence[Tuple[str, int, Any]], registers: Sequence[Register]
 ) -> Program:
@@ -181,6 +207,86 @@ def _client_workload(
             yield ops.label(INVOKE, (register.name, "read", ()))
             result = yield register.read()
             yield ops.label(RESPOND, (register.name, result))
+
+
+@dataclass(frozen=True)
+class WorkloadRun:
+    """One workload's execution over the ABD emulation, judged."""
+
+    status: str  # engine RunStatus value
+    end_time: float
+    operations: int  # completed object operations across all registers
+    pending: int  # unanswered invocations (crashed or stalled clients)
+    net_stats: Dict[str, int]  # NetStats.snapshot() of the run's transport
+    # (register name, completed, pending) per register whose history
+    # admits no legal sequential order.
+    failing: Tuple[Tuple[Any, int, int], ...]
+
+
+def run_workload(
+    workload: Workload,
+    registers: int,
+    replicas: int,
+    bound: float,
+    seed: str,
+    faults: NetFaultPlan,
+    crashes: Optional[CrashSchedule],
+) -> WorkloadRun:
+    """Run ``workload`` on a fresh quorum system; judge every register.
+
+    The one harness behind :func:`fuzz_quorum_register` and
+    :func:`repro.chaos.runner.run_net`: deterministic in its arguments
+    (``seed`` seeds the transport).  The plan's fault windows go to the
+    ambient tracer, which the engine built inside ``system.run`` (and
+    through it the transport) binds too; run markers and violation
+    records stay with the callers, whose trace formats differ.
+    """
+    tracer = active_tracer()
+    if tracer is not None:
+        for fault, windows in (("loss", faults.losses), ("spike", faults.spikes)):
+            for window in windows:
+                tracer.window(
+                    float(window.start), float(window.end),
+                    None if window.pids is None else sorted(window.pids), fault,
+                )
+        for partition in faults.partitions:
+            tracer.window(
+                float(partition.start), float(partition.end),
+                sorted(p for group in partition.groups for p in group),
+                "partition",
+            )
+    regs = [Register(f"r{i}") for i in range(registers)]
+    system = QuorumSystem(
+        len(workload),
+        replicas=replicas,
+        bound=bound,
+        seed=seed,
+        faults=faults,
+        crashes=crashes,
+        max_time=200.0 * bound,
+    )
+    result = system.run([_client_workload(choices, regs) for choices in workload])
+    operations = 0
+    pending_count = 0
+    failing = []
+    for register in regs:
+        history = history_from_trace(result.trace, obj=register.name)
+        pending = pending_from_trace(result.trace, obj=register.name)
+        check = check_linearizability(
+            history, RegisterModel(initial=register.initial), pending=pending
+        )
+        operations += len(history)
+        pending_count += len(pending)
+        if not check.ok:
+            failing.append((register.name, len(history), len(pending)))
+    return WorkloadRun(
+        status=result.status.value,
+        end_time=result.end_time,
+        operations=operations,
+        pending=pending_count,
+        net_stats=system.transport.stats.snapshot(),
+        failing=tuple(failing),
+    )
 
 
 def fuzz_quorum_register(
@@ -212,36 +318,19 @@ def fuzz_quorum_register(
     spans, message send/deliver/drop lifecycles, quorum phases, fault
     windows).  Pure observation — the transport draws no extra RNG and
     consumes no sequence numbers for it, so verdicts are identical with
-    or without tracing.
+    or without tracing.  With ``trace=False`` an *ambient* tracer still
+    receives the same records, unchunked (as in
+    :func:`repro.verify.fuzz.fuzz`).
     """
     if first_index < 0:
         raise ValueError(f"first_index must be >= 0, got {first_index}")
     report = NetFuzzReport(seed=seed, schedules=schedules)
-    tracer = Tracer() if trace else None
+    tracer = Tracer() if trace else active_tracer()
     for index in range(first_index, first_index + schedules):
         rng = random.Random(f"{seed}:{index}")
         kind = PLAN_KINDS[index % len(PLAN_KINDS)]
         faults, crashes = _make_plan(kind, rng, clients, replicas, bound)
-        regs = [Register(f"r{i}") for i in range(registers)]
-        values = itertools.count(1)
-        programs = []
-        for _pid in range(clients):
-            choices: List[Tuple[str, int, Any]] = []
-            for _ in range(ops_per_client):
-                if rng.random() < 0.5:
-                    choices.append(("write", rng.randrange(registers), next(values)))
-                else:
-                    choices.append(("read", rng.randrange(registers), None))
-            programs.append(_client_workload(choices, regs))
-        system = QuorumSystem(
-            clients,
-            replicas=replicas,
-            bound=bound,
-            seed=f"{seed}:{index}:transport",
-            faults=faults,
-            crashes=crashes,
-            max_time=200.0 * bound,
-        )
+        workload = sample_workload(rng, clients, ops_per_client, registers)
         if tracer is not None:
             tracer.run_marker(
                 "net",
@@ -250,52 +339,22 @@ def fuzz_quorum_register(
                 seed=seed,
                 pids=list(range(clients + replicas)),
             )
-            for loss in faults.losses:
-                tracer.window(
-                    float(loss.start), float(loss.end),
-                    None if loss.pids is None else sorted(loss.pids), "loss",
-                )
-            for spike in faults.spikes:
-                tracer.window(
-                    float(spike.start), float(spike.end),
-                    None if spike.pids is None else sorted(spike.pids),
-                    "spike",
-                )
-            for partition in faults.partitions:
-                tracer.window(
-                    float(partition.start), float(partition.end),
-                    sorted(p for group in partition.groups for p in group),
-                    "partition",
-                )
-            # The engine (and through it the transport) binds the ambient
-            # tracer when it is built inside system.run().
-            with trace_scope(tracer):
-                result = system.run(programs)
-        else:
-            result = system.run(programs)
-        linearizable = True
-        operations = 0
-        pending_count = 0
-        for register in regs:
-            history = history_from_trace(result.trace, obj=register.name)
-            pending = pending_from_trace(result.trace, obj=register.name)
-            check = check_linearizability(
-                history, RegisterModel(initial=register.initial), pending=pending
+        with trace_scope(tracer):
+            run = run_workload(
+                workload, registers, replicas, bound,
+                f"{seed}:{index}:transport", faults, crashes,
             )
-            linearizable = linearizable and check.ok
-            operations += len(history)
-            pending_count += len(pending)
         outcome = ScheduleOutcome(
             index=index,
             plan=kind,
-            linearizable=linearizable,
-            operations=operations,
-            pending=pending_count,
-            status=result.status.value,
+            linearizable=not run.failing,
+            operations=run.operations,
+            pending=run.pending,
+            status=run.status,
         )
-        if tracer is not None:
-            if not linearizable:
-                tracer.violation("linearizability", result.end_time)
+        if tracer is not None and run.failing:
+            tracer.violation("linearizability", run.end_time)
+        if trace:
             report.trace_chunks.append((index, tracer.take()))
         report.outcomes.append(outcome)
         if progress is not None:

@@ -13,12 +13,13 @@ Three stopping disciplines appear in this repo and each has a merge:
   ``stop_at_first_violation=False``, ``repro.net.fuzz``): every item
   runs; merge concatenates in global-index order and sums counters
   (:func:`merge_fuzz_results`, :func:`merge_net_reports`).
-* **first-failure** (``repro.chaos`` campaigns): the sequential loop
-  stops at the first failing run.  A shard may stop at *its own* first
-  failure; the merge replays the sequential rule over the sorted run
-  records, truncating at the globally-first failure — runs past it are
-  discarded, so ``schedules_run``/``total_steps`` match the sequential
-  report exactly (:func:`merge_campaign_runs`).
+* **first-failure** (``repro.chaos`` campaigns): a campaign stops at
+  its first failing run.  A shard may stop at *its own* first failure;
+  the merge applies the rule over the sorted run records, truncating at
+  the globally-first failure — runs past it are discarded, so
+  ``schedules_run``/``total_steps`` do not depend on the sharding
+  (:func:`merge_campaign_runs`, which the sequential campaign goes
+  through as well: one part covering the whole range).
 
 Domain types are imported lazily so ``repro.parallel`` stays importable
 without the fuzz/net/chaos layers (and free of import cycles with the
@@ -115,10 +116,11 @@ def merge_net_reports(parts: Sequence[Any]) -> Any:
 
 
 def merge_campaign_runs(campaign: Any, parts: Sequence[Sequence[RunRecord]]) -> Any:
-    """Rebuild a chaos :class:`~repro.chaos.runner.CampaignReport`.
+    """Build a chaos :class:`~repro.chaos.runner.CampaignReport`.
 
-    Replays the sequential first-failure rule over the globally sorted
-    run records: accumulate until the lowest-indexed failing run, then
+    The one place a report is accumulated, for every worker count.
+    Applies the first-failure rule over the globally sorted run
+    records: accumulate until the lowest-indexed failing run, then
     stop.  Records past the first failure (which only exist because
     other shards could not know about it) are discarded, never counted.
     """

@@ -150,21 +150,6 @@ def cmd_load(args: argparse.Namespace) -> int:
     with trace_scope(tracer):
         document = asyncio.run(body())
     document["obs"] = _obs_report(tracer, args.bound)
-    if args.baseline:
-        latency = document["load"]["latency"]
-        baseline = {
-            "clients": args.clients,
-            "duration": args.duration,
-            "seed": args.seed,
-            "granted": document["load"]["granted"],
-            "throughput": document["load"]["throughput"],
-            "p50": latency["p50"],
-            "p95": latency["p95"],
-            "p99": latency["p99"],
-        }
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return _finish(document, args)
 
 
@@ -266,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--workers", type=int, default=1, help="arrival pump shards")
     load.add_argument("--max-inflight", type=int, default=50_000)
     load.add_argument("--json", default=None, help="also write the report here")
-    load.add_argument("--baseline", default=None, help="write percentile baseline")
     load.add_argument(
         "--max-p99", type=float, default=None, help="fail if p99 exceeds this (s)"
     )

@@ -16,13 +16,14 @@ hammers fresh schedules::
 
     python -m repro.verify.fuzz --seed 20260805 --schedules 500 --workers 4
 
-Campaigns: Fischer n=3 (a violation MUST be found), Algorithm 3 n=4 and
-Algorithm 1 n=4 (no violation may exist).  Exit 0 when every expectation
-holds, 1 otherwise, 2 on usage errors (an empty campaign —
-``--schedules 0`` — is a usage error, not a vacuous pass).  ``--substrate
-net`` fuzzes the networked quorum-register emulation instead (see
-:mod:`repro.net.fuzz`): random workloads under rotating fault plans,
-checked against the atomic-register linearizability spec.
+Campaigns are the :data:`repro.chaos.runner.SIM_TARGETS` entries named in
+:data:`STANDARD_CAMPAIGNS`: Fischer n=3 (a violation MUST be found),
+Algorithm 3 n=4 and Algorithm 1 n=4 (no violation may exist).  Exit 0
+when every expectation holds, 1 otherwise, 2 on usage errors (an empty
+campaign — ``--schedules 0`` — is a usage error, not a vacuous pass).
+``--substrate net`` fuzzes the networked quorum-register emulation
+instead (see :mod:`repro.net.fuzz`): random workloads under rotating
+fault plans, checked against the atomic-register linearizability spec.
 
 ``--workers N`` shards each campaign's schedule range over N processes
 via :mod:`repro.parallel`.  Because every run is seeded by its global
@@ -218,74 +219,30 @@ def fuzz(
     return result
 
 
-def _standard_campaigns(seed: int, schedules: int):
-    """(name, factories, properties, kwargs, expect_violation) tuples.
-
-    Imports live here to keep :mod:`repro.verify` free of an import cycle
-    with the algorithm packages.
-    """
-    from ..algorithms import FischerLock, mutex_session
-    from ..core.consensus import TimeResilientConsensus, labeled_decision
-    from ..core.mutex import default_time_resilient_mutex
-    from .properties import (
-        AgreementProperty,
-        MutualExclusionProperty,
-        ValidityProperty,
-    )
-
-    fischer = FischerLock(delta=1.0)
-    alg3 = default_time_resilient_mutex(4, delta=1.0)
-    consensus = TimeResilientConsensus(delta=1.0, max_rounds=3)
-    inputs = {pid: pid % 2 for pid in range(4)}
-    return [
-        (
-            "fischer_n3",
-            {pid: (lambda p: mutex_session(fischer, p, sessions=1,
-                                           cs_duration=1.0))
-             for pid in range(3)},
-            [MutualExclusionProperty()],
-            {"schedules": schedules, "max_ops": 40, "seed": seed},
-            True,
-        ),
-        (
-            "alg3_n4",
-            {pid: (lambda p: mutex_session(alg3, p, sessions=1,
-                                           cs_duration=1.0))
-             for pid in range(4)},
-            [MutualExclusionProperty()],
-            {"schedules": schedules, "max_ops": 120, "seed": seed + 1},
-            False,
-        ),
-        (
-            "consensus_n4",
-            {pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
-             for pid in inputs},
-            [AgreementProperty(), ValidityProperty(inputs)],
-            {"schedules": schedules, "max_ops": 80, "seed": seed + 2},
-            False,
-        ),
-    ]
+# The standard campaigns, by :data:`repro.chaos.runner.SIM_TARGETS` name;
+# campaign ``i`` is seeded ``seed + i``.  (The registry is imported where
+# it is used: ``repro.chaos`` imports this package.)
+STANDARD_CAMPAIGNS = ("fischer_n3", "alg3_n4", "consensus_n4")
 
 
 def _campaign_shard(shard, payload) -> FuzzResult:
     """Shard worker: one standard campaign's slice of the run-index range.
 
     Module-level (the spawn pool pickles it by reference) and rebuilt
-    from the campaign *name* — program factories close over live lock
+    from the target *name* — program factories close over live lock
     objects and cannot cross a process boundary.  Every seed inside
     :func:`fuzz` derives from the global run index via ``first_index``,
     so the returned result is exactly the sequential campaign's slice.
     """
-    name, seed, schedules, trace = payload
-    for cname, factories, properties, kwargs, _expect in (
-            _standard_campaigns(seed, schedules)):
-        if cname == name:
-            kwargs = dict(kwargs)
-            kwargs["schedules"] = shard.count
-            return fuzz(factories, properties,
-                        stop_at_first_violation=False,
-                        first_index=shard.start, trace=trace, **kwargs)
-    raise KeyError(f"unknown standard campaign {name!r}")
+    from ..chaos.runner import sim_target
+
+    name, seed, trace = payload
+    target = sim_target(name)
+    factories, properties, _registers = target.build()
+    return fuzz(factories, properties, schedules=shard.count,
+                max_ops=target.max_ops, seed=seed,
+                stop_at_first_violation=False,
+                first_index=shard.start, trace=trace)
 
 
 def _net_shard(shard, payload):
@@ -325,6 +282,7 @@ def _write_trace(path, chunks) -> None:
 
 def _run_registers(args, pool, timing: list):
     """The three standard campaigns, sharded; returns (exit code, summary)."""
+    from ..chaos.runner import sim_target
     from ..parallel import make_shards, merge_fuzz_results, timing_rows
 
     summary = {
@@ -335,13 +293,12 @@ def _run_registers(args, pool, timing: list):
     }
     failures = 0
     trace_chunks: list = []
-    for name, _factories, _properties, kwargs, expect_violation in (
-            _standard_campaigns(args.seed, args.schedules)):
-        shards = make_shards(args.schedules, args.workers,
-                             master_seed=kwargs["seed"])
+    for offset, name in enumerate(STANDARD_CAMPAIGNS):
+        expect_violation = sim_target(name).expect_violation
+        seed = args.seed + offset
+        shards = make_shards(args.schedules, args.workers, master_seed=seed)
         results = pool.run(_campaign_shard, shards,
-                           (name, args.seed, args.schedules,
-                            args.trace is not None))
+                           (name, seed, args.trace is not None))
         timing.extend(timing_rows(results, campaign=name))
         # Every shard collects EVERY violation, not just the first: a
         # nightly failure must be actionable from the log alone.

@@ -51,6 +51,22 @@ class TestRunCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("expect", ["clean", "violation", "recover", "any"])
+    @pytest.mark.parametrize("flag", ["--schedules", "--campaigns"])
+    def test_empty_run_is_a_usage_error_not_a_vacuous_pass(
+        self, flag, expect, capsys
+    ):
+        # Zero runs used to print "clean after 0 schedule(s)" /
+        # "converged: 0/0" and exit 0 under every expectation.
+        code = main([
+            "run", "--substrate", "sim", "--target", "dg_mutex_n3",
+            "--seed", "s", flag, "0", "--expect", expect,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "an empty campaign explores nothing" in err
+        assert f"{flag} must be positive, got 0" in err
+
 
 class TestShrinkCommand:
     def test_reshrink_artifact_in_place(self, tmp_path):

@@ -15,6 +15,7 @@ from repro.chaos.runner import (
     sample_net_workload,
     sim_target,
 )
+from repro.obs import Tracer, trace_scope
 from repro.sim import ops
 from repro.sim.failures import failure_window
 from repro.sim.registers import Register
@@ -71,6 +72,14 @@ def _counter_target(max_ops=10):
                      pids=(0, 1), expect_violation=False)
 
 
+def _assert_replays_identically(target, campaign, generated, max_steps):
+    replayed = run_sim(
+        target, campaign, schedule=generated.schedule, max_steps=max_steps
+    )
+    assert (replayed.steps, replayed.schedule, replayed.violations) == (
+        generated.steps, generated.schedule, generated.violations)
+
+
 class TestRunSimGeneration:
     def test_deterministic_per_run_seed(self):
         target = sim_target("fischer_n3")
@@ -90,6 +99,31 @@ class TestRunSimGeneration:
         replayed = run_sim(target, campaign, schedule=list(generated.schedule))
         assert replayed.schedule == generated.schedule
         assert replayed.violations == generated.violations
+
+    # Generation and replay share one step body; what differs is where
+    # the next pid comes from, so the two ways a generated run can end
+    # other than "everyone finished" must replay to the same place.
+
+    def test_replay_reproduces_a_run_cut_by_the_step_budget(self):
+        target = sim_target("fischer_n3")
+        campaign = sample_sim_campaign("demo-a", pids=target.pids, windows=6)
+        generated = run_sim(target, campaign, run_seed="4", max_steps=12)
+        assert generated.steps == 12 and not generated.done
+        assert generated.find("mutual_exclusion").step == 8
+        _assert_replays_identically(target, campaign, generated, 12)
+
+    def test_replay_reproduces_a_run_ending_on_a_restart_fast_forward(self):
+        # pid 0 crashes at 2 and pid 1 finishes well inside the budget;
+        # idle time then jumps the clock to the restart at 50 — past
+        # max_steps — where the new incarnation takes the run's last step.
+        campaign = Campaign(
+            substrate="sim", seed="ff",
+            crash_at=((0, 2.0),), recover_at=((0, 50.0),),
+        )
+        target = _counter_target()
+        generated = run_sim(target, campaign, run_seed="0", max_steps=20)
+        assert generated.steps == 51 and len(generated.schedule) == 9
+        _assert_replays_identically(target, campaign, generated, 20)
 
     def test_wrong_substrate_rejected(self):
         target = sim_target("fischer_n3")
@@ -178,6 +212,25 @@ class TestRunNet:
         assert a.ok  # ABD under faults must stay linearizable
         assert (a.operations, a.pending, a.status) == (
             b.operations, b.pending, b.status)
+
+    def test_traced_run_carries_one_window_record_per_fault(self):
+        params = NetParams()
+        campaign = sample_net_campaign("net-1", severity=2.0)
+        plan = campaign.net_plan()
+        expected = sorted(
+            ["loss"] * len(plan.losses) + ["spike"] * len(plan.spikes)
+            + ["partition"] * len(plan.partitions)
+        )
+        assert expected  # the campaign does carry net-side faults
+        tracer = Tracer()
+        with trace_scope(tracer):
+            run_net(campaign, sample_net_workload(campaign, "0", params),
+                    params=params, run_seed="0")
+        records = tracer.take()
+        assert [r["kind"] for r in records[:1]] == ["run"]
+        assert sorted(
+            r["fault"] for r in records if r["kind"] == "window"
+        ) == expected
 
     def test_workload_sampling_deterministic(self):
         params = NetParams()

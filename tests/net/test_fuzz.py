@@ -40,6 +40,21 @@ class TestCampaign:
         report = fuzz_quorum_register(schedules=4, seed=0, progress=seen.append)
         assert seen == report.outcomes
 
+    def test_traced_schedule_carries_one_window_record_per_fault(self):
+        report = fuzz_quorum_register(
+            schedules=len(PLAN_KINDS), seed=0, trace=True
+        )
+        windows = {
+            outcome.plan: [r["fault"] for r in chunk if r["kind"] == "window"]
+            for outcome, (_index, chunk) in zip(
+                report.outcomes, report.trace_chunks)
+        }
+        assert windows == {
+            "clean": [], "crash-minority": [], "client-crash": [],
+            "delay-spike": ["spike"], "partition": ["partition"],
+            "loss": ["loss"],
+        }
+
     def test_summary_reports_per_plan_rows(self):
         report = fuzz_quorum_register(schedules=6, seed=0)
         text = report.summary()

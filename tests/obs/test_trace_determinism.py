@@ -22,7 +22,7 @@ def _chunk_bytes(chunks):
 
 class TestLibraryMerge:
     def test_registers_shards_merge_to_the_sequential_trace(self):
-        payload = ("fischer_n3", 5, 12, True)
+        payload = ("fischer_n3", 5, True)
         [whole] = make_shards(12, 1, master_seed=5)
         sequential = _campaign_shard(whole, payload)
         parts = [

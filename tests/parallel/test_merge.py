@@ -1,7 +1,7 @@
 """Merge determinism: sharded output must equal the sequential run."""
 
-from repro.chaos.plan import sample_sim_campaign
-from repro.chaos.runner import run_sim_campaign, sim_target
+from repro.chaos.plan import sample_net_campaign, sample_sim_campaign
+from repro.chaos.runner import run_net_campaign, run_sim_campaign, sim_target
 from repro.net.fuzz import fuzz_quorum_register
 from repro.parallel import (
     RunRecord,
@@ -135,6 +135,16 @@ class TestCampaignMerge:
         assert parallel.total_steps == sequential.total_steps
         assert parallel.failing == sequential.failing
         assert parallel.shard_timing  # telemetry present, results untouched
+
+    def test_net_campaign_workers_match_sequential(self):
+        campaign = sample_net_campaign("mrg-net")
+        sequential = run_net_campaign(campaign, schedules=4)
+        parallel = run_net_campaign(campaign, schedules=4, workers=2)
+        assert sequential.schedules_run == 4 and sequential.total_steps > 0
+        assert parallel.schedules_run == sequential.schedules_run
+        assert parallel.total_steps == sequential.total_steps
+        assert parallel.failing == sequential.failing
+        assert sequential.shard_timing is None and parallel.shard_timing
 
 
 class TestCounters:

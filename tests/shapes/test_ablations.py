@@ -3,11 +3,9 @@ property (see repro/analysis/ablations.py for the full rationale)."""
 
 from repro.analysis.ablations import run_a1, run_a2, run_a3, run_a4
 
-from .conftest import run_once
 
-
-def test_bench_a1_delay_buys_liveness(benchmark):
-    table = run_once(benchmark, run_a1, cap=120.0)
+def test_a1_delay_buys_liveness():
+    table = run_a1(cap=120.0)
     paper, ablated = table.rows
     # Both safe; both fine under benign timing.
     assert paper[3] and ablated[3]
@@ -17,8 +15,8 @@ def test_bench_a1_delay_buys_liveness(benchmark):
     assert "undecided" in ablated[2]
 
 
-def test_bench_a2_conditional_reset_drains_the_flood(benchmark):
-    table = run_once(benchmark, run_a2, max_time=300.0)
+def test_a2_conditional_reset_drains_the_flood():
+    table = run_a2(max_time=300.0)
     by_name = {row[0]: row for row in table.rows}
     paper = by_name["paper (conditional)"]
     ablated = by_name["ablated (unconditional)"]
@@ -28,8 +26,8 @@ def test_bench_a2_conditional_reset_drains_the_flood(benchmark):
     assert ablated[2] > paper[2]
 
 
-def test_bench_a3_doorway_delay_serializes(benchmark):
-    table = run_once(benchmark, run_a3, seeds=(0, 1))
+def test_a3_doorway_delay_serializes():
+    table = run_a3(seeds=(0, 1))
     by_name = {row[0]: row for row in table.rows}
     paper = by_name["paper (with delay)"]
     ablated = by_name["ablated (no delay)"]
@@ -43,8 +41,8 @@ def test_bench_a3_doorway_delay_serializes(benchmark):
     assert paper[2] and ablated[2]
 
 
-def test_bench_a4_contention_hint_keeps_exit_constant(benchmark):
-    table = run_once(benchmark, run_a4, ns_sweep=(4, 16, 64))
+def test_a4_contention_hint_keeps_exit_constant():
+    table = run_a4(ns_sweep=(4, 16, 64))
     paper, ablated = table.rows
     # The hinted exit is flat in n...
     assert paper[1] == paper[3]

@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e4
 
-from .conftest import run_once
 
-
-def test_bench_e4_seven_step_fast_path(benchmark):
-    table = run_once(benchmark, run_e4)
+def test_e4_seven_step_fast_path():
+    table = run_e4()
     rows = {row[0]: row for row in table.rows}
     # Shape: the solo paths take exactly the paper's 7 steps, even while
     # the system is drowning in timing failures, and never delay.

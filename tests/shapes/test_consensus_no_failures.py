@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e1
 
-from .conftest import run_once
 
-
-def test_bench_e1_decision_within_15_delta(benchmark):
-    table = run_once(benchmark, run_e1, ns=(1, 2, 4, 8, 16), seeds=(0, 1))
+def test_e1_decision_within_15_delta():
+    table = run_e1(ns=(1, 2, 4, 8, 16), seeds=(0, 1))
     # Shape: every configuration decides within the paper's 15·Δ bound.
     assert all(table.column("within 15Δ"))
     # Shape: worst time is flat in n (no growth beyond the 2-round bound).

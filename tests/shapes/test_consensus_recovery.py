@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e2
 
-from .conftest import run_once
 
-
-def test_bench_e2_recovery_bound(benchmark):
-    table = run_once(benchmark, run_e2, window_lengths=(2.0, 5.0, 10.0, 20.0))
+def test_e2_recovery_bound():
+    table = run_e2(window_lengths=(2.0, 5.0, 10.0, 20.0))
     # Shape: every run decides, regardless of how long the window was.
     assert all(table.column("decided"))
     # Shape: at most 2 post-failure rounds (decide by round r+1).

@@ -4,11 +4,9 @@ import pytest
 
 from repro.analysis.experiments import run_e5
 
-from .conftest import run_once
 
-
-def test_bench_e5_flat_time_linear_steps(benchmark):
-    table = run_once(benchmark, run_e5, ns=(2, 8, 32, 128))
+def test_e5_flat_time_linear_steps():
+    table = run_e5(ns=(2, 8, 32, 128))
     times = table.column("worst time (Δ)")
     steps = table.column("total shared steps")
     per_process = table.column("steps per process")

@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e3
 
-from .conftest import run_once
 
-
-def test_bench_e3_survivors_always_decide(benchmark):
-    table = run_once(benchmark, run_e3, ns=(2, 4, 8))
+def test_e3_survivors_always_decide():
+    table = run_e3(ns=(2, 4, 8))
     # Shape: in every configuration all survivors decided and agreed.
     for decided, agreed in zip(table.column("survivors decided"),
                                table.column("agreed")):

@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e12
 
-from .conftest import run_once
 
-
-def test_bench_e12_derived_objects_safe_under_failures(benchmark):
-    table = run_once(benchmark, run_e12, n=4)
+def test_e12_derived_objects_safe_under_failures():
+    table = run_e12(n=4)
     # Shape: every derived object keeps its safety property with a process
     # suffering an 8x slowdown window (timing failures).
     assert all(table.column("safe under failures")), table.render()

@@ -2,11 +2,9 @@
 
 from repro.analysis.extensions import run_x1, run_x2, run_x3
 
-from .conftest import run_once
 
-
-def test_bench_x1_adaptive_mutex_arc(benchmark):
-    table = run_once(benchmark, run_x1)
+def test_x1_adaptive_mutex_arc():
+    table = run_x1()
     rows = {row[0]: row for row in table.rows}
     under, right = rows[0.01], rows[1.0]
     # Exclusion held in both regimes.
@@ -19,8 +17,8 @@ def test_bench_x1_adaptive_mutex_arc(benchmark):
     assert under[3] == 1
 
 
-def test_bench_x2_omega_converges(benchmark):
-    table = run_once(benchmark, run_x2)
+def test_x2_omega_converges():
+    table = run_x2()
     rows = {row[0]: row for row in table.rows}
     clean = rows["clean"]
     stalled = rows["node-0 stalled 12 periods"]
@@ -30,8 +28,8 @@ def test_bench_x2_omega_converges(benchmark):
     assert stalled[2] and not clean[2]
 
 
-def test_bench_x3_rmr_shapes(benchmark):
-    table = run_once(benchmark, run_x3, n=8)
+def test_x3_rmr_shapes():
+    table = run_x3(n=8)
     rmr = dict(zip(table.column("lock"), table.column("RMR / entry")))
     # The ticket lock's FAA + local spin is the cheapest.
     assert rmr["ticket"] < rmr["fischer"]

@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e13
 
-from .conftest import run_once
 
-
-def test_bench_e13_fischer_violated_alg3_immune(benchmark):
-    table = run_once(benchmark, run_e13, max_ops=24)
+def test_e13_fischer_violated_alg3_immune():
+    table = run_e13(max_ops=24)
     by_name = {row[0]: row for row in table.rows}
     fischer = by_name["fischer (Algorithm 2)"]
     alg3 = by_name["Algorithm 3"]

@@ -2,12 +2,10 @@
 
 from repro.analysis.experiments import run_e7
 
-from .conftest import run_once
 
-
-def test_bench_e7_alg3_flat_baselines_grow(benchmark):
+def test_e7_alg3_flat_baselines_grow():
     ns = (2, 4, 8, 16)
-    table = run_once(benchmark, run_e7, ns=ns)
+    table = run_e7(ns=ns)
     by_name = {row[0]: row for row in table.rows}
     grows_col = len(ns) + 1
 

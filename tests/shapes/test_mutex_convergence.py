@@ -2,11 +2,9 @@
 
 from repro.analysis.experiments import run_e8
 
-from .conftest import run_once
 
-
-def test_bench_e8_starvation_free_converges_faster(benchmark):
-    table = run_once(benchmark, run_e8)
+def test_e8_starvation_free_converges_faster():
+    table = run_e8()
     by_name = {row[0]: row for row in table.rows}
     sf = by_name["bar_david(lamport_fast)"]
     df = by_name["lamport_fast"]

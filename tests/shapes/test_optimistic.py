@@ -2,13 +2,9 @@
 
 from repro.analysis.experiments import run_e10
 
-from .conftest import run_once
 
-
-def test_bench_e10_cliff_at_delta(benchmark):
-    table = run_once(
-        benchmark, run_e10, ratios=(0.25, 0.5, 1.0, 2.0, 5.0), cap=100.0
-    )
+def test_e10_cliff_at_delta():
+    table = run_e10(ratios=(0.25, 0.5, 1.0, 2.0, 5.0), cap=100.0)
     rows = {row[0]: row for row in table.rows}
     # Shape: below Δ the worst legal schedule wins every round — undecided
     # within the cap, but always safe.

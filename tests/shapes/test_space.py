@@ -2,12 +2,10 @@
 
 from repro.analysis.experiments import run_e9
 
-from .conftest import run_once
 
-
-def test_bench_e9_register_counts(benchmark):
+def test_e9_register_counts():
     n = 8
-    table = run_once(benchmark, run_e9, n=n)
+    table = run_e9(n=n)
     by_name = {row[0]: row for row in table.rows}
     # Shape: Fischer sits below the bound — and indeed is not resilient.
     assert by_name["fischer"][1] == 1

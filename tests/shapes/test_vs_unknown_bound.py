@@ -2,12 +2,10 @@
 
 from repro.analysis.experiments import run_e11
 
-from .conftest import run_once
 
-
-def test_bench_e11_unknown_bound_pays_log_rounds(benchmark):
+def test_e11_unknown_bound_pays_log_rounds():
     ratios = (1.0, 0.25, 0.0625, 0.015625)
-    table = run_once(benchmark, run_e11, est_ratios=ratios)
+    table = run_e11(est_ratios=ratios)
     alg1_rounds = table.column("alg1 rounds")
     aat_rounds = table.column("aat rounds")
     gaps = table.column("aat/alg1")
