@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..programs import (
+    DELAY_NAMES,
     MESSAGE_HELPERS,
     ProgramInfo,
     RMW_NAMES,
@@ -354,7 +355,7 @@ def classify_yield(
     elif name in RMW_NAMES:
         site.kind = OP_RMW
         site.register, site.index = _handle_of(value, arg_pos=0, name=name)
-    elif name in ("delay", "Delay"):
+    elif name in DELAY_NAMES:
         site.kind = OP_DELAY
         site.argument = value.args[0] if value.args else None
     elif name in ("local_work", "LocalWork"):

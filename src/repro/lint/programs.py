@@ -41,6 +41,7 @@ __all__ = [
     "OP_HELPERS",
     "OP_CLASSES",
     "RMW_NAMES",
+    "DELAY_NAMES",
     "MESSAGE_HELPERS",
     "MESSAGE_CLASSES",
     "MESSAGE_NAMES",
@@ -76,6 +77,7 @@ OP_HELPERS: Set[str] = {
     "read",
     "write",
     "delay",
+    "nap",
     "local_work",
     "label",
     "compare_and_swap",
@@ -88,6 +90,7 @@ OP_CLASSES: Set[str] = {
     "Read",
     "Write",
     "Delay",
+    "Nap",
     "LocalWork",
     "Label",
     "ReadModifyWrite",
@@ -100,6 +103,11 @@ RMW_NAMES: Set[str] = {
     "fetch_and_add",
     "get_and_set",
 }
+
+#: The ``delay(d)`` statement under all its names: a ``nap`` is a
+#: ``Delay`` (the polling pause), so the flow analysis and TMF005 treat
+#: the two alike.
+DELAY_NAMES: Set[str] = {"delay", "Delay", "nap", "Nap"}
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 

@@ -6,7 +6,8 @@ the reproduction keeps that parameterization by threading ``delta``
 through algorithm constructors.  A numeric literal (``delay(1.0)``)
 hard-wires one timing regime: the algorithm silently stops scaling when
 an experiment sweeps Δ, which is precisely the knob the paper's
-experiments turn.
+experiments turn.  A polling pause (``nap(...)``) is a fraction of the
+delivery bound for the same reason and is held to the same rule.
 
 ``local_work`` and ``Label`` durations are workload modelling, not model
 parameters, and may be literal.  ``Delay(0)`` is also flagged — a
@@ -21,12 +22,10 @@ from typing import Iterable
 
 from ..context import ModuleContext
 from ..findings import Finding, Severity
-from ..programs import terminal_name
+from ..programs import DELAY_NAMES, terminal_name
 from ..registry import Rule, register
 
 __all__ = ["DelayLiteralRule"]
-
-_DELAY_NAMES = {"delay", "Delay"}
 
 
 @register
@@ -43,7 +42,7 @@ class DelayLiteralRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if terminal_name(node.func) not in _DELAY_NAMES:
+            if (name := terminal_name(node.func)) not in DELAY_NAMES:
                 continue
             if not node.args:
                 continue
@@ -55,7 +54,7 @@ class DelayLiteralRule(Rule):
                     ctx,
                     duration.lineno,
                     duration.col_offset,
-                    f"literal duration {duration.value!r} passed to delay(); "
+                    f"literal duration {duration.value!r} passed to {name}(); "
                     "express the bound in the model's Δ parameter (e.g. "
                     "self.delta) so experiments can sweep it",
                 )
@@ -66,6 +65,6 @@ class DelayLiteralRule(Rule):
                     ctx,
                     duration.lineno,
                     duration.col_offset,
-                    "literal duration passed to delay(); express the bound "
+                    f"literal duration passed to {name}(); express the bound "
                     "in the model's Δ parameter (e.g. self.delta)",
                 )

@@ -35,6 +35,7 @@ passing delays, local work and labels straight through.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Sequence, Tuple
 
 from ..sim import ops
@@ -88,7 +89,12 @@ class QuorumSystem:
     max_time:
         Engine run limit; also the replicas' default service lifetime —
         replicas retire early once every client has said goodbye, so
-        well-behaved runs end long before this.
+        well-behaved runs end long before this.  A replica measures its
+        lifetime by adding up the model cost of the ops it issues, which
+        is a clock only under the engine: on a live ``substrate`` a nap
+        ends when a request arrives, a busy replica books minutes of
+        model time per real second, and the default lifetime is
+        unbounded — live replicas retire on goodbyes or cancellation.
     fault_tolerance:
         The number of replica crashes the deployment is declared to
         survive.  Validated at construction: ``replicas >= 2*f + 1``
@@ -183,7 +189,9 @@ class QuorumSystem:
         self.timing = timing if timing is not None else ConstantTiming(self.send_cost)
         self.delta = delta if delta is not None else resilience.delta_net(self)
         self.max_time = max_time
-        self.lifetime = max_time if lifetime is None else lifetime
+        if lifetime is None:
+            lifetime = max_time if isinstance(self.transport, Transport) else math.inf
+        self.lifetime = lifetime
         self.tie_break = tie_break
         self._req_ids = itertools.count(1)
         self._ran = False
@@ -220,7 +228,7 @@ class QuorumSystem:
                 if message[0] == _QUERY_ACK and message[1] == req:
                     acks[src] = (message[2], message[3])
             if len(acks) < self.majority:
-                yield ops.delay(self.poll)
+                yield ops.nap(self.poll)
                 polls += 1
                 if polls % self.retry_polls == 0:
                     # Fair-lossy links: retransmit until a majority answers
@@ -246,7 +254,7 @@ class QuorumSystem:
                 if message[0] == _UPDATE_ACK and message[1] == req:
                     acked.add(src)
             if len(acked) < self.majority:
-                yield ops.delay(self.poll)
+                yield ops.nap(self.poll)
                 polls += 1
                 if polls % self.retry_polls == 0:
                     yield ops.broadcast(request, dests=self.replica_pids)
@@ -301,9 +309,9 @@ class QuorumSystem:
         is applied only when its timestamp is strictly larger (acks are
         sent either way — the quorum intersection argument needs the ack,
         not the overwrite).  The loop tracks its own virtual elapsed time
-        from the known op costs — a conservative undercount, so a replica
-        never retires before ``lifetime`` even if clients crashed without
-        saying goodbye.
+        from the known op costs — under the engine a conservative
+        undercount, so a replica never retires before ``lifetime`` even if
+        clients crashed without saying goodbye.
 
         Returns ``None`` (a replica is not a decider — the consensus spec
         reads non-``None`` returns as decisions); the final store lands in
@@ -332,7 +340,7 @@ class QuorumSystem:
                 elif kind == _BYE:
                     byes.add(message[1])
             if len(byes) < self.clients:
-                yield ops.delay(self.poll)
+                yield ops.nap(self.poll)
                 elapsed += self.poll
         self.replica_stores[pid] = store  # repro-lint: disable=TMF003 — test-facing bookkeeping, not model state: the emulation's observable behaviour flows only through messages
         return None

@@ -65,9 +65,9 @@ def _service_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _auto_block(clients: int, duration: float, shards: int) -> int:
-    # A shard refill costs ~0.35 s (doorway + two quorum round trips at
-    # the default bound); keep a block worth ~0.7 s of this shard's
-    # share of the offered rate so supply stays ahead of demand.
+    # A shard refill takes ~0.16 s at the default bound (the supply math
+    # in LeaseService's docstring); a block worth ~0.7 s of this shard's
+    # share of the offered rate keeps supply several refills ahead.
     rate = clients / duration
     return max(1024, int(0.7 * rate / shards) + 1)
 

@@ -17,16 +17,23 @@ the net substrate.  What is left here is scheduling:
 
 * after every op the program yields to the event loop, so programs
   interleave per op — exactly the model's atomicity: each op is applied
-  in one uninterrupted slice of the loop, no lock needed;
+  in one uninterrupted slice of the loop, no lock needed (one exception:
+  a ``Nap`` that finds a message already waiting has no effect and goes
+  straight on to the ``Recv`` that follows it);
 * ``Delay(d)`` — ``asyncio.sleep(d · time_scale)``.  A delay is a *real*
-  suspension of at least ``d`` scaled seconds: Algorithm 3's doorway
-  delay must genuinely elapse, so the driver never shortcuts it.  As an
-  efficiency valve only, a delay that immediately follows an *empty*
-  recv may be interrupted early by message arrival — waking early from
-  a polling nap is indistinguishable from having polled faster, and the
-  engine's semantics promise nothing about poll granularity.  Doorway
-  delays follow reads/writes, never an empty recv, so they are never
-  shortened;
+  suspension of at least ``d`` scaled seconds, whatever came before it
+  and whatever arrives during it: Algorithm 3's doorway delay must
+  genuinely elapse, so the driver never shortcuts one;
+* ``Nap(d)`` — the polling pause of a quorum phase or a replica loop,
+  which the program marks as such by yielding :func:`repro.sim.ops.nap`.
+  It is parked on the substrate's ``wait_for_message`` and ends when a
+  message for this process arrives or after ``d`` scaled seconds,
+  whichever is first — waking early from a polling pause is
+  indistinguishable from having polled faster, and the engine's
+  semantics promise nothing about poll granularity.  The driver looks
+  at the op's type and nothing else (not at the ops around it); on a
+  substrate without ``wait_for_message``, or with none at all, a nap is
+  the plain sleep a ``Delay`` is;
 * ``LocalWork(d)`` — also a scaled sleep (think time is think time);
 * ``Label`` — a tracer record, free.
 
@@ -126,9 +133,6 @@ class AsyncioDriver:
         tracer = self.tracer
         waiter = getattr(self.transport, "wait_for_message", None)
         send_value: Any = None
-        # True when the previous op was a Recv that came back empty —
-        # the only state in which a following Delay is a polling nap.
-        empty_poll = False
         while True:
             try:
                 op = program.send(send_value)
@@ -152,20 +156,15 @@ class AsyncioDriver:
                 )
             now = self.now()
             send_value = op.perform(self, pid, now)
-            if isinstance(op, (ops.Delay, ops.LocalWork)):
-                duration = op.duration * scale
-                if empty_poll and waiter is not None and op.trace_kind == EventKind.DELAY:
-                    await waiter(pid, duration)
-                elif duration > 0:
-                    await asyncio.sleep(duration)
-                else:
-                    await asyncio.sleep(0)
+            if isinstance(op, ops.Nap) and waiter is not None:
+                await waiter(pid, op.duration * scale)
+            elif isinstance(op, (ops.Delay, ops.LocalWork)):
+                await asyncio.sleep(op.duration * scale)
             elif op.trace_kind == EventKind.LABEL:
                 if tracer is not None:
                     tracer.label(pid, op.kind, now)
             else:
                 await asyncio.sleep(0)
-            empty_poll = isinstance(op, ops.Recv) and not send_value
 
     def __repr__(self) -> str:
         live = sum(1 for t in self.tasks.values() if not t.done())

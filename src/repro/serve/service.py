@@ -435,13 +435,19 @@ class LeaseService:
     block / low_water:
         Fencing tokens reserved per quorum round trip, and the pool
         level that triggers a proactive refill (default ``block // 2``).
-        Supply math worth doing out loud: one refill costs a mutex
-        acquisition (including the Fischer doorway delay ≈ 6Δ) plus two
-        quorum round trips — roughly a third of a second at the default
-        20 ms bound — so a shard sustains about ``3 · block`` grants per
-        second.  Size ``block`` for the offered load (the load CLI does
-        this automatically); an undersized block does not break safety,
-        it just queues acquirers on the refill.
+        Supply math worth doing out loud: one refill is one Algorithm 3
+        acquisition around a read and a write of ``hwm`` — a single
+        doorway ``delay(Δ_net)`` (112 ms at the default 20 ms bound with
+        one keeper, 130 ms with four) plus about 37 quorum phases, each
+        one wire round trip (≈ 0.4 ms on loopback) because a phase's
+        polling pause is a ``Nap`` that ends when the ack arrives.  The
+        ledger's ``live_refill`` measures a ≈ 165 ms refill cycle, so a
+        shard sustains about ``6 · block`` grants per second and the
+        doorway delay is four fifths of the cycle; when every phase
+        instead slept out a 5 ms polling quantum the same cycle took
+        380 ms (``2.6 · block``).  Size ``block`` for the offered load
+        (the load CLI does this automatically); an undersized block does
+        not break safety, it just queues acquirers on the refill.
     fault_plan:
         A :class:`~repro.net.faults.NetFaultPlan` injected between the
         service and the sockets — the chaos path.

@@ -128,6 +128,12 @@ class SubstrateClock:
         return self._loop.time() - self._origin
 
 
+def _resolve(parked: Optional["asyncio.Future[bool]"], arrived: bool) -> None:
+    """Wake a parked :meth:`AsyncioSubstrate.wait_for_message`, once."""
+    if parked is not None and not parked.done():
+        parked.set_result(arrived)
+
+
 class AsyncioSubstrate:
     """Real loopback sockets behind the :class:`Substrate` surface.
 
@@ -171,7 +177,9 @@ class AsyncioSubstrate:
         self._inboxes: List[Deque[Tuple[int, Any, int, float]]] = [
             deque() for _ in range(n)
         ]
-        self._arrived: List[Optional[asyncio.Event]] = [None] * n
+        # The future a napping endpoint is parked on, if any (one program
+        # per pid, so at most one waiter per endpoint).
+        self._parked: List[Optional["asyncio.Future[bool]"]] = [None] * n
         self._servers: List[asyncio.AbstractServer] = []
         self._ports: List[Optional[int]] = [None] * n
         self._writers: dict = {}
@@ -193,7 +201,6 @@ class AsyncioSubstrate:
             )
             self._servers.append(server)
             self._ports[pid] = server.sockets[0].getsockname()[1]
-            self._arrived[pid] = asyncio.Event()
         for src in range(self.n):
             for dst in range(self.n):
                 if src == dst:
@@ -236,9 +243,7 @@ class AsyncioSubstrate:
                     src, seq, sent_at, payload = pickle.loads(body)
                     arrive = self.clock.now
                     self._inboxes[dst].append((src, payload, seq, arrive))
-                    event = self._arrived[dst]
-                    if event is not None:
-                        event.set()
+                    _resolve(self._parked[dst], True)
                     if self.tracer is not None:
                         # The live "send" record is emitted at delivery,
                         # when arrive is known: arrive - t is the wire
@@ -283,9 +288,6 @@ class AsyncioSubstrate:
             out.append((src, payload))
             if tracer is not None:
                 tracer.msg_recv(seq, src, dst, now, arrive)
-        event = self._arrived[dst]
-        if event is not None:
-            event.clear()
         self.stats.messages_delivered += len(out)
         return out
 
@@ -294,20 +296,30 @@ class AsyncioSubstrate:
     async def wait_for_message(self, dst: int, timeout: float) -> bool:
         """Park until something arrives for ``dst`` (or the timeout).
 
-        Purely an efficiency valve for the live driver's polling loops;
-        semantics are unchanged (a wake-up guarantees nothing beyond
-        "collect may now return something").
+        This is what the live driver turns a :class:`~repro.sim.ops.Nap`
+        into, so every quorum phase passes through here: the wait is one
+        future per endpoint, resolved by the reader on arrival or by a
+        timer that is cancelled on wake-up — no task, no event.  A
+        wake-up guarantees nothing beyond "collect may now return
+        something".  With a message already waiting the call returns at
+        once, without suspending: the caller's next ``collect`` is due,
+        and a trip round the event loop first costs a busy service about
+        a tenth of its refill rate.
         """
         if self._inboxes[dst]:
             return True
-        event = self._arrived[dst]
-        if event is None:
+        if not self._started:
             raise RuntimeError("substrate not started — call `await start()` first")
+        if self._parked[dst] is not None:
+            raise RuntimeError(f"endpoint {dst} already has a parked waiter")
+        loop = asyncio.get_running_loop()
+        parked = self._parked[dst] = loop.create_future()
+        timer = loop.call_later(timeout, _resolve, parked, False)
         try:
-            await asyncio.wait_for(event.wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
+            return await parked
+        finally:
+            timer.cancel()
+            self._parked[dst] = None
 
     def __repr__(self) -> str:
         return f"AsyncioSubstrate(n={self.n}, bound={self.bound})"

@@ -36,6 +36,7 @@ from .ops import (
     Delay,
     Label,
     LocalWork,
+    Nap,
     Op,
     Read,
     ReadModifyWrite,
@@ -49,6 +50,7 @@ from .ops import (
     get_and_set,
     label,
     local_work,
+    nap,
     read,
     recv,
     send,
@@ -100,6 +102,7 @@ __all__ = [
     "fetch_and_add",
     "get_and_set",
     "Delay",
+    "Nap",
     "LocalWork",
     "Label",
     "Send",
@@ -108,6 +111,7 @@ __all__ = [
     "read",
     "write",
     "delay",
+    "nap",
     "local_work",
     "label",
     "send",

@@ -17,16 +17,20 @@ generator, which owns the ``memory`` shared operations reach and the
   no guarantee there, which is exactly the paper's notion of a timing
   failure);
 * :class:`repro.serve.driver.AsyncioDriver` — the wall clock: as soon as
-  the event loop runs the process, with delays as real sleeps.
+  the event loop runs the process, with delays as real sleeps (and a
+  ``Nap`` as a sleep that message arrival may end).
 
 Only :class:`Read` and :class:`Write` touch shared memory and are therefore
 "steps" in the sense of the paper's timing assumption (there is a known
 upper bound ``Δ`` on the time any single such step may take).  ``Delay`` is
-the paper's explicit ``delay(d)`` statement.  ``LocalWork`` consumes
-simulated time without touching shared memory (used to model critical
-sections and think times).  ``Label`` is a zero-duration annotation recorded
-in the trace, used by the specification checkers (e.g. critical-section
-entry and exit marks).
+the paper's explicit ``delay(d)`` statement; ``Nap`` is the ``Delay`` of a
+polling loop — the pause between two ``Recv``s that nothing synchronizes
+on — and says so in its type, so that an interpreter with real sockets
+may end it when a message arrives.  ``LocalWork`` consumes simulated time
+without touching shared memory (used to model critical sections and think
+times).  ``Label`` is a zero-duration annotation recorded in the trace,
+used by the specification checkers (e.g. critical-section entry and exit
+marks).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "fetch_and_add",
     "get_and_set",
     "Delay",
+    "Nap",
     "LocalWork",
     "Label",
     "Send",
@@ -60,6 +65,7 @@ __all__ = [
     "read",
     "write",
     "delay",
+    "nap",
     "local_work",
     "label",
     "send",
@@ -239,6 +245,24 @@ class Delay(Op):
         return None, self.duration
 
 
+class Nap(Delay):
+    """A polling pause: a ``Delay`` nothing synchronizes on.
+
+    The quorum phases and the replica loop poll — ``recv()``, and if that
+    was not enough, pause a fraction of the delivery bound and look
+    again.  That pause is a ``Nap``: to the engine and the model checker
+    it *is* a ``Delay`` (same charge, same trace record, same absence of
+    guarantees), but an interpreter may end it as soon as a message for
+    this process arrives — waking early from a polling pause is
+    indistinguishable from having polled faster, and the model promises
+    nothing about poll granularity.  Never use it for a delay whose
+    elapsing is the point (Algorithm 3's ``delay(Δ)``, a heartbeat
+    period): those are ``Delay``s and always last their full duration.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class LocalWork(Op):
     """Local computation consuming ``duration`` time units.
@@ -390,6 +414,11 @@ def write(register: "Register", value: Any) -> Write:
 def delay(duration: float) -> Delay:
     """Convenience constructor for the paper's ``delay(d)`` statement."""
     return Delay(duration)
+
+
+def nap(duration: float) -> Nap:
+    """Convenience constructor: ``yield nap(poll)`` between two ``recv()``s."""
+    return Nap(duration)
 
 
 def local_work(duration: float) -> LocalWork:

@@ -15,6 +15,7 @@ class ConformantLock:
                 break
         yield self.x.write(pid)
         yield ops.delay(self.delta)
+        yield ops.nap(self.delta / 4)  # a polling pause is an op like any other
         op = self.x.read()  # op bound to a local first
         value = yield op
         yield (self.x.read() if value == pid else self.b[pid].read())

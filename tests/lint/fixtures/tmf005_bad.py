@@ -9,3 +9,4 @@ class HardwiredLock:
         value = yield self.x.read()
         if value != pid:
             yield Delay(-2)  # line 11: literal via unary minus
+        yield ops.nap(0.005)  # line 12: a polling pause is held to the same rule

@@ -9,3 +9,4 @@ class HardwiredLock:
         value = yield self.x.read()
         if value != pid:
             yield Delay(-2)  # repro-lint: disable=TMF005
+        yield ops.nap(0.005)  # repro-lint: disable=TMF005

@@ -48,7 +48,7 @@ def test_json_output_parses(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == 1  # versioned findings schema
     assert doc["files_checked"] == 1
-    assert doc["warnings"] == 3
+    assert doc["warnings"] == 4
     assert doc["errors"] == 0
     codes = {f["code"] for f in doc["findings"]}
     assert codes == {"TMF005"}

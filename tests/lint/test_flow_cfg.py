@@ -31,8 +31,11 @@ def test_straight_line_ops_in_order():
         "    yield ops.delay(0.5)\n"
         "    yield ops.local_work(1)\n"
         "    yield ops.label('CS')\n"
+        "    yield ops.nap(self.poll)\n"
     )
-    assert kinds(cfg) == ["read", "write", "delay", "local", "label"]
+    # A nap is a delay to the flow analysis, duration argument included.
+    assert kinds(cfg) == ["read", "write", "delay", "local", "label", "delay"]
+    assert ast.unparse(cfg.op_sites()[-1].argument) == "self.poll"
 
 
 def test_read_binds_local_and_register_handle():

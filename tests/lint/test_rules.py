@@ -67,6 +67,7 @@ EXPECTED = {
         ("TMF005", 7),  # delay(1.5)
         ("TMF005", 8),  # ops.delay(0)
         ("TMF005", 11),  # Delay(-2)
+        ("TMF005", 12),  # ops.nap(0.005)
     ],
     "tmf006_bad.py": [
         ("TMF006", 11),  # foreign array cell

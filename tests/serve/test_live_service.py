@@ -127,6 +127,47 @@ def test_service_survives_chaos_plan():
     asyncio.run(body())
 
 
+def test_live_replicas_outlive_their_booked_model_time():
+    # A replica books the model cost of every op it issues against its
+    # lifetime.  Under the engine that is a clock; on sockets a nap ends
+    # on arrival and a busy replica books ~15 model seconds per real
+    # one, so a finite default would retire the replicas of a loaded
+    # service within minutes and wedge every keeper behind them.
+    from repro.net import QuorumSystem
+    from repro.serve import AsyncioDriver, AsyncioSubstrate
+    from repro.sim import ops
+    from repro.sim.registers import Register
+
+    reg = Register("x", 0)
+
+    def client():
+        yield reg.write(1)
+        yield ops.delay(0.1)  # replicas idle-poll past max_time meanwhile
+        return (yield reg.read())
+
+    async def body():
+        substrate = AsyncioSubstrate(4, bound=0.004)
+        await substrate.start()
+        try:
+            system = QuorumSystem(
+                clients=1, replicas=3, substrate=substrate, max_time=0.02
+            )
+            assert system.lifetime == math.inf
+            driver = AsyncioDriver(substrate)
+            for rpid in system.replica_pids:
+                driver.spawn(system.replica(rpid), pid=rpid)
+            driver.spawn(system.emulate_registers(0, client()), pid=0)
+            try:
+                returns = await asyncio.wait_for(driver.wait(), 10.0)
+            finally:
+                await driver.cancel()
+            assert returns[0] == 1
+        finally:
+            await substrate.close()
+
+    asyncio.run(body())
+
+
 def test_service_validates_construction():
     with pytest.raises(ValueError):
         _service(shards=0)

@@ -50,6 +50,7 @@ CASES = [
     (ops.ReadModifyWrite(REG, _double), EventKind.RMW,
      [("memory", "rmw", REG, _double)], "rmw-result", ("r", "rmw-result")),
     (ops.Delay(2.0), EventKind.DELAY, [], None, (None, 2.0)),
+    (ops.Nap(2.0), EventKind.DELAY, [], None, (None, 2.0)),
     (ops.LocalWork(3.0), EventKind.LOCAL, [], None, (None, 3.0)),
     (ops.Label("mark", 5), EventKind.LABEL, [], None, (None, None)),
     (ops.Send(0, "m"), EventKind.SEND,
@@ -92,3 +93,44 @@ def test_perform_makes_exactly_the_expected_calls(case):
     world.calls.clear()
     assert op.trace_fields(world, PID, sent_back) == fields
     assert [c for c in world.calls if c[1] != "peers"] == []
+
+
+def _pausing_program(pause):
+    def program(pid):
+        seen = yield ops.read(REG)
+        yield pause(0.75)
+        yield ops.write(REG, seen + pid + 1)
+        yield pause(0.0)
+        return (yield ops.read(REG))
+
+    return program
+
+
+def test_nap_is_a_delay_to_the_engine_and_the_sandbox():
+    # Only the live driver tells the two apart; the simulator charges a
+    # nap like the delay it is and the model checker promises as little.
+    from repro.sim import Engine, UniformTiming
+    from repro.verify.sandbox import Sandbox
+
+    assert isinstance(ops.nap(0.5), ops.Delay)
+    assert ops.nap(0.5) != ops.delay(0.5)
+
+    def engine_run(pause):
+        engine = Engine(delta=1.0, timing=UniformTiming(0.1, 0.9, seed=5))
+        for pid in range(3):
+            engine.spawn(_pausing_program(pause)(pid), pid=pid)
+        result = engine.run()
+        return result.returns, list(result.trace)
+
+    assert engine_run(ops.nap) == engine_run(ops.delay)
+    assert EventKind.DELAY in {event.kind for event in engine_run(ops.nap)[1]}
+
+    def sandbox_run(pause):
+        sandbox = Sandbox({pid: _pausing_program(pause) for pid in range(3)}, max_ops=8)
+        prints = [sandbox.fingerprint()]
+        while sandbox.enabled():
+            sandbox.step(sandbox.enabled()[len(prints) % len(sandbox.enabled())])
+            prints.append(sandbox.fingerprint())
+        return prints, sandbox.results
+
+    assert sandbox_run(ops.nap) == sandbox_run(ops.delay)
