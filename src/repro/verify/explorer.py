@@ -16,8 +16,12 @@ values its steps returned, so a position once seen is never recomputed
 it: those closing over shared mutable state, lint rule TMF003).  Two
 prunings keep small configurations tractable:
 
-* **fingerprint memoization** — sound, see
-  :meth:`repro.verify.sandbox.Sandbox.fingerprint`;
+* **fingerprint memoization** — a state already seen is not expanded
+  again.  :meth:`repro.verify.sandbox.Sandbox.fingerprint` is the sound,
+  exact key; the search uses the undo sandbox's incrementally maintained
+  128-bit digest of it, which agrees with it except for a collision of
+  probability at most (pairs of states) · 2⁻¹²⁸ (the
+  :mod:`~repro.verify.sandbox` docstring has the argument);
 * a per-process operation bound (``max_ops``) — necessary because e.g.
   consensus under adversarial asynchrony legitimately runs forever (FLP);
   bounded exploration checks safety of every execution prefix up to the

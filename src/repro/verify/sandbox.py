@@ -27,7 +27,9 @@ steps returned.
 
 * Fingerprints are sound because of it: ``(memory contents, per-process
   read histories, per-process liveness)`` fully determines the reachable
-  futures, and :meth:`Sandbox.fingerprint` returns exactly that.
+  futures, and :meth:`Sandbox.fingerprint` returns exactly that, as a
+  tuple.  It is the exact reference; the explorer recognises a state by
+  an integer digest of it (below).
 * Backtracking needs no re-execution because of it.  Python generators
   cannot be forked, but a program's *position* — its pending op, the
   labels it emitted on the way there, whether it finished and with what
@@ -41,15 +43,49 @@ steps returned.
 
 Programs that close over shared mutable state (lint rule TMF003) are not
 such functions, and break both.
+
+The digest
+----------
+Building the reference tuple costs O(registers + depth) per state, and
+storing it as much again.  :meth:`_UndoSandbox.fingerprint` is instead a
+128-bit integer that is *maintained*: every position draws 128 random
+bits (``z``) when it is first recorded, every ``(register name, frozen
+value)`` cell draws 128 bits from a table the first time it is written,
+and the digest is the XOR of the current positions' ``z`` and the shares
+of the cells whose value differs from the register's initial one.  A step
+or an undo XORs one position out and one in, and at most one cell's old
+share out and new share in, so recognising a state is one set lookup of
+one int.  The bits come from a ``random.Random`` with a fixed seed, one
+per sandbox, so a run repeats.  Why this is the reference in disguise:
+
+1. A position *is* its ``_process_key``.  Op kinds are a function of the
+   values returned so far, so ``(op count, read history)`` and the path
+   of ``sent`` values from the start position determine each other, and
+   ``done`` is a function of the position: one ``z`` per position is one
+   ``z`` per process key.
+2. A cell equal to ``register.initial`` has share 0, which is exactly
+   :meth:`~repro.sim.registers.Memory.fingerprint`'s "restored to the
+   default is never written".
+3. Both tables (the ``next`` edges, the cell shares) are keyed by Python
+   equality of frozen values, as the tuples were compared.  So equal
+   reference fingerprints give equal digests *exactly* — the search never
+   counts more states than the reference — and unequal ones collide with
+   probability at most ``pairs * 2**-128`` (below 1e-24 at 10**7 states);
+   a collision would merge two states, i.e. prune, never invent one.
+4. The digest covers mutations made through ``step``/``undo``, the only
+   mutators :func:`~repro.verify.explorer.explore` has.  A
+   ``memory.poke`` from outside between two steps is seen by the
+   reference and not by the digest (``undo`` still restores it).
 """
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from ..sim import ops as op_defs
 from ..sim.ops import Label, LocalWork, Op, Write
-from ..sim.registers import Memory, _freeze
+from ..sim.registers import Memory, Register, _freeze
 
 __all__ = ["Sandbox", "ProgramFactory", "op_kind", "op_register"]
 
@@ -100,6 +136,7 @@ class Sandbox:
         self.in_cs: Set[int] = set()
         self.decisions: Dict[int, Any] = {}
         self.labels_seen: List[Tuple[int, str, Any]] = []
+        self._pid_order = sorted(factories)
         for pid, factory in factories.items():
             self._programs[pid] = factory(pid)
             self._pending[pid] = None
@@ -112,11 +149,11 @@ class Sandbox:
 
     def enabled(self) -> List[int]:
         """Pids that can take a shared step right now."""
-        return sorted(
+        return [
             pid
-            for pid, op in self._pending.items()
-            if op is not None and self._op_count[pid] < self.max_ops
-        )
+            for pid in self._pid_order
+            if self._pending[pid] is not None and self._op_count[pid] < self.max_ops
+        ]
 
     def suspended(self) -> List[int]:
         """Pids stopped only by the per-process op bound."""
@@ -266,6 +303,9 @@ class Sandbox:
 
 _UNDECIDED = object()
 
+# Seed of each explorer sandbox's bit source: a constant, so a run repeats.
+_DIGEST_SEED = 0x54494D494E47  # "TIMING"
+
 
 class _Position(NamedTuple):
     """Where one program stands after a given sequence of returned values.
@@ -283,7 +323,9 @@ class _Position(NamedTuple):
     in_cs: bool
     decision: Any
     labels: List[Tuple[int, str, Any]]  # what arriving appends to labels_seen
-    key: Hashable  # Sandbox._process_key here
+    op_count: int  # transitions consumed on the way here
+    reads: int  # length of the read history here (undo truncates to it)
+    z: int  # this position's 128-bit share of the state digest
 
 
 class _UndoSandbox(Sandbox):
@@ -293,8 +335,13 @@ class _UndoSandbox(Sandbox):
     ``_advance`` differs, consulting the recorded positions (module
     docstring) before it resumes a generator.  The flat per-pid state of
     the base class is kept current, so inspection and properties work
-    unchanged.  Costs a table of positions, which is why the linear
-    callers (fuzz, chaos, replay) stay on the base class.
+    unchanged.  :meth:`fingerprint` is the maintained digest, not the
+    reference tuple (module docstring).  Costs a table of positions and
+    two tables of random bits (one ``z`` per position, one share per cell
+    ever written) — which is why the linear callers (fuzz, chaos, replay)
+    stay on the base class — and saves a tuple of all of memory and of
+    every read history per arrival, and a copy of the read history per
+    position.
     """
 
     def __init__(self, factories: Dict[int, ProgramFactory], max_ops: int) -> None:
@@ -303,7 +350,12 @@ class _UndoSandbox(Sandbox):
         # Where each live generator stands, which is not where its process
         # stands once the search has backed up.
         self._generator_at: Dict[int, _Position] = {}
-        self._undo_log: List[Tuple[int, _Position, Any, Any]] = []
+        self._undo_log: List[Tuple[int, _Position, Any, Any, int]] = []
+        # The state digest: XOR of the current positions' ``z`` and of the
+        # shares of the cells that differ from their initial value.
+        self._digest = 0
+        self._cell_share: Dict[Tuple[Hashable, Hashable], int] = {}
+        self._random_bits = random.Random(_DIGEST_SEED).getrandbits
         super().__init__(factories, max_ops)
 
     def step(self, pid: int) -> None:
@@ -312,20 +364,40 @@ class _UndoSandbox(Sandbox):
         register = getattr(self._pending.get(pid), "register", None)
         before = None if register is None else self.memory.peek(register)
         super().step(pid)
-        self._undo_log.append((pid, here, register, before))
+        flipped = 0
+        if register is not None:
+            after = self.memory.peek(register)
+            if after is not before:  # a read leaves the very same object
+                flipped = self._share(register, before) ^ self._share(register, after)
+                self._digest ^= flipped
+        self._undo_log.append((pid, here, register, before, flipped))
 
     def undo(self) -> None:
         """Take back the most recent :meth:`step` not yet undone."""
-        pid, here, register, before = self._undo_log.pop()
+        pid, here, register, before, flipped = self._undo_log.pop()
         arrived = len(self._position[pid].labels)
         if arrived:
             del self.labels_seen[-arrived:]
         if register is not None:
             self.memory.poke(register, before)
-        _pid, _done, op_count, history = here.key
-        self._op_count[pid] = op_count
-        del self._read_history[pid][len(history):]
+            self._digest ^= flipped
+        self._op_count[pid] = here.op_count
+        del self._read_history[pid][here.reads:]
         self._place(pid, here)
+
+    def fingerprint(self) -> int:
+        """The maintained digest of :meth:`Sandbox.fingerprint` (module docstring)."""
+        return self._digest
+
+    def _share(self, register: Register, value: Any) -> int:
+        """The bits a cell holding ``value`` contributes to the digest."""
+        if value == register.initial:
+            return 0
+        cell = (register.name, _freeze(value))
+        share = self._cell_share.get(cell)
+        if share is None:
+            share = self._cell_share[cell] = self._random_bits(128)
+        return share
 
     def restart(self, pid: int, factory: ProgramFactory) -> None:
         raise NotImplementedError("positions do not span incarnations")
@@ -352,14 +424,19 @@ class _UndoSandbox(Sandbox):
             in_cs=pid in self.in_cs,
             decision=self.decisions.get(pid, _UNDECIDED),
             labels=self.labels_seen[mark:],
-            key=super()._process_key(pid),
+            op_count=self._op_count[pid],
+            reads=len(self._read_history[pid]),
+            z=self._random_bits(128),
         )
         if here is not None:
             here.next[edge] = there
+            self._digest ^= here.z
+        self._digest ^= there.z
         self._position[pid] = self._generator_at[pid] = there
 
     def _place(self, pid: int, position: _Position) -> None:
         """Make ``position`` the state of ``pid`` that inspection sees."""
+        self._digest ^= self._position[pid].z ^ position.z
         self._position[pid] = position
         self._pending[pid] = position.op
         self._done[pid] = position.done
@@ -395,6 +472,3 @@ class _UndoSandbox(Sandbox):
         finally:
             self.in_cs, self.decisions, self.labels_seen = observers
         self._generator_at[pid] = target
-
-    def _process_key(self, pid: int) -> Hashable:
-        return self._position[pid].key

@@ -1,9 +1,12 @@
 """Tests for the model checker: exhaustive safety checks of the paper's
 algorithms on small configurations (experiments E6 and E13 in miniature)."""
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms import FischerLock, LamportFastLock, PetersonTwoProcess, mutex_session
+from repro.chaos import SIM_TARGETS
 from repro.core.consensus import TimeResilientConsensus, labeled_decision
 from repro.core.mutex import default_time_resilient_mutex
 from repro.sim import ops
@@ -17,6 +20,7 @@ from repro.verify import (
     explore,
     replay_schedule,
 )
+from repro.verify.sandbox import Sandbox
 
 X = Register("mx", 0)
 
@@ -161,11 +165,23 @@ class TestPaperSafetyTheorems:
     @pytest.mark.slow
     def test_algorithm3_exclusion_exhaustive_n2(self):
         """Algorithm 3's stabilization, exhaustively: 188 898 states, no
-        process parked at the bound (about 5 s; CI runs it with ``-m slow``)."""
+        process parked at the bound (about 2 s; CI runs it with ``-m slow``)."""
         lock = default_time_resilient_mutex(2, delta=1.0)
         res = explore(lock_factories(lock, 2), [MutualExclusionProperty()],
                       max_ops=40)
         assert res.ok and res.complete
+        # Pinned: a fingerprint that merged too much would still be "ok".
+        assert (res.states, res.transitions) == (188_898, 308_224)
+
+    @pytest.mark.slow
+    def test_algorithm3_exclusion_bounded_n3(self):
+        """Three processes, every interleaving of their first 12 steps
+        (not yet one full session each; about 6 s)."""
+        lock = default_time_resilient_mutex(3, delta=1.0)
+        res = explore(lock_factories(lock, 3), [MutualExclusionProperty()],
+                      max_ops=12)
+        assert res.ok and res.complete
+        assert (res.states, res.transitions) == (433_639, 1_089_523)
 
     def test_algorithm3_exclusion_bounded_n2(self):
         """A cheaper bounded variant of the exhaustive check above."""
@@ -253,20 +269,55 @@ def rmw_case():
     return {pid: prog for pid in range(3)}, [full, AgreementProperty()], 5, True
 
 
+# The targets' own max_ops (40-300) are fuzz bounds; these keep an
+# exhaustive run, and the replay-every-node reference, under 20 000 states.
+TARGET_MAX_OPS = {
+    "fischer_n3": 5,
+    "alg3_n4": 3,
+    "consensus_n4": 5,
+    "dg_mutex_n3": 10,
+    "golab_consensus_n3": 6,
+}
+
+
+def target_case(name):
+    target = SIM_TARGETS[name]
+    factories, properties, _registers = target.build()
+    return factories, properties, TARGET_MAX_OPS[name], target.expect_violation
+
+
 class TestAgainstReplayReference:
-    """Step/undo over memoized positions must be invisible in the result."""
+    """Step/undo over memoized positions, and the integer digest that
+    recognises a state, must be invisible in the result."""
 
     @pytest.mark.parametrize(
-        "case", [fischer_case, algorithm3_case, consensus_case, rmw_case])
+        "case",
+        [fischer_case, algorithm3_case, consensus_case, rmw_case]
+        + [pytest.param(partial(target_case, name), id=name)
+           for name in sorted(SIM_TARGETS)])
     def test_same_search_as_replaying_every_node(self, case):
         factories, properties, max_ops, violates = case()
-        res = explore(factories, properties, max_ops=max_ops,
+        # (digest, reference tuple) of every state the search counted.
+        keys = []
+        record = InvariantProperty(
+            lambda sb: keys.append((sb.fingerprint(), Sandbox.fingerprint(sb)))
+            or True,
+            name="record")
+        res = explore(factories, properties + [record], max_ops=max_ops,
                       stop_at_first_violation=False)
         ref = reference_explore(factories, properties, max_ops)
+        # A digest collision merging two states is pruned before any
+        # property runs: only the count against the tuple-keyed reference
+        # catches it.  The recorded keys catch the opposite, one state
+        # counted twice under two digests.
         assert (res.states, res.transitions, res.max_depth,
                 res.terminal_states) == (
             ref["states"], ref["transitions"], ref["max_depth"],
             ref["terminal_states"])
+        assert len(keys) == res.states
+        assert (len({digest for digest, _ in keys})
+                == len({reference for _, reference in keys})
+                == res.states)
         assert res.violations == ref["violations"]
         assert (len(res.violations) > 1) == violates
         by_name = {prop.name: prop for prop in properties}

@@ -221,10 +221,11 @@ class TestUndo:
     """The explorer's sandbox: ``step; undo`` leaves no trace."""
 
     @staticmethod
-    def observed(sb):
+    def reference(sb):
+        """What a plain sandbox in the same state would show."""
         pids = sorted(sb._programs)
         return (
-            sb.fingerprint(),
+            Sandbox.fingerprint(sb),
             sb.memory.fingerprint(),
             set(sb.in_cs),
             dict(sb.decisions),
@@ -233,6 +234,11 @@ class TestUndo:
             [(sb.done(p), sb.result(p), sb.op_count(p), repr(sb.pending_op(p)))
              for p in pids],
         )
+
+    @classmethod
+    def observed(cls, sb):
+        """The reference plus the sandbox's own fingerprint (the digest)."""
+        return (sb.fingerprint(),) + cls.reference(sb)
 
     @staticmethod
     def worker(pid):
@@ -274,14 +280,61 @@ class TestUndo:
         for pid in (1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0):
             sb.step(pid)
             plain.step(pid)
-            assert self.observed(sb) == self.observed(plain)
+            assert self.reference(sb) == self.reference(plain)
         assert sb._programs[0] is not ahead
         assert sb.done(0) and sb.done(1)
+
+    def test_a_recorded_position_revisited_after_a_rebuild_keeps_its_digest(self):
+        sb = _UndoSandbox({0: self.worker, 1: self.worker}, max_ops=10)
+        for pid in (0, 0, 0):
+            sb.step(pid)
+        recorded = self.observed(sb)
+        for _ in range(3):
+            sb.undo()
+        ahead = sb._programs[0]
+        for pid in (1, 1, 1, 0):  # pid 0 reads a value new at its start
+            sb.step(pid)
+        assert sb._programs[0] is not ahead
+        for _ in range(4):
+            sb.undo()
+        for pid in (0, 0, 0):
+            sb.step(pid)
+        assert self.observed(sb) == recorded
+
+    def test_a_cell_rewritten_to_its_initial_value_counts_as_unwritten(self):
+        def writer(pid):
+            yield ops.write(Y, 7)
+            yield ops.write(Y, 0)
+
+        def reader(pid):
+            yield ops.read(Y)
+
+        sb = _UndoSandbox({0: writer, 1: reader}, max_ops=10)
+        start = self.observed(sb)
+        reached = []
+        for schedule in ((1, 0, 0), (0, 0, 1)):
+            for pid in schedule:
+                sb.step(pid)
+            reached.append(self.observed(sb))
+            for _ in schedule:
+                sb.undo()
+            assert self.observed(sb) == start
+        # Either way the reader saw 0 and Y is back at 0: one state.
+        assert reached[0] == reached[1]
+        # Y restored is Y never written: memory has no share in the digest.
+        sb.step(0)
+        assert sb.fingerprint() != sb._position[0].z ^ sb._position[1].z
+        sb.step(0)
+        assert sb.fingerprint() == sb._position[0].z ^ sb._position[1].z
+        assert sb.memory.fingerprint() == ()
 
     def test_undo_restores_what_the_step_found_in_memory(self):
         sb = _UndoSandbox({0: self.worker}, max_ops=10)
         sb.step(0)
+        digest, reference = sb.fingerprint(), Sandbox.fingerprint(sb)
         sb.memory.poke(Y, 41)  # e.g. a corruption between steps
+        # Not a step: the reference sees it, the maintained digest cannot.
+        assert Sandbox.fingerprint(sb) != reference and sb.fingerprint() == digest
         before = self.observed(sb)
         sb.step(0)  # overwrites Y
         sb.undo()
