@@ -12,9 +12,13 @@ unrestricted timing-failure adversary.  Three demonstrations:
    violation and prints the schedule — the classic six-step interleaving
    the paper's §3.1 describes in prose;
 2. Algorithm 3: the same property, exhaustively verified — zero violating
-   interleavings (stabilization, machine-checked);
+   interleavings (stabilization, machine-checked), and with nobody ever
+   stopped by the op bound that covers executions of any length;
 3. Algorithm 1: validity and agreement verified over every interleaving
-   of a conflicting-inputs configuration (Theorems 2.2/2.3 for n = 2).
+   of a conflicting-inputs configuration (Theorems 2.2/2.3 for n = 2,
+   rounds capped at 2 — under asynchrony they need never run out, FLP —
+   with a process past the cap polling ``decide`` forever: a loop the
+   checker closes).
 """
 
 from repro.algorithms import FischerLock, mutex_session
@@ -52,10 +56,11 @@ def check_algorithm3() -> None:
         pid: (lambda p: mutex_session(lock, p, sessions=1, cs_duration=1.0))
         for pid in (0, 1)
     }
-    result = explore(factories, [MutualExclusionProperty()], max_ops=24)
-    print(f"explored {result.states} states, complete={result.complete} "
-          f"-> {len(result.violations)} violations")
-    assert result.ok
+    result = explore(factories, [MutualExclusionProperty()], max_ops=1000)
+    print(f"explored {result.states} states, complete={result.complete}, "
+          f"parked={result.parked} -> {len(result.violations)} violations")
+    assert result.ok and result.complete and result.parked == 0
+    print("(the state space closed: every execution, of any length)")
 
 
 def check_algorithm1() -> None:
@@ -71,9 +76,9 @@ def check_algorithm1() -> None:
         [AgreementProperty(), ValidityProperty(inputs)],
         max_ops=30,
     )
-    print(f"explored {result.states} states, complete={result.complete} "
-          f"-> {len(result.violations)} violations")
-    assert result.ok
+    print(f"explored {result.states} states, complete={result.complete}, "
+          f"parked={result.parked} -> {len(result.violations)} violations")
+    assert result.ok and result.complete and result.parked == 0
 
 
 if __name__ == "__main__":

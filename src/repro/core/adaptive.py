@@ -147,7 +147,7 @@ class AdaptiveMutex(MutexAlgorithm):
         seq_at_doorway = yield self.cs_seq.read()
         gate = self.inner
         yield gate.interested[pid].write(True)
-        waited = 0
+        waited = False
         while True:
             t = yield gate.turn.read()
             if t == pid:
@@ -156,13 +156,13 @@ class AdaptiveMutex(MutexAlgorithm):
             if not holder_interested:
                 break
             yield gate.cont.write(True)
-            waited += 1
+            waited = True
         yield from gate.inner.entry(pid)
         seq_at_entry = yield self.cs_seq.read()
         yield self.cs_seq.write(seq_at_entry + 1)
         breached = seq_at_entry != seq_at_doorway
 
-        if waited > 0 or breached:
+        if waited or breached:
             # The doorway was breached: the estimate lost to real step
             # times.  Multiplicative increase (racy, harmless).
             if self.shrink_after:

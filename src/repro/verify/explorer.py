@@ -9,23 +9,31 @@ Algorithm 3's mutual exclusion, and machine-*finds* Fischer's violation.
 
 Exploration is depth-first over schedules (sequences of pids), on one
 sandbox for the whole search: a transition is one ``step``, backtracking
-one ``undo``, both O(1).  That rests on the same assumption as fingerprint
-soundness — a deterministic program's position is a function of the
-values its steps returned, so a position once seen is never recomputed
-(:mod:`repro.verify.sandbox` has the details, and the programs that break
-it: those closing over shared mutable state, lint rule TMF003).  Two
-prunings keep small configurations tractable:
+one ``undo``, both O(1).  A state is (memory, each program's *frame
+state*, who is stopped by the bound) — what a generator holds now, not
+how it got there, so a spin loop is a cycle and a finite state space
+closes by itself (:mod:`repro.verify.sandbox` has the details, and the
+programs that break it: those keeping mutable state outside their frames,
+lint rule TMF003).  Two prunings bound the search:
 
-* **fingerprint memoization** — a state already seen is not expanded
-  again.  :meth:`repro.verify.sandbox.Sandbox.fingerprint` is the sound,
-  exact key; the search uses the undo sandbox's incrementally maintained
-  128-bit digest of it, which agrees with it except for a collision of
-  probability at most (pairs of states) · 2⁻¹²⁸ (the
+* **state memoization** — a state already seen is not expanded again.
+  The search recognises a state by the undo sandbox's incrementally
+  maintained 128-bit digest, which merges two different states only by a
+  collision of probability at most (pairs of states) · 2⁻¹²⁸ (the
   :mod:`~repro.verify.sandbox` docstring has the argument);
 * a per-process operation bound (``max_ops``) — necessary because e.g.
-  consensus under adversarial asynchrony legitimately runs forever (FLP);
-  bounded exploration checks safety of every execution prefix up to the
-  bound.
+  consensus under adversarial asynchrony legitimately runs forever (FLP).
+
+What a verdict means depends on whether the bound ever bit, which
+:attr:`ExplorationResult.parked` counts.  ``complete and parked == 0``:
+every transition of every reachable state was taken, so the verdict
+covers every execution of any length — a proof for that configuration,
+and the same counts for every larger ``max_ops``.  With ``parked > 0``
+every counted state and every reported witness is real and within the
+bound, but a frame state first reached with little budget left is not
+expanded again when it is reached with more, so the search covers less
+than every prefix up to the bound: raise ``max_ops`` until nothing parks,
+or read a clean result as "no violation found", not as a proof.
 
 :func:`explore` returns statistics plus every violation found, each with
 the exact schedule that produced it (replayable with
@@ -68,6 +76,7 @@ class ExplorationResult:
     violations: List[Violation] = field(default_factory=list)
     complete: bool = True  # False when state/violation limits stopped it
     terminal_states: int = 0  # states where no process could step
+    parked: int = 0  # states where max_ops stopped some process (module docstring)
 
     @property
     def ok(self) -> bool:
@@ -78,7 +87,7 @@ class ExplorationResult:
         return (
             f"ExplorationResult({status}, states={self.states}, "
             f"transitions={self.transitions}, max_depth={self.max_depth}, "
-            f"complete={self.complete})"
+            f"complete={self.complete}, parked={self.parked})"
         )
 
 
@@ -109,7 +118,8 @@ def explore(
     properties:
         Safety properties checked at every reached state.
     max_ops:
-        Per-process shared-step bound (processes park there).
+        Per-process shared-step bound (processes park there; the result's
+        ``parked`` says in how many states one did).
     max_states:
         Hard cap on distinct states; exceeding it marks the result
         incomplete rather than raising.
@@ -137,6 +147,8 @@ def explore(
         seen.add(fingerprint)
         result.states += 1
         result.max_depth = max(result.max_depth, len(schedule))
+        if sandbox.parked:
+            result.parked += 1
 
         for prop in properties:
             message = prop.check(sandbox)

@@ -21,28 +21,73 @@ strike at any moment.  Accordingly:
 A :class:`Sandbox` is one such execution: feed it pids with :meth:`step`
 and inspect the resulting state.
 
-One assumption carries everything that is memoized here: a deterministic
+Two assumptions carry everything that is memoized here.  A deterministic
 program's future behaviour is a function of the sequence of values its
-steps returned.
+steps returned; and — finer, and what makes a spin loop a cycle instead
+of an unrolling — it is a function of what its generator holds *now*: the
+suspended frames.
 
-* Fingerprints are sound because of it: ``(memory contents, per-process
-  read histories, per-process liveness)`` fully determines the reachable
-  futures, and :meth:`Sandbox.fingerprint` returns exactly that, as a
-  tuple.  It is the exact reference; the explorer recognises a state by
-  an integer digest of it (below).
-* Backtracking needs no re-execution because of it.  Python generators
-  cannot be forked, but a program's *position* — its pending op, the
-  labels it emitted on the way there, whether it finished and with what
-  — is that same function of the returned values, so the explorer's
-  :class:`_UndoSandbox` records every ``(position, returned value) ->
-  next position`` edge the first time a generator produces it and
+* :meth:`Sandbox.fingerprint` rests on the first: ``(memory contents,
+  per-process read histories, op counts, liveness)`` fully determines the
+  reachable futures, and the method returns exactly that, as a tuple.  It
+  is the exact reference for *one execution* and the key of the
+  read-history search the tests keep as the explorer's reference.
+* The explorer's :class:`_UndoSandbox` rests on the second.  Python
+  generators cannot be forked, but a program's *position* — its frame
+  state, and with it the pending op, whether it finished and with what —
+  can be recorded: the sandbox keeps every ``(position, returned value)
+  -> next position`` edge the first time a generator produces it and
   afterwards walks the recorded positions in both directions.  A
-  generator is rebuilt, by re-sending the values recorded on the way to
+  generator is rebuilt, by re-sending the values recorded on *a* path to
   a position, only when an edge not seen before leaves a position the
-  live generator has already moved past.
+  live generator is not standing at.
 
-Programs that close over shared mutable state (lint rule TMF003) are not
-such functions, and break both.
+Frame states
+------------
+When a generator has been resumed along an edge not yet recorded, the
+place it stops is keyed (:func:`_frame_state`): for the generator and
+every generator it delegates to through ``yield from``, ``(f_code,
+f_lasti, names of the bound locals, every local and evaluation-stack
+slot)``, plus the pending op and what the observers hold for the pid
+(``done``, the result, critical-section occupancy, the first decision).
+The slots — the locals, and on the evaluation stack the iterator of a
+``for`` loop around the ``yield`` or a half-evaluated expression — are
+read with ``gc.get_referents``, of the generator on CPython 3.11+ and of
+the frame before.  Lists, dicts, sets, cells, functions, ops and
+iterators that pickle (``__reduce__``) are keyed by content, everything
+else by ``==``/``hash`` — for an algorithm object, its identity; the
+generator delegated to is keyed by its own frame, also where a local
+holds it.  The key is looked up in a per-pid table and the position
+found there is reused, so every read history that leads to one frame
+state shares one position: ``await x = 0`` is an edge from a position to
+itself, and a state space that is finite closes without ``max_ops``.
+
+What a shared position cannot carry lives elsewhere: the op count and the
+read-history length in the undo record, the labels an arrival emits on
+the edge.  A frame that holds something the key cannot describe — a live
+generator it is not delegating to, an iterator that does not pickle, an
+unhashable object — gets a position of its own every time and is never
+merged: sound, and as large as the read-history search.
+
+Soundness is lint rule TMF003 — a program keeps no mutable state outside
+its frames (none in a closed-over object, a global, an attribute of the
+algorithm instance) — plus CPython's frame introspection showing all that
+is inside them.  A program that breaks TMF003 breaks both assumptions.
+
+The bound
+---------
+``max_ops`` is not part of a frame state, so "stopped by the bound" is:
+a process with an op pending and its budget spent contributes one more
+share to the digest (below).  Without it a state first reached parked
+would prune the same frame states reached later with budget left.  The
+converse pruning stays: a frame state first reached with little budget
+left is not expanded again when reached with more, so a bounded search
+covers less than "every prefix up to the bound" — every state it counts
+and every witness it reports is real, and ``parked`` (the number of
+processes the bound is stopping right now) says whether the bound
+mattered at all: a search in which nothing was ever parked took every
+transition of every state it counted, i.e. covered every execution of
+any length.
 
 The digest
 ----------
@@ -51,27 +96,26 @@ storing it as much again.  :meth:`_UndoSandbox.fingerprint` is instead a
 128-bit integer that is *maintained*: every position draws 128 random
 bits (``z``) when it is first recorded, every ``(register name, frozen
 value)`` cell draws 128 bits from a table the first time it is written,
-and the digest is the XOR of the current positions' ``z`` and the shares
-of the cells whose value differs from the register's initial one.  A step
-or an undo XORs one position out and one in, and at most one cell's old
-share out and new share in, so recognising a state is one set lookup of
-one int.  The bits come from a ``random.Random`` with a fixed seed, one
-per sandbox, so a run repeats.  Why this is the reference in disguise:
+every pid draws 128 for being parked, and the digest is the XOR of the
+current positions' ``z``, the shares of the cells whose value differs
+from the register's initial one and the park shares of the processes
+stopped by the bound.  A step or an undo XORs one position out and one
+in, and at most one cell's old share out and new share in, so recognising
+a state is one set lookup of one int.  The bits come from a
+``random.Random`` with a fixed seed, one per sandbox, so a run repeats.
+Why this is (memory, frame states, who is parked) in disguise:
 
-1. A position *is* its ``_process_key``.  Op kinds are a function of the
-   values returned so far, so ``(op count, read history)`` and the path
-   of ``sent`` values from the start position determine each other, and
-   ``done`` is a function of the position: one ``z`` per position is one
-   ``z`` per process key.
+1. A position *is* a frame state: the per-pid table maps equal keys to
+   one position, and positions that could not be keyed are each their
+   own.  One ``z`` per position is one ``z`` per frame state.
 2. A cell equal to ``register.initial`` has share 0, which is exactly
    :meth:`~repro.sim.registers.Memory.fingerprint`'s "restored to the
    default is never written".
-3. Both tables (the ``next`` edges, the cell shares) are keyed by Python
-   equality of frozen values, as the tuples were compared.  So equal
-   reference fingerprints give equal digests *exactly* — the search never
-   counts more states than the reference — and unequal ones collide with
-   probability at most ``pairs * 2**-128`` (below 1e-24 at 10**7 states);
-   a collision would merge two states, i.e. prune, never invent one.
+3. All three tables (the frame keys, the ``next`` edges, the cell shares)
+   are keyed by Python equality of frozen values.  So equal states give
+   equal digests *exactly*, and unequal ones collide with probability at
+   most ``pairs * 2**-128`` (below 1e-24 at 10**7 states); a collision
+   would merge two states, i.e. prune, never invent one.
 4. The digest covers mutations made through ``step``/``undo``, the only
    mutators :func:`~repro.verify.explorer.explore` has.  A
    ``memory.poke`` from outside between two steps is seen by the
@@ -80,11 +124,16 @@ per sandbox, so a run repeats.  Why this is the reference in disguise:
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
+import sys
+from collections.abc import Iterator
+from types import CellType, FrameType, FunctionType, GeneratorType
 from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from ..sim import ops as op_defs
-from ..sim.ops import Label, LocalWork, Op, Write
+from ..sim.ops import Label, LocalWork, Op, Read, Write
 from ..sim.registers import Memory, Register, _freeze
 
 __all__ = ["Sandbox", "ProgramFactory", "op_kind", "op_register"]
@@ -306,25 +355,108 @@ _UNDECIDED = object()
 # Seed of each explorer sandbox's bit source: a constant, so a run repeats.
 _DIGEST_SEED = 0x54494D494E47  # "TIMING"
 
+# Who answers ``gc.get_referents`` with a suspended frame's locals and
+# evaluation stack: the generator since CPython 3.11 (the frame is part of
+# it), the frame object before.
+_GENERATOR_OWNS_FRAME = sys.version_info >= (3, 11)
+
+
+@functools.lru_cache(maxsize=None)
+def _is_its_own_key(kind: type) -> bool:
+    """Whether values of ``kind`` are keyed by their own ``==``/``hash``
+    (most of what a frame holds: numbers, names, the algorithm object)."""
+    return not issubclass(
+        kind,
+        (list, tuple, dict, set, frozenset, CellType, FunctionType, FrameType, Op, Iterator),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _slots_to_freeze(kinds: Tuple[type, ...]) -> Tuple[int, ...]:
+    """Which of the slots holding values of these types are not their own key."""
+    return tuple([slot for slot, kind in enumerate(kinds) if not _is_its_own_key(kind)])
+
+
+def _slot_key(value: Any) -> Hashable:
+    """``value`` as a frame-state key: equal keys, equal futures.
+
+    Containers, cells, functions, ops and picklable iterators by content
+    (type-tagged: a list is not the tuple of its items); anything else by
+    its own ``==``/``hash``.  Raises ``TypeError`` for what neither covers.
+    """
+    kind = type(value)
+    if _is_its_own_key(kind):
+        return value  # unhashable after all: TypeError at the table lookup
+    if isinstance(value, (list, tuple)):
+        return (kind, tuple([_slot_key(item) for item in value]))
+    if isinstance(value, dict):  # ordered: iteration order is behaviour
+        return (kind, tuple([(_slot_key(k), _slot_key(v)) for k, v in value.items()]))
+    if isinstance(value, (set, frozenset)):
+        return (kind, frozenset([_slot_key(item) for item in value]))
+    if kind is CellType:
+        try:
+            return (kind, _slot_key(value.cell_contents))
+        except ValueError:  # an empty cell
+            return kind
+    if kind is FunctionType:
+        return (value.__code__, _slot_key(value.__closure__), _slot_key(value.__defaults__))
+    if isinstance(value, Op):
+        fields = getattr(kind, "__dataclass_fields__", ())
+        return (kind, tuple([_slot_key(getattr(value, name)) for name in fields]))
+    if isinstance(value, Iterator) and kind.__reduce__ is not object.__reduce__:
+        return (kind, _slot_key(value.__reduce__()))
+    # A generator, an iterator that does not pickle, a frame.
+    raise TypeError(f"cannot key {kind.__name__!r} object")
+
+
+def _frame_state(program: Any) -> Hashable:
+    """The suspended frames of ``program``, outermost first, as a key."""
+    frames = []
+    while True:
+        frame = program.gi_frame
+        named = frame.f_locals  # a dict the frame keeps, or (3.13+) a proxy
+        # What a frame refers to besides its slots (the dicts before 3.11).
+        scaffold = {id(frame), id(named), id(frame.f_globals), id(frame.f_builtins)}
+        inner = program.gi_yieldfrom
+        # A generator delegated to is keyed by its own frame, next turn;
+        # here — on the stack, and in a local if one holds it — its type
+        # stands for it.  Any other delegate is one more stack item.
+        delegating = isinstance(inner, GeneratorType)
+        # The bound locals in slot order, then the evaluation stack: the
+        # names say which slots are bound, ``f_lasti`` how deep the stack
+        # is, so equal tuples are equal locals and equal stacks.
+        held = gc.get_referents(program if _GENERATOR_OWNS_FRAME else frame)
+        for slot in _slots_to_freeze(tuple(map(type, held))):
+            value = held[slot]
+            if id(value) in scaffold:
+                held[slot] = FrameType  # says nothing: the same in every state
+            elif delegating and value is inner:
+                held[slot] = GeneratorType
+            else:
+                held[slot] = _slot_key(value)
+        frames.append((frame.f_code, frame.f_lasti, tuple(named), tuple(held)))
+        if not delegating:
+            return tuple(frames)
+        program = inner
+
 
 class _Position(NamedTuple):
-    """Where one program stands after a given sequence of returned values.
+    """One frame state of one program (module docstring).
 
     Everything the sandbox learns by resuming the generator to here, so
     that arriving a second time — or coming back — resumes nothing.
     """
 
-    parent: Optional["_Position"]  # one step earlier; None at the start
+    parent: Optional["_Position"]  # one step earlier on the path first taken here
     sent: Any  # the value that step returned into the program
-    next: Dict[Hashable, "_Position"]  # by frozen returned value, as discovered
+    # By frozen returned value, as discovered: where it leads, and the
+    # labels emitted on the way (what arriving appends to labels_seen).
+    next: Dict[Hashable, Tuple["_Position", Tuple[Tuple[int, str, Any], ...]]]
     op: Optional[Op]
     done: bool
     result: Any
     in_cs: bool
     decision: Any
-    labels: List[Tuple[int, str, Any]]  # what arriving appends to labels_seen
-    op_count: int  # transitions consumed on the way here
-    reads: int  # length of the read history here (undo truncates to it)
     z: int  # this position's 128-bit share of the state digest
 
 
@@ -335,13 +467,15 @@ class _UndoSandbox(Sandbox):
     ``_advance`` differs, consulting the recorded positions (module
     docstring) before it resumes a generator.  The flat per-pid state of
     the base class is kept current, so inspection and properties work
-    unchanged.  :meth:`fingerprint` is the maintained digest, not the
-    reference tuple (module docstring).  Costs a table of positions and
-    two tables of random bits (one ``z`` per position, one share per cell
-    ever written) — which is why the linear callers (fuzz, chaos, replay)
-    stay on the base class — and saves a tuple of all of memory and of
-    every read history per arrival, and a copy of the read history per
-    position.
+    unchanged, and :meth:`Sandbox.fingerprint` called unbound is still the
+    exact reference of the execution that led here.  :meth:`fingerprint`
+    is the maintained digest of (memory, frame states, who is parked).
+    Costs a table of positions and three of random bits (one ``z`` per
+    position, one share per cell ever written, one per pid) — which is
+    why the linear callers (fuzz, chaos, replay) stay on the base class —
+    and saves a tuple of all of memory and of every read history per
+    arrival, and every state that differs from one already seen only in
+    how it was reached.
     """
 
     def __init__(self, factories: Dict[int, ProgramFactory], max_ops: int) -> None:
@@ -350,43 +484,61 @@ class _UndoSandbox(Sandbox):
         # Where each live generator stands, which is not where its process
         # stands once the search has backed up.
         self._generator_at: Dict[int, _Position] = {}
-        self._undo_log: List[Tuple[int, _Position, Any, Any, int]] = []
-        # The state digest: XOR of the current positions' ``z`` and of the
-        # shares of the cells that differ from their initial value.
+        # pid -> frame-state key -> the one position that stands for it.
+        self._frames: Dict[int, Dict[Hashable, _Position]] = {pid: {} for pid in factories}
+        # Per step: pid, position before, register touched and what it
+        # held, digest bits the cell flipped, lengths of the pid's read
+        # history and of labels_seen before.
+        self._undo_log: List[Tuple[int, _Position, Any, Any, int, int, int]] = []
+        # The state digest: XOR of the current positions' ``z``, of the
+        # shares of the cells that differ from their initial value, and of
+        # the park shares of the processes stopped by the bound.
         self._digest = 0
         self._cell_share: Dict[Tuple[Hashable, Hashable], int] = {}
         self._random_bits = random.Random(_DIGEST_SEED).getrandbits
+        self._park_share = {pid: self._random_bits(128) for pid in sorted(factories)}
+        #: How many processes the bound is stopping in the current state.
+        self.parked = 0
         super().__init__(factories, max_ops)
 
     def step(self, pid: int) -> None:
         """:meth:`Sandbox.step`, remembering what :meth:`undo` must restore."""
         here = self._position.get(pid)
-        register = getattr(self._pending.get(pid), "register", None)
+        op = self._pending.get(pid)
+        # A read changes no cell: nothing to restore, nothing to XOR.
+        register = None if isinstance(op, Read) else getattr(op, "register", None)
         before = None if register is None else self.memory.peek(register)
+        reads = len(self._read_history.get(pid, ()))
+        labels = len(self.labels_seen)
         super().step(pid)
         flipped = 0
         if register is not None:
             after = self.memory.peek(register)
-            if after is not before:  # a read leaves the very same object
+            if after is not before:  # not rewritten with the object it held
                 flipped = self._share(register, before) ^ self._share(register, after)
                 self._digest ^= flipped
-        self._undo_log.append((pid, here, register, before, flipped))
+        if self._op_count[pid] >= self.max_ops and self._pending[pid] is not None:
+            self._digest ^= self._park_share[pid]
+            self.parked += 1
+        self._undo_log.append((pid, here, register, before, flipped, reads, labels))
 
     def undo(self) -> None:
         """Take back the most recent :meth:`step` not yet undone."""
-        pid, here, register, before, flipped = self._undo_log.pop()
-        arrived = len(self._position[pid].labels)
-        if arrived:
-            del self.labels_seen[-arrived:]
+        pid, here, register, before, flipped, reads, labels = self._undo_log.pop()
+        if (self.parked and self._op_count[pid] >= self.max_ops
+                and self._pending[pid] is not None):
+            self._digest ^= self._park_share[pid]  # a step never starts parked
+            self.parked -= 1
+        del self.labels_seen[labels:]
         if register is not None:
             self.memory.poke(register, before)
             self._digest ^= flipped
-        self._op_count[pid] = here.op_count
-        del self._read_history[pid][here.reads:]
+        self._op_count[pid] -= 1
+        del self._read_history[pid][reads:]
         self._place(pid, here)
 
     def fingerprint(self) -> int:
-        """The maintained digest of :meth:`Sandbox.fingerprint` (module docstring)."""
+        """The maintained digest of the state (module docstring)."""
         return self._digest
 
     def _share(self, register: Register, value: Any) -> int:
@@ -405,56 +557,76 @@ class _UndoSandbox(Sandbox):
     def _advance(self, pid: int, send_value: Any) -> None:
         here = self._position.get(pid)  # None while __init__ finds the starts
         edge = _freeze(send_value)
-        there = here.next.get(edge) if here is not None else None
-        if there is not None:
-            self.labels_seen.extend(there.labels)
+        arrival = here.next.get(edge) if here is not None else None
+        if arrival is not None:
+            there, emitted = arrival
+            if emitted:
+                self.labels_seen.extend(emitted)
             self._place(pid, there)
             return
         if self._generator_at.get(pid) is not here:
             self._rebuild(pid, here)
         mark = len(self.labels_seen)
         super()._advance(pid, send_value)
-        there = _Position(
-            parent=here,
-            sent=send_value,
-            next={},
-            op=self._pending[pid],
-            done=self._done[pid],
-            result=self._results.get(pid),
-            in_cs=pid in self.in_cs,
-            decision=self.decisions.get(pid, _UNDECIDED),
-            labels=self.labels_seen[mark:],
-            op_count=self._op_count[pid],
-            reads=len(self._read_history[pid]),
-            z=self._random_bits(128),
-        )
+        there = self._frame_position(pid, here, send_value)
         if here is not None:
-            here.next[edge] = there
+            here.next[edge] = (there, tuple(self.labels_seen[mark:]))
             self._digest ^= here.z
         self._digest ^= there.z
         self._position[pid] = self._generator_at[pid] = there
 
+    def _frame_position(self, pid: int, here: Optional[_Position], sent: Any) -> _Position:
+        """The position for where ``pid``'s generator has just stopped: the
+        one already standing for this frame state, or a new one reached
+        from ``here`` by ``sent``."""
+        op, done, result = self._pending[pid], self._done[pid], self._results.get(pid)
+        in_cs, decision = pid in self.in_cs, self.decisions.get(pid, _UNDECIDED)
+        try:
+            key: Hashable = (
+                _slot_key(op), done, _slot_key(result), in_cs, _slot_key(decision),
+                () if done else _frame_state(self._programs[pid]),
+            )
+            there = self._frames[pid].get(key)
+        except (TypeError, RecursionError):
+            # Something in a frame has no key: a position of its own.
+            key = there = None
+        if there is None:
+            there = _Position(
+                parent=here, sent=sent, next={}, op=op, done=done, result=result,
+                in_cs=in_cs, decision=decision, z=self._random_bits(128),
+            )
+            if key is not None:
+                self._frames[pid][key] = there
+        return there
+
     def _place(self, pid: int, position: _Position) -> None:
         """Make ``position`` the state of ``pid`` that inspection sees."""
-        self._digest ^= self._position[pid].z ^ position.z
+        old = self._position[pid]
+        self._digest ^= old.z ^ position.z
         self._position[pid] = position
         self._pending[pid] = position.op
-        self._done[pid] = position.done
+        # The observers change on few steps: touch what differs.
         if position.done:
+            self._done[pid] = True
             self._results[pid] = position.result
-        else:
-            self._results.pop(pid, None)
-        if position.in_cs:
-            self.in_cs.add(pid)
-        else:
-            self.in_cs.discard(pid)
-        if position.decision is _UNDECIDED:
-            self.decisions.pop(pid, None)
-        else:
-            self.decisions[pid] = position.decision
+        elif old.done:
+            self._done[pid] = False
+            del self._results[pid]
+        if position.in_cs is not old.in_cs:
+            if position.in_cs:
+                self.in_cs.add(pid)
+            else:
+                self.in_cs.discard(pid)
+        if position.decision is not old.decision:
+            if position.decision is _UNDECIDED:
+                del self.decisions[pid]
+            else:
+                self.decisions[pid] = position.decision
 
     def _rebuild(self, pid: int, target: _Position) -> None:
-        """Replace ``pid``'s generator by a fresh one driven to ``target``."""
+        """Replace ``pid``'s generator by a fresh one driven to ``target``
+        along the path that first reached it (any path to a frame state
+        leaves the generator in that frame state)."""
         sent = []
         position: Optional[_Position] = target
         while position is not None:

@@ -8,6 +8,7 @@ from repro.algorithms import mutex_session
 from repro.sim import ConstantTiming, Engine, RunStatus, UniformTiming
 from repro.sim.registers import RegisterNamespace
 from repro.spec import check_mutual_exclusion
+from repro.verify import MutualExclusionProperty, explore
 
 
 def run(lock, n, sessions, timing, max_time=100_000.0):
@@ -26,6 +27,30 @@ class TestSafety:
         res = run(lock, 3, 3, UniformTiming(0.05, 1.0, seed=1))
         assert res.status is RunStatus.COMPLETED
         assert check_mutual_exclusion(res.trace) == []
+
+    def test_exclusion_on_every_execution_n2(self):
+        """Model-checked to the end: safety needs nothing of the estimate.
+        The state space is finite because nothing in ``entry`` counts —
+        a gate-loop counter once made it grow with every turn."""
+        lock = default_adaptive_mutex(2, initial_estimate=0.01,
+                                      namespace=RegisterNamespace(("ad", "mc")))
+        factories = {pid: (lambda p: mutex_session(lock, p, 1, cs_duration=1.0))
+                     for pid in range(2)}
+        res = explore(factories, [MutualExclusionProperty()], max_ops=1000)
+        assert res.ok and res.complete and res.parked == 0
+        assert (res.states, res.transitions) == (3_787, 6_898)
+
+    @pytest.mark.slow
+    def test_exclusion_on_every_execution_n3(self):
+        """Three processes to the end (about 20 s, 170 MiB; nightly)."""
+        lock = default_adaptive_mutex(3, initial_estimate=0.01,
+                                      namespace=RegisterNamespace(("ad", "mc3")))
+        factories = {pid: (lambda p: mutex_session(lock, p, 1, cs_duration=1.0))
+                     for pid in range(3)}
+        res = explore(factories, [MutualExclusionProperty()], max_ops=1000,
+                      max_states=2_000_000)
+        assert res.ok and res.complete and res.parked == 0
+        assert (res.states, res.transitions) == (1_433_336, 3_856_037)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the model checker: exhaustive safety checks of the paper's
 algorithms on small configurations (experiments E6 and E13 in miniature)."""
 
+import sys
 from functools import partial
 
 import pytest
@@ -56,10 +57,42 @@ class TestExplorerMechanics:
         assert res.states == 50
 
     def test_deep_schedule_needs_no_recursion(self):
-        # The first path alone runs to depth 2 * max_ops.
-        res = explore({0: spinner, 1: spinner}, [], max_ops=1000, max_states=2500)
+        def counter(pid):
+            # Unlike ``spinner`` this one never comes back to a frame
+            # state: the first path alone runs to depth 2 * max_ops.
+            turns = 0
+            while True:
+                yield ops.read(X)
+                turns += 1
+
+        max_ops = sys.getrecursionlimit()
+        res = explore({0: counter, 1: counter}, [], max_ops=max_ops,
+                      max_states=3 * max_ops)
         assert not res.complete
-        assert res.max_depth == 2000
+        assert res.max_depth == 2 * max_ops > sys.getrecursionlimit()
+
+    def test_a_spin_loop_closes_without_the_bound(self):
+        def waiter(pid):
+            while True:
+                seen = yield ops.read(X)
+                if seen == 1:
+                    break
+
+        def setter(pid):
+            yield ops.write(X, 1)
+
+        sizes = {
+            (res.states, res.transitions, res.terminal_states, res.parked)
+            for res in (explore({0: waiter, 1: setter}, [], max_ops=max_ops)
+                        for max_ops in (3, 30, 3000))
+        }
+        # Waiting on 0 (first turn, later turns), on 1 (likewise), through.
+        assert sizes == {(5, 6, 1, 0)}
+
+    def test_parked_counts_the_states_the_bound_cut_short(self):
+        res = explore({0: spinner, 1: spinner}, [], max_ops=4)
+        assert res.complete and 0 < res.parked < res.states
+        assert "parked=" in repr(res)
 
     def test_invariant_violation_found_with_schedule(self):
         def prog(pid):
@@ -162,26 +195,41 @@ class TestPaperSafetyTheorems:
         )
         assert res.ok and res.complete
 
-    @pytest.mark.slow
     def test_algorithm3_exclusion_exhaustive_n2(self):
-        """Algorithm 3's stabilization, exhaustively: 188 898 states, no
-        process parked at the bound (about 2 s; CI runs it with ``-m slow``)."""
+        """Algorithm 3's exclusion on every execution of two processes:
+        the state space closes at 2 153 states and nobody is ever parked."""
         lock = default_time_resilient_mutex(2, delta=1.0)
         res = explore(lock_factories(lock, 2), [MutualExclusionProperty()],
-                      max_ops=40)
-        assert res.ok and res.complete
-        # Pinned: a fingerprint that merged too much would still be "ok".
-        assert (res.states, res.transitions) == (188_898, 308_224)
+                      max_ops=1000)
+        assert res.ok and res.complete and res.parked == 0
+        assert (res.states, res.transitions) == (2_153, 3_934)
 
     @pytest.mark.slow
-    def test_algorithm3_exclusion_bounded_n3(self):
-        """Three processes, every interleaving of their first 12 steps
-        (not yet one full session each; about 6 s)."""
+    def test_algorithm3_exclusion_exhaustive_n3(self):
+        """Three processes, every execution of any length (about 5 s; CI
+        runs it with ``-m slow``)."""
         lock = default_time_resilient_mutex(3, delta=1.0)
         res = explore(lock_factories(lock, 3), [MutualExclusionProperty()],
-                      max_ops=12)
-        assert res.ok and res.complete
-        assert (res.states, res.transitions) == (433_639, 1_089_523)
+                      max_ops=1000)
+        assert res.ok and res.complete and res.parked == 0
+        # Pinned: a key that merged too much would still be "ok".
+        assert (res.states, res.transitions) == (367_373, 1_001_200)
+
+    @pytest.mark.slow
+    def test_fischer_state_space_exhaustive_n5(self):
+        """Fischer n=5 to the end (about 4 s): every overlap there is."""
+        lock = FischerLock(delta=1.0)
+        res = explore(lock_factories(lock, 5), [MutualExclusionProperty()],
+                      max_ops=1000, stop_at_first_violation=False)
+        assert res.violations and res.complete and res.parked == 0
+        assert res.states == 180_493
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fischer_state_space_closes(self, n):
+        lock = FischerLock(delta=1.0)
+        res = explore(lock_factories(lock, n), [MutualExclusionProperty()],
+                      max_ops=1000, stop_at_first_violation=False)
+        assert res.violations and res.complete and res.parked == 0
 
     def test_algorithm3_exclusion_bounded_n2(self):
         """A cheaper bounded variant of the exhaustive check above."""
@@ -202,12 +250,24 @@ class TestPaperSafetyTheorems:
         assert res.violations[0].property_name == "agreement"
 
 
+def visible(sandbox):
+    """What a property or another process can tell about a state."""
+    pids = sorted(sandbox._programs)
+    return (
+        sandbox.memory.fingerprint(),
+        tuple(sorted(sandbox.in_cs)),
+        tuple(sorted(sandbox.decisions.items())),
+        tuple((sandbox.done(pid), repr(sandbox.result(pid)),
+               repr(sandbox.pending_op(pid))) for pid in pids),
+    )
+
+
 def reference_explore(factories, properties, max_ops):
-    """The explorer at its simplest: rebuild every node by replay, and
-    never stop at a violation."""
+    """The explorer at its simplest: rebuild every node by replay, key it
+    by its read histories, and never stop at a violation."""
     seen = set()
     found = {"states": 0, "transitions": 0, "max_depth": 0,
-             "terminal_states": 0, "violations": []}
+             "terminal_states": 0, "violations": [], "visible": set()}
 
     def visit(schedule):
         sandbox = replay_schedule(factories, schedule, max_ops)
@@ -217,6 +277,7 @@ def reference_explore(factories, properties, max_ops):
         seen.add(fingerprint)
         found["states"] += 1
         found["max_depth"] = max(found["max_depth"], len(schedule))
+        found["visible"].add(visible(sandbox))
         for prop in properties:
             message = prop.check(sandbox)
             if message is not None:
@@ -287,8 +348,9 @@ def target_case(name):
 
 
 class TestAgainstReplayReference:
-    """Step/undo over memoized positions, and the integer digest that
-    recognises a state, must be invisible in the result."""
+    """Frame states instead of read histories, step/undo instead of
+    replay and a digest instead of a tuple may only make the search
+    smaller: same verdicts, same violated properties, real witnesses."""
 
     @pytest.mark.parametrize(
         "case",
@@ -297,37 +359,63 @@ class TestAgainstReplayReference:
            for name in sorted(SIM_TARGETS)])
     def test_same_search_as_replaying_every_node(self, case):
         factories, properties, max_ops, violates = case()
-        # (digest, reference tuple) of every state the search counted.
+        # (reference tuple, what it looks like) of every state the search
+        # counted.
         keys = []
         record = InvariantProperty(
-            lambda sb: keys.append((sb.fingerprint(), Sandbox.fingerprint(sb)))
-            or True,
+            lambda sb: keys.append((Sandbox.fingerprint(sb), visible(sb))) or True,
             name="record")
         res = explore(factories, properties + [record], max_ops=max_ops,
                       stop_at_first_violation=False)
         ref = reference_explore(factories, properties, max_ops)
-        # A digest collision merging two states is pruned before any
-        # property runs: only the count against the tuple-keyed reference
-        # catches it.  The recorded keys catch the opposite, one state
-        # counted twice under two digests.
-        assert (res.states, res.transitions, res.max_depth,
-                res.terminal_states) == (
-            ref["states"], ref["transitions"], ref["max_depth"],
-            ref["terminal_states"])
+        assert res.complete
+        assert ({(v.property_name, v.message) for v in res.violations}
+                == {(v.property_name, v.message) for v in ref["violations"]})
+        assert bool(res.violations) == violates
+        # Every read history has one frame state, so the frame-state
+        # search can only be the smaller one ...
+        assert 0 < res.states <= ref["states"]
+        assert res.transitions <= ref["transitions"]
+        assert res.max_depth <= ref["max_depth"]
+        # ... and a read history counted twice (under two digests) would
+        # be a key that is not a function of the program's past: the id of
+        # something rebuilt, say.
         assert len(keys) == res.states
-        assert (len({digest for digest, _ in keys})
-                == len({reference for _, reference in keys})
-                == res.states)
-        assert res.violations == ref["violations"]
-        assert (len(res.violations) > 1) == violates
+        assert len({reference for reference, _ in keys}) == res.states
+        # Every state counted is one the reference reaches; and when the
+        # bound stopped nobody the search is closed under every step, so
+        # nothing the reference reaches may be missing from it — a key
+        # that merged two frame states with different futures would lose
+        # what only one of them leads to.
+        views = {view for _, view in keys}
+        assert views <= ref["visible"]
+        if res.parked == 0:
+            assert views == ref["visible"]
         by_name = {prop.name: prop for prop in properties}
         for violation in res.violations:
             sandbox = replay_schedule(factories, violation.schedule, max_ops)
             assert by_name[violation.property_name].check(sandbox) == violation.message
+        again = explore(factories, properties, max_ops=max_ops,
+                        stop_at_first_violation=False)
+        assert (again.states, again.transitions, again.max_depth,
+                again.terminal_states, again.parked, again.violations) == (
+            res.states, res.transitions, res.max_depth,
+            res.terminal_states, res.parked, res.violations)
+
+    def test_consensus_n4_merges_through_the_wrapper(self):
+        """``labeled_decision`` holds the generator it delegates to in a
+        local; that one is keyed by its own frame, not given up on, so
+        Algorithm 1 merges too (10 152 / 26 616 by read history)."""
+        factories, properties, max_ops, _ = target_case("consensus_n4")
+        res = explore(factories, properties, max_ops=max_ops,
+                      stop_at_first_violation=False)
+        assert (res.states, res.transitions) == (9_384, 25_288)
 
     @pytest.mark.parametrize("max_ops, expected", [
-        (14, (2_122, 3_650, 28, 58)),
-        (22, (19_998, 32_174, 44, 755)),
+        (14, (968, 1_698, 28, 18, 220)),
+        (22, (2_154, 3_913, 43, 10, 22)),
+        (40, (2_153, 3_934, 45, 3, 0)),
+        (1000, (2_153, 3_934, 45, 3, 0)),
     ])
     def test_algorithm3_counts_pinned(self, max_ops, expected):
         lock = default_time_resilient_mutex(2, delta=1.0)
@@ -335,4 +423,4 @@ class TestAgainstReplayReference:
                       max_ops=max_ops, stop_at_first_violation=False)
         assert res.ok and res.complete
         assert (res.states, res.transitions, res.max_depth,
-                res.terminal_states) == expected
+                res.terminal_states, res.parked) == expected

@@ -344,3 +344,213 @@ class TestUndo:
         sb = _UndoSandbox({0: incrementer}, max_ops=10)
         with pytest.raises(NotImplementedError):
             sb.restart(0, incrementer)
+
+
+class TestFrameStates:
+    """One position per frame state, whatever the read history — and
+    never one position for two frame states."""
+
+    @staticmethod
+    def watcher(pid):
+        """Remembers only the last value it saw."""
+        yield ops.label("note", "start")
+        while True:
+            last = yield ops.read(X)
+            if last == 9:
+                return last
+
+    @staticmethod
+    def bumper(pid):
+        for value in (1, 2, 1):
+            yield ops.write(X, value)
+
+    def search_sizes(self, factories, max_ops):
+        from repro.verify import explore
+
+        from .test_explorer import reference_explore
+
+        res = explore(factories, [], max_ops=max_ops)
+        ref = reference_explore(factories, [], max_ops)
+        return (res.states, res.transitions), (ref["states"], ref["transitions"])
+
+    def test_histories_that_meet_share_one_position(self):
+        sb = _UndoSandbox({0: self.watcher, 1: self.bumper}, max_ops=20)
+        sb.step(1)          # X = 1
+        sb.step(0)          # watcher read 1
+        met = sb._position[0]
+        for pid in (0, 1, 1, 0):  # read 1 again; X = 2, X = 1; read 1
+            sb.step(pid)
+        assert sb._position[0] is met
+        assert Sandbox.fingerprint(sb)[1][0] == (0, False, 3, (1, 1, 1))
+        # From the shared position, by either history, step; undo is exact.
+        for history in (3, 1):
+            while sb.op_count(0) > history:
+                sb.undo()
+            assert sb._position[0] is met and sb.op_count(0) == history
+            before = TestUndo.observed(sb)
+            sb.step(0)
+            assert sb._position[0] is met and sb.op_count(0) == history + 1
+            sb.undo()
+            assert TestUndo.observed(sb) == before
+        assert sb.labels_seen == [(0, "note", "start")]
+
+    def test_labels_belong_to_the_edge_not_the_position(self):
+        def prog(pid):
+            while True:
+                seen = yield ops.read(X)
+                if seen:
+                    yield ops.label("note", seen)
+
+        def other(pid):
+            yield ops.write(X, 3)
+            yield ops.write(X, 0)
+
+        sb = _UndoSandbox({0: prog, 1: other}, max_ops=20)
+        for pid in (0, 1, 0):  # read 0, X = 3, read 3 (+ label)
+            sb.step(pid)
+        loop = sb._position[0]
+        assert sb.labels_seen == [(0, "note", 3)]
+        sb.step(1)
+        sb.step(0)  # read 0: same frame state as before but for ``seen``
+        sb.step(0)
+        assert sb.labels_seen == [(0, "note", 3)]
+        for _ in range(3):
+            sb.undo()
+        sb.undo()
+        assert sb.labels_seen == []
+        sb.step(0)  # the recorded edge emits its label again
+        assert sb._position[0] is loop and sb.labels_seen == [(0, "note", 3)]
+
+    def test_rebuild_resumes_from_a_position_first_recorded_on_another_path(self):
+        factories = {0: self.watcher, 1: self.bumper}
+        sb = _UndoSandbox(factories, max_ops=20)
+        for pid in (1, 0, 0, 1):  # X = 1; read 1, read 1; X = 2
+            sb.step(pid)
+        met = sb._position[0]
+        assert met.parent is not met and met.parent.parent is None
+        sb.step(0)            # read 2: the live generator moves on
+        sb.undo()
+        ahead = sb._programs[0]
+        sb.memory.poke(X, 9)  # a value never sent from ``met``
+        sb.step(0)            # needs a generator standing at ``met``
+        assert sb._programs[0] is not ahead
+        assert sb.done(0) and sb.result(0) == 9
+        plain = Sandbox(factories, max_ops=20)
+        for pid in (1, 0, 0, 1):
+            plain.step(pid)
+        plain.memory.poke(X, 9)
+        plain.step(0)
+        assert TestUndo.reference(sb) == TestUndo.reference(plain)
+
+    def test_a_for_loops_iterator_is_part_of_the_frame_state(self):
+        def prog(pid):
+            for v in (5, 5, 7):
+                yield ops.write(X, v)
+
+        sb = _UndoSandbox({0: prog}, max_ops=20)
+        first = sb._position[0]
+        sb.step(0)
+        # Same code, same f_lasti, same ``v == 5`` — one turn further on.
+        assert sb._position[0] is not first
+        assert repr(sb.pending_op(0)) == repr(first.op)
+        sb.step(0)
+        sb.step(0)
+        assert sb.done(0) and sb.memory.peek(X) == 7
+
+    def test_a_value_held_only_on_the_evaluation_stack_is_part_of_it(self):
+        def prog(pid):
+            total = (yield ops.read(X)) + (yield ops.read(Y))
+            yield ops.write(X, total)
+
+        def other(pid):
+            yield ops.write(X, 4)
+
+        sb = _UndoSandbox({0: prog, 1: other}, max_ops=20)
+        sb.step(0)  # read X = 0, now waiting on Y with 0 on the stack
+        zero = sb._position[0]
+        sb.undo()
+        sb.step(1)
+        sb.step(0)  # read X = 4
+        assert sb._position[0] is not zero
+        sb.step(0)
+        assert sb.pending_op(0).value == 4
+
+    def test_what_cannot_be_keyed_is_never_merged(self):
+        def held_generator(pid):
+            def forever():
+                while True:
+                    yield
+
+            ticks = forever()  # a live generator in a local
+            while True:
+                next(ticks)
+                yield ops.read(X)
+
+        class Opaque:
+            """An iterator that says nothing about where it stands."""
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                return 0
+
+        def held_iterator(pid):
+            for _ in Opaque():
+                yield ops.read(X)
+
+        def mergeable(pid):
+            while True:
+                yield ops.read(X)
+
+        for program in (held_generator, held_iterator):
+            sb = _UndoSandbox({0: program}, max_ops=20)
+            seen = {id(sb._position[0])}
+            for _ in range(5):
+                sb.step(0)
+                seen.add(id(sb._position[0]))
+            assert len(seen) == 6
+            found, reference = self.search_sizes({0: program, 1: self.bumper}, 6)
+            assert found == reference
+        found, reference = self.search_sizes({0: mergeable, 1: self.bumper}, 6)
+        assert found < reference
+
+    def test_the_first_decision_is_part_of_the_frame_state(self):
+        def prog(pid):
+            first = yield ops.read(X)
+            yield ops.label(ops.DECIDED, first)
+            del first
+            while True:
+                yield ops.read(Y)
+
+        def other(pid):
+            yield ops.write(X, 1)
+
+        sb = _UndoSandbox({0: prog, 1: other}, max_ops=20)
+        sb.step(0)
+        decided_zero = sb._position[0]
+        assert sb.decisions == {0: 0}
+        sb.undo()
+        sb.step(1)
+        sb.step(0)
+        assert sb.decisions == {0: 1}
+        # Equal frames (``first`` is unbound in both), different observers.
+        assert sb._position[0] is not decided_zero
+        sb.step(0)
+        turning = sb._position[0]
+        sb.step(0)
+        assert sb._position[0] is turning and sb.decisions == {0: 1}
+
+    def test_a_state_reached_parked_does_not_prune_it_reached_with_budget(self):
+        sb = _UndoSandbox({0: self.watcher, 1: self.bumper}, max_ops=2)
+        sb.step(0)
+        one_read = sb._position[0]
+        sb.step(0)  # same frame state as after one read, but out of budget
+        assert sb._position[0] is one_read
+        parked = sb.fingerprint()
+        assert sb.parked == 1 and sb.suspended() == [0] and sb.enabled() == [1]
+        sb.undo()
+        assert sb.parked == 0 and sb.enabled() == [0, 1]
+        assert sb.fingerprint() != parked
+        sb.step(0)
+        assert sb.parked == 1 and sb.fingerprint() == parked
