@@ -157,10 +157,16 @@ def stabilizing_session(
     finished process raises its (single-writer) ``done`` flag and keeps
     *forwarding* the privilege — performing the move without entering the
     critical section — until every flag is up.
+
+    Restart-safe: ``done`` is shared, so it outlives a crash.  A fresh
+    incarnation that finds its own flag already up has had its sessions —
+    the others may have seen every flag and left, and a ring of one never
+    gets the privilege back — so it goes straight to helper mode.
     """
     if sessions < 0:
         raise ValueError(f"sessions must be >= 0, got {sessions}")
-    for session in range(sessions):
+    retired = yield done[pid].read()
+    for session in range(0 if retired else sessions):
         yield ops.label(ops.ENTRY_START)
         yield from lock.entry(pid)
         yield ops.label(ops.CS_ENTER, session)

@@ -48,11 +48,11 @@ from repro.obs.tracer import Tracer, active_tracer
 from .clock import VirtualClock
 from .failures import CrashSchedule, MemoryFault, RecoverSchedule
 from .instrument import EngineProbe, active_probe
-from .ops import Delay, Label, LocalWork, Op
+from .ops import Label, Op, SimulationError
 from .process import Process, ProcessState, Program, ProgramFactory
 from .registers import Memory
 from .scheduler import FifoTieBreak, TieBreak
-from .timing import StepContext, TimingModel
+from .timing import TimingModel
 from .trace import EventKind, Trace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - repro.net imports this module
@@ -67,10 +67,6 @@ _DELTA_TOLERANCE = 1e-9
 # How many consecutive zero-duration operations (labels) a process may
 # execute before the engine declares it livelocked.
 _MAX_ZERO_DURATION_RUN = 10_000
-
-
-class SimulationError(RuntimeError):
-    """An algorithm program raised, or the simulation itself is broken."""
 
 
 class RunStatus(enum.Enum):
@@ -307,15 +303,9 @@ class Engine:
 
     # -- event plumbing --------------------------------------------------------
 
-    def _push(
-        self,
-        time: float,
-        pid: int,
-        action: str,
-        op: Optional[Op] = None,
-        issued: float = 0.0,
-        payload: Any = None,
-    ) -> None:
+    def _push(self, time: float, pid: int, action: str, payload: Any = None) -> None:
+        """Schedule a lifecycle event (start, crash, restart, fault); an
+        operation's completion is pushed by :meth:`_resume` itself."""
         seq = next(self._seq)
         priority: Any = seq if self._fifo else self.tie_break.priority(pid, seq)
         probe = self._probe
@@ -323,7 +313,7 @@ class Engine:
             probe.heap_pushes += 1
         heapq.heappush(
             self._heap,
-            (time, priority, next(self._event_seq), pid, action, op, issued, payload),
+            (time, priority, next(self._event_seq), pid, action, None, 0.0, payload),
         )
 
     # -- main loop ---------------------------------------------------------------
@@ -351,6 +341,7 @@ class Engine:
         max_time = self.max_time
         complete = self._complete
         probe = self._probe
+        running = ProcessState.RUNNING
         while heap:
             if self.total_shared_steps >= self.max_total_steps:
                 status = RunStatus.STEP_LIMIT
@@ -363,9 +354,11 @@ class Engine:
                 probe.events += 1
             if action == _COMPLETE:
                 proc = processes[pid]
-                if not proc.alive or payload != proc.incarnation:
+                if proc.state is not running or payload != proc.incarnation:
                     # Stale event: the process crashed, or this completion
-                    # belongs to an incarnation that died before a restart.
+                    # belongs to an incarnation that died before a restart
+                    # (a live process with an operation in flight is RUNNING:
+                    # READY ends at _start, before the first operation).
                     continue
                 advance_to(time)
                 complete(proc, op, issued, time)
@@ -376,13 +369,8 @@ class Engine:
                 self.memory.poke(fault.register, fault.value)
                 self.trace.append(
                     TraceEvent(
-                        seq=next(self._event_seq),
-                        pid=FAULT_PID,
-                        kind=EventKind.FAULT,
-                        issued=time,
-                        completed=time,
-                        register=fault.register.name,
-                        value=fault.value,
+                        next(self._event_seq), FAULT_PID, EventKind.FAULT,
+                        time, time, fault.register.name, fault.value,
                     )
                 )
                 if tracer is not None:
@@ -445,13 +433,7 @@ class Engine:
         proc.state = ProcessState.CRASHED
         proc.finished_at = now
         self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=EventKind.CRASH,
-                issued=now,
-                completed=now,
-            )
+            TraceEvent(next(self._event_seq), proc.pid, EventKind.CRASH, now, now)
         )
         if self._tracer is not None:
             self._tracer.crash(proc.pid, now)
@@ -475,12 +457,8 @@ class Engine:
         proc.crash_step = math.inf
         self.trace.append(
             TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=EventKind.RESTART,
-                issued=now,
-                completed=now,
-                value=proc.incarnation,
+                next(self._event_seq), proc.pid, EventKind.RESTART, now, now,
+                None, proc.incarnation,
             )
         )
         if self._tracer is not None:
@@ -498,14 +476,8 @@ class Engine:
         exceeded = shared and (now - issued) > self.delta * (1.0 + _DELTA_TOLERANCE)
         self.trace.append(
             TraceEvent(
-                seq=next(self._event_seq),
-                pid=pid,
-                kind=kind,
-                issued=issued,
-                completed=now,
-                register=target,
-                value=value,
-                exceeded_delta=exceeded,
+                next(self._event_seq), pid, kind, issued, now, target, value, None,
+                exceeded,
             )
         )
         if self._tracer is not None:
@@ -521,6 +493,7 @@ class Engine:
 
     def _resume(self, proc: Process, send_value: Any, now: float) -> None:
         """Pull operations from the program until one consumes time."""
+        pid = proc.pid
         for _ in range(_MAX_ZERO_DURATION_RUN):
             try:
                 op = proc.program.send(send_value)
@@ -530,94 +503,51 @@ class Engine:
                 proc.finished_at = now
                 self.trace.append(
                     TraceEvent(
-                        seq=next(self._event_seq),
-                        pid=proc.pid,
-                        kind=EventKind.DONE,
-                        issued=now,
-                        completed=now,
-                        value=stop.value,
+                        next(self._event_seq), pid, EventKind.DONE, now, now,
+                        None, stop.value,
                     )
                 )
                 if self._tracer is not None:
-                    self._tracer.done(proc.pid, now)
+                    self._tracer.done(pid, now)
                 return
             except Exception as exc:
                 proc.state = ProcessState.FAILED
                 proc.error = exc
                 raise SimulationError(
-                    f"process {proc.pid} ({proc.name}) raised {exc!r} at time {now}"
+                    f"process {pid} ({proc.name}) raised {exc!r} at time {now}"
                 ) from exc
 
             if isinstance(op, Label):
                 self.trace.append(
                     TraceEvent(
-                        seq=next(self._event_seq),
-                        pid=proc.pid,
-                        kind=EventKind.LABEL,
-                        issued=now,
-                        completed=now,
-                        value=op.payload,
-                        label=op.kind,
+                        next(self._event_seq), pid, EventKind.LABEL, now, now,
+                        None, op.payload, op.kind,
                     )
                 )
                 if self._tracer is not None:
-                    self._tracer.label(proc.pid, op.kind, now)
+                    self._tracer.label(pid, op.kind, now)
                 proc.total_ops += 1
                 send_value = None
                 continue
 
-            duration = self._duration_of(proc, op, now)
-            self._push(
-                now + duration,
-                proc.pid,
-                _COMPLETE,
-                op=op,
-                issued=now,
-                payload=proc.incarnation,
+            if not isinstance(op, Op):
+                Op.charge(op, self, proc, now)  # not an Op: the base rule refuses it
+            # What the operation costs is the operation's to say (ops.py).
+            # Its completion goes on the heap here, not through _push (this
+            # is the push every event pays for), in the same draw order:
+            # duration, then priority, then the entry's sequence number.
+            duration = op.charge(self, proc, now)
+            seq = next(self._seq)
+            priority: Any = seq if self._fifo else self.tie_break.priority(pid, seq)
+            if self._probe is not None:
+                self._probe.heap_pushes += 1
+            heapq.heappush(
+                self._heap,
+                (now + duration, priority, next(self._event_seq), pid, _COMPLETE,
+                 op, now, proc.incarnation),
             )
             return
         raise SimulationError(
-            f"process {proc.pid} ({proc.name}) executed {_MAX_ZERO_DURATION_RUN} "
+            f"process {pid} ({proc.name}) executed {_MAX_ZERO_DURATION_RUN} "
             f"consecutive zero-duration operations at time {now}: livelock"
-        )
-
-    def _duration_of(self, proc: Process, op: Op, now: float) -> float:
-        if isinstance(op, Op):
-            if op.is_shared:
-                ctx = StepContext(
-                    pid=proc.pid, op=op, now=now, step_index=proc.shared_steps
-                )
-                duration = self.timing.shared_step_duration(ctx)
-                if duration <= 0:
-                    raise SimulationError(
-                        f"timing model produced nonpositive step duration {duration}"
-                    )
-                return duration
-            if op.is_message:
-                if self.transport is None:
-                    raise SimulationError(
-                        f"process {proc.pid} ({proc.name}) yielded message op "
-                        f"{op!r}; message operations need a transport, and this "
-                        f"engine has none (pass Engine(transport=...))"
-                    )
-                if op.trace_kind == EventKind.RECV:
-                    return self.recv_cost
-                return self.send_cost
-            if isinstance(op, Delay):
-                duration = self.timing.delay_duration(proc.pid, op.duration, now)
-                if duration < op.duration:
-                    raise SimulationError(
-                        f"delay({op.duration}) shortened to {duration}: delay "
-                        f"must last at least the requested time"
-                    )
-                return duration
-            if isinstance(op, LocalWork):
-                duration = self.timing.local_duration(proc.pid, op.duration, now)
-                if duration < 0:
-                    raise SimulationError(
-                        f"local work duration must be >= 0, got {duration}"
-                    )
-                return duration
-        raise SimulationError(
-            f"process {proc.pid} ({proc.name}) yielded a non-operation: {op!r}"
         )

@@ -31,6 +31,12 @@ without touching shared memory (used to model critical sections and think
 times).  ``Label`` is a zero-duration annotation recorded in the trace,
 used by the specification checkers (e.g. critical-section entry and exit
 marks).
+
+How long an operation *takes* is a question only the timed interpreter
+asks, and the operation answers it too: :meth:`Op.charge` names the rule
+of the :class:`~repro.sim.timing.TimingModel` (or the message cost) that
+applies to its kind, and refuses what the model must never do — a step
+that takes no time, a delay cut short.
 """
 
 from __future__ import annotations
@@ -38,11 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Optional, Tuple, TYPE_CHECKING
 
+from .timing import StepContext
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .process import Process
     from .registers import Register
 
 
 __all__ = [
+    "SimulationError",
     "Op",
     "Read",
     "Write",
@@ -72,6 +82,10 @@ __all__ = [
     "broadcast",
     "recv",
 ]
+
+
+class SimulationError(RuntimeError):
+    """An algorithm program raised, or the simulation itself is broken."""
 
 
 class Op:
@@ -110,6 +124,43 @@ class Op:
         given the ``result`` :meth:`perform` returned."""
         return None, None
 
+    def charge(self, world: Any, proc: "Process", now: float) -> float:
+        """How long the operation issued by ``proc`` at ``now`` takes.
+
+        ``world`` is the timed interpreter: it owns the ``timing`` model
+        and, with a ``transport``, the ``send_cost``/``recv_cost`` of a
+        message operation.  Every kind that consumes time overrides
+        this; what is left is nothing the engine can run.
+        """
+        raise SimulationError(
+            f"process {proc.pid} ({proc.name}) yielded a non-operation: {self!r}"
+        )
+
+
+def _charge_shared_step(op: Op, world: Any, proc: "Process", now: float) -> float:
+    """A shared step takes what the timing model says — never no time."""
+    duration = world.timing.shared_step_duration(
+        StepContext(proc.pid, op, now, proc.shared_steps)
+    )
+    if duration <= 0:
+        raise SimulationError(
+            f"timing model produced nonpositive step duration {duration}"
+        )
+    return duration
+
+
+def _charge_message(op: Op, world: Any, proc: "Process", now: float) -> float:
+    """Handing messages to the network, or collecting them, costs the
+    world's ``send_cost``/``recv_cost`` — the delivery delay is the
+    transport's business."""
+    if world.transport is None:
+        raise SimulationError(
+            f"process {proc.pid} ({proc.name}) yielded message op "
+            f"{op!r}; message operations need a transport, and this "
+            f"engine has none (pass Engine(transport=...))"
+        )
+    return world.recv_cost if op.trace_kind == "recv" else world.send_cost
+
 
 @dataclass(frozen=True)
 class Read(Op):
@@ -121,6 +172,7 @@ class Read(Op):
 
     is_shared = True
     trace_kind = "read"
+    charge = _charge_shared_step
 
     def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
         return world.memory.read(self.register)
@@ -143,6 +195,7 @@ class Write(Op):
 
     is_shared = True
     trace_kind = "write"
+    charge = _charge_shared_step
 
     def perform(self, world: Any, pid: int, now: Optional[float]) -> None:
         world.memory.write(self.register, self.value)
@@ -176,6 +229,7 @@ class ReadModifyWrite(Op):
 
     is_shared = True
     trace_kind = "rmw"
+    charge = _charge_shared_step
 
     def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
         return world.memory.rmw(self.register, self.transform)
@@ -244,6 +298,15 @@ class Delay(Op):
     def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
         return None, self.duration
 
+    def charge(self, world: Any, proc: "Process", now: float) -> float:
+        duration = world.timing.delay_duration(proc.pid, self.duration, now)
+        if duration < self.duration:
+            raise SimulationError(
+                f"delay({self.duration}) shortened to {duration}: delay "
+                f"must last at least the requested time"
+            )
+        return duration
+
 
 class Nap(Delay):
     """A polling pause: a ``Delay`` nothing synchronizes on.
@@ -284,6 +347,12 @@ class LocalWork(Op):
     def trace_fields(self, world: Any, pid: int, result: Any) -> Tuple[Any, Any]:
         return None, self.duration
 
+    def charge(self, world: Any, proc: "Process", now: float) -> float:
+        duration = world.timing.local_duration(proc.pid, self.duration, now)
+        if duration < 0:
+            raise SimulationError(f"local work duration must be >= 0, got {duration}")
+        return duration
+
 
 @dataclass(frozen=True)
 class Label(Op):
@@ -321,6 +390,7 @@ class Send(Op):
 
     is_message = True
     trace_kind = "send"
+    charge = _charge_message
 
     def perform(self, world: Any, pid: int, now: Optional[float]) -> None:
         world.transport.send(pid, self.dest, self.payload, now)
@@ -351,6 +421,7 @@ class Broadcast(Op):
 
     is_message = True
     trace_kind = "send"
+    charge = _charge_message
 
     def _audience(self, world: Any, pid: int) -> Tuple[int, ...]:
         return self.dests if self.dests is not None else world.transport.peers(pid)
@@ -381,6 +452,7 @@ class Recv(Op):
 
     is_message = True
     trace_kind = "recv"
+    charge = _charge_message
 
     def perform(self, world: Any, pid: int, now: Optional[float]) -> Any:
         return world.transport.collect(pid, now)

@@ -31,10 +31,12 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .failures import TimingFailureWindow
-from .ops import Op
+
+if TYPE_CHECKING:  # pragma: no cover - repro.sim.ops imports this module
+    from .ops import Op
 
 __all__ = [
     "StepContext",
@@ -51,9 +53,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StepContext:
-    """Everything a timing model may condition a step duration on."""
+class StepContext(NamedTuple):
+    """Everything a timing model may condition a step duration on.
+
+    Tuple-backed, like :class:`~repro.sim.trace.TraceEvent`: one is built
+    per shared step.
+    """
 
     pid: int
     op: Op

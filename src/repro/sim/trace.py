@@ -20,6 +20,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -48,14 +49,18 @@ class EventKind:
     RECV = "recv"  # messages collected from the network (repro.net)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One completed operation (or lifecycle event) in an execution.
 
     ``issued`` is when the process started the operation and ``completed``
     is when it took effect; for shared-memory operations the linearization
     point is ``completed``.  ``exceeded_delta`` marks the event as a timing
     failure (only ever true for shared steps).
+
+    A tuple-backed record: the engine builds one per event, and a frozen
+    dataclass pays one ``object.__setattr__`` per field for that.  So an
+    event also compares equal to (and hashes like) the plain tuple of its
+    fields.
     """
 
     seq: int

@@ -285,19 +285,13 @@ class TestStabilizationArtifact:
             dataclasses.replace(artifact, substrate="net")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="dg_mutex.stabilizing_session is not restart-safe: a done flag "
-           "raised by a dead incarnation lets the others leave helper mode "
-           "while the restarted process still needs the ring "
-           "(ROADMAP: 'Restart-safe stabilizing_session')",
-)
 def test_restart_after_done_flag_converges():
-    # The run behind `--target dg_mutex_n3 --seed 42 --expect recover`
-    # exiting 1: pid 1 raises done[1] at step 14, crashes at 15, restarts
-    # at 24 and re-runs its session; pids 0 and 2 see all three flags up,
-    # stop helping, and the new incarnation spins alone on privileged()
-    # until its op budget is gone.
+    # The run that used to make `--target dg_mutex_n3 --seed 42 --expect
+    # recover` exit 1: pid 1 raises done[1], crashes one step later and
+    # restarts; pids 0 and 2 see all three flags up and stop helping.  An
+    # incarnation that re-ran its session would spin alone on privileged()
+    # until its op budget was gone; one that finds its own flag up goes
+    # straight to helper mode and retires.
     target = sim_target("dg_mutex_n3")
     campaign = sample_recover_campaign(
         "42-0", pids=target.pids, corruption_registers=target.corruptible

@@ -20,6 +20,29 @@ def ctx(pid=0, now=0.0, step_index=0):
     return StepContext(pid=pid, op=Read(Register("r")), now=now, step_index=step_index)
 
 
+class TestStepContextRecord:
+    """``StepContext`` is an immutable, tuple-backed record."""
+
+    def test_fields_cannot_be_assigned(self):
+        c = ctx()
+        for name in StepContext._fields:
+            with pytest.raises(AttributeError):
+                setattr(c, name, 1)
+
+    def test_keyword_and_positional_construction_agree(self):
+        op = Read(Register("r"))
+        a = StepContext(pid=2, op=op, now=1.5, step_index=4)
+        b = StepContext(2, op, 1.5, 4)
+        assert a == b and hash(a) == hash(b)
+        assert StepContext._fields == ("pid", "op", "now", "step_index")
+        assert a != StepContext(2, op, 1.5, 5)
+
+    def test_repr_names_the_fields(self):
+        assert repr(StepContext(1, Read(Register("x")), 2.0, 3)) == (
+            "StepContext(pid=1, op=Read('x'), now=2.0, step_index=3)"
+        )
+
+
 class TestConstantTiming:
     def test_constant(self):
         t = ConstantTiming(0.5)

@@ -25,17 +25,69 @@ def lbl(seq, pid, kind, t, value=None):
     return ev(seq, pid, EventKind.LABEL, t, t, label=kind, value=value)
 
 
+class TestRecordContract:
+    """``TraceEvent`` is an immutable, tuple-backed record."""
+
+    def test_fields_cannot_be_assigned(self):
+        e = ev(0, 0, EventKind.READ, 0.0, 1.0)
+        for name in TraceEvent._fields:
+            with pytest.raises(AttributeError):
+                setattr(e, name, 1)
+        with pytest.raises(AttributeError):
+            e.extra = 1
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert ev(3, 1, EventKind.WRITE, 1.0, 2.0, ("ns", "x"), 7, None, True) == (
+            TraceEvent(3, 1, EventKind.WRITE, 1.0, 2.0, ("ns", "x"), 7, None, True)
+        )
+
+    def test_defaults(self):
+        e = TraceEvent(0, 0, EventKind.CRASH, 1.0, 1.0)
+        assert (e.register, e.value, e.label, e.exceeded_delta) == (None, None, None, False)
+        assert TraceEvent._fields == (
+            "seq", "pid", "kind", "issued", "completed",
+            "register", "value", "label", "exceeded_delta",
+        )
+
+    def test_equality_and_hash_by_value(self):
+        a = ev(1, 0, EventKind.READ, 0.0, 0.5, register="x", value=0)
+        b = ev(1, 0, EventKind.READ, 0.0, 0.5, register="x", value=0)
+        c = ev(2, 0, EventKind.READ, 0.0, 0.5, register="x", value=0)
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+        # A NamedTuple *is* a tuple: it also equals the plain tuple of its fields.
+        assert a == tuple(a) == (1, 0, EventKind.READ, 0.0, 0.5, "x", 0, None, False)
+
+    def test_derived_properties(self):
+        e = ev(0, 0, EventKind.WRITE, 1.0, 3.5)
+        assert e.duration == 2.5
+        assert e.is_shared
+        assert not lbl(1, 0, ops.CS_ENTER, 1.0).is_shared
+
+    def test_repr_is_the_compact_form(self):
+        assert repr(lbl(3, 1, ops.CS_ENTER, 2.0, value=7)) == (
+            "<#3 p1 label cs_enter = 7 @[2.000,2.000]>"
+        )
+        assert repr(
+            ev(4, 0, EventKind.READ, 1.0, 3.5, register=("ns", "x", 1), value=0,
+               exceeded=True)
+        ) == "<#4 p0 read ('ns', 'x', 1) = 0 @[1.000,3.500] !Δ>"
+        assert repr(ev(5, 2, EventKind.CRASH, 4.25, 4.25)) == "<#5 p2 crash @[4.250,4.250]>"
+
+
 class TestBasics:
     def test_append_order_enforced(self):
         tr = Trace(delta=1.0)
         tr.append(ev(0, 0, EventKind.READ, 0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="completion order: 0.5 after 1.0"):
             tr.append(ev(1, 0, EventKind.READ, 0.0, 0.5))
+        assert len(tr) == 1
 
     def test_finalize_blocks_append(self):
         tr = Trace(delta=1.0)
         tr.finalize()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="already finalized"):
             tr.append(ev(0, 0, EventKind.READ, 0.0, 1.0))
 
     def test_delta_positive(self):
