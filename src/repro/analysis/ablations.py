@@ -23,13 +23,12 @@ each ablation builds the variant without one of them and compares:
 
 Run from the command line::
 
-    python -m repro.analysis.ablations
+    python -m repro.analysis.experiments A1 A2 A3 A4
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..algorithms import BarDavidLock, LamportFastLock, mutex_session
 from ..algorithms.base import MutexAlgorithm
@@ -57,8 +56,6 @@ __all__ = [
     "run_a2",
     "run_a3",
     "run_a4",
-    "ALL_ABLATIONS",
-    "main",
 ]
 
 DELTA = 1.0
@@ -316,20 +313,3 @@ def run_a4(ns_sweep: Sequence[int] = (4, 16, 64)) -> ExperimentTable:
     )
     return table
 
-
-ALL_ABLATIONS = {"A1": run_a1, "A2": run_a2, "A3": run_a3, "A4": run_a4}
-
-
-def main(argv: Sequence[str]) -> int:
-    chosen = argv or sorted(ALL_ABLATIONS)
-    for ablation_id in chosen:
-        runner = ALL_ABLATIONS.get(ablation_id.upper())
-        if runner is None:
-            raise SystemExit(f"unknown ablation {ablation_id!r}")
-        print(runner().render())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -6,14 +6,18 @@ whose rows are what EXPERIMENTS.md records.  The benchmark suite calls the
 same drivers (usually with reduced parameters) and asserts the *shape*
 claims — who wins, by what rough factor, where behaviour changes.
 
-Run everything from the command line::
+This module is also the one command line for every table — the E*
+experiments here, the A1..A4 ablations (:mod:`.ablations`) and the
+X1..X3 extension tables (:mod:`.extensions`)::
 
-    python -m repro.analysis.experiments            # all experiments
+    python -m repro.analysis.experiments            # all tables
     python -m repro.analysis.experiments E1 E7      # a subset
+    python -m repro.analysis.experiments A1 X2
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -65,7 +69,8 @@ from ..verify import (
     ValidityProperty,
     explore,
 )
-from ..workloads import consensus_inputs, timing_for
+from .ablations import run_a1, run_a2, run_a3, run_a4
+from .extensions import run_x1, run_x2, run_x3
 from .metrics import delay_count, rounds_used, solo_steps_to_decision
 from .tables import ExperimentTable
 
@@ -77,6 +82,26 @@ __all__ = [
 ]
 
 DELTA = 1.0
+
+
+def consensus_inputs(n: int, pattern: str = "split", seed: int = 0) -> List[int]:
+    """Binary proposal vectors.
+
+    Patterns: ``unanimous0``, ``unanimous1``, ``split`` (alternating — the
+    maximally conflicted deterministic vector), ``random``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if pattern == "unanimous0":
+        return [0] * n
+    if pattern == "unanimous1":
+        return [1] * n
+    if pattern == "split":
+        return [i % 2 for i in range(n)]
+    if pattern == "random":
+        rng = random.Random(seed)
+        return [rng.randint(0, 1) for _ in range(n)]
+    raise ValueError(f"unknown pattern {pattern!r}")
 
 
 def _run_lock(
@@ -821,13 +846,21 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], ExperimentTable]] = {
     "E13": run_e13,
     "E1N": run_e1_net,
     "E8N": run_e8_net,
+    "A1": run_a1,
+    "A2": run_a2,
+    "A3": run_a3,
+    "A4": run_a4,
+    "X1": run_x1,
+    "X2": run_x2,
+    "X3": run_x3,
 }
 
 
 def _experiment_order(experiment_id: str):
-    """Numeric-then-suffix sort: E1, E1N, E2, ..., E8, E8N, E9, E10, ..."""
+    """E*, then A*, then X*; numeric-then-suffix within each: E1, E1N, E2,
+    ..., E8, E8N, E9, E10, ..., A1, ..., X3."""
     digits = "".join(ch for ch in experiment_id if ch.isdigit())
-    return (int(digits), experiment_id)
+    return ("EAX".index(experiment_id[0]), int(digits), experiment_id)
 
 
 def run_all(ids: Optional[Sequence[str]] = None) -> List[ExperimentTable]:

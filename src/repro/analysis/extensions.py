@@ -11,13 +11,10 @@
 
 Run with::
 
-    python -m repro.analysis.extensions
+    python -m repro.analysis.experiments X1 X2 X3
 """
 
 from __future__ import annotations
-
-import sys
-from typing import Sequence
 
 from ..algorithms import BakeryLock, FischerLock, TicketLock, mutex_session
 from ..core.adaptive import default_adaptive_mutex
@@ -30,7 +27,7 @@ from .ablations import embedded_population
 from .metrics import rmr_per_cs_entry
 from .tables import ExperimentTable
 
-__all__ = ["run_x1", "run_x2", "run_x3", "ALL_EXTENSIONS", "main"]
+__all__ = ["run_x1", "run_x2", "run_x3"]
 
 DELTA = 1.0
 
@@ -154,20 +151,3 @@ def run_x3(n: int = 8, sessions: int = 3) -> ExperimentTable:
     )
     return table
 
-
-ALL_EXTENSIONS = {"X1": run_x1, "X2": run_x2, "X3": run_x3}
-
-
-def main(argv: Sequence[str]) -> int:
-    chosen = argv or sorted(ALL_EXTENSIONS)
-    for ext_id in chosen:
-        runner = ALL_EXTENSIONS.get(ext_id.upper())
-        if runner is None:
-            raise SystemExit(f"unknown extension table {ext_id!r}")
-        print(runner().render())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..net.faults import DelaySpike, MessageLoss, NetFaultPlan, Partition
-from ..sim.failures import CrashSchedule, RecoverSchedule, TimingFailureWindow
+from ..sim.failures import CrashSchedule, TimingFailureWindow
 from ..sim.timing import FailureWindowTiming, TimingModel
 
 __all__ = [
@@ -191,10 +191,6 @@ class Campaign:
             at_time=dict(self.crash_at),
             after_steps=dict(self.crash_after),
         )
-
-    def recover_schedule(self) -> RecoverSchedule:
-        """The timed engine's crash-recovery restart description."""
-        return RecoverSchedule(at_time=dict(self.recover_at))
 
     def net_plan(self) -> NetFaultPlan:
         """The transport-facing fault plan (net-side windows only)."""

@@ -16,6 +16,8 @@ scheduler over the logical clock (number of shared steps executed):
 * :class:`~repro.chaos.plan.MemCorruption` entries poke the named
   register at their logical instant.
 
+With no faults at all this is the schedule fuzzer (:mod:`repro.verify.fuzz`).
+
 The recorded pid sequence plus the campaign's *state-affecting* faults
 (crashes, corruptions) fully determine the run, so
 :func:`run_sim` doubles as the deterministic replay function: pass the
@@ -43,19 +45,11 @@ workers, and folded into a :class:`CampaignReport` by
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Tracer, active_tracer, trace_scope
 
@@ -83,6 +77,7 @@ __all__ = [
     "SIM_TARGETS",
     "sim_target",
     "SimOutcome",
+    "seed_key",
     "run_sim",
     "CampaignReport",
     "run_sim_campaign",
@@ -295,6 +290,11 @@ class SimOutcome:
         )
 
 
+def seed_key(campaign: Campaign, run_seed: Optional[str]) -> str:
+    """What a run's RNG is seeded with; a net run's other streams add a suffix."""
+    return f"chaos:{campaign.seed}:{run_seed}"
+
+
 def run_sim(
     target: SimTarget,
     campaign: Campaign,
@@ -306,8 +306,8 @@ def run_sim(
 ) -> SimOutcome:
     """Execute one sim chaos run.
 
-    With ``schedule=None`` the campaign-aware scheduler (seeded from
-    ``(campaign.seed, run_seed)``) generates one; otherwise the given
+    With ``schedule=None`` the campaign-aware scheduler (seeded with
+    :func:`seed_key`) generates one; otherwise the given
     schedule is replayed deterministically.  ``stop_monitor`` stops the
     run as soon as that monitor fires (the shrinker's fast path);
     otherwise the run continues to its natural end collecting every
@@ -370,49 +370,21 @@ def run_sim(
     next_corruption = 0
     windows = campaign.windows
     generating = schedule is None
-    rng = random.Random(f"chaos:{campaign.seed}:{run_seed}") if generating else None
+    rng = random.Random(seed_key(campaign, run_seed)) if generating else None
 
     recorded: List[int] = []
     violations: List[ChaosViolation] = []
     clock = 0
     halted: set = set()
     inf = math.inf
-
-    def apply_corruptions() -> None:
-        nonlocal next_corruption
-        while next_corruption < len(corruptions) and corruptions[next_corruption].at <= clock:
-            corruption = corruptions[next_corruption]
-            sandbox.memory.poke(registers[corruption.register], corruption.value)
-            if tracer is not None:
-                tracer.fault(corruption.register, float(clock))
-            next_corruption += 1
-
-    def apply_recoveries() -> None:
-        # Runs before refresh_halted, so a restart instant at-or-before
-        # the crash instant is a no-op (entry consumed, pid not yet
-        # halted) — as is an entry whose pid never crashed or finished
-        # first.  Orphaned entries are legal: the shrinker relies on it.
-        for pid, when in list(recover_at.items()):
-            if clock < when:
-                continue
-            del recover_at[pid]
-            if pid not in halted:
-                continue
-            halted.discard(pid)
-            crash_at.pop(pid, None)
-            crash_after.pop(pid, None)
-            sandbox.restart(pid, factories[pid])
-            if tracer is not None:
-                tracer.restart(pid, float(clock))
-
-    def refresh_halted() -> None:
-        for pid in sandbox.enabled():
-            if pid in halted:
-                continue
-            if clock >= crash_at.get(pid, inf) or sandbox.op_count(pid) >= crash_after.get(pid, inf):
-                halted.add(pid)
-                if tracer is not None:
-                    tracer.crash(pid, float(clock))
+    # What settle() leaves behind: the halted set as monitors see it, the
+    # next instant a corruption, restart or crash_at falls due, and
+    # whether a crash_after can still fire.  Until one comes due, settle()
+    # is a no-op (unless a restart waits on an idle system): it is skipped.
+    frozen_halted: FrozenSet[int] = frozenset()
+    due = min([c.at for c in corruptions] + [*crash_at.values(), *recover_at.values()],
+              default=inf)
+    crash_after_pending = bool(crash_after)
 
     def settle() -> None:
         # Fault bookkeeping before scheduling: corruptions and restarts
@@ -422,54 +394,77 @@ def run_sim(
         # of abandoning the run with a recovery forever pending.  The
         # jump is a function of the reached state, so generation and
         # replay fast-forward identically.
-        nonlocal clock
+        nonlocal clock, next_corruption, frozen_halted, due, crash_after_pending
         while True:
-            apply_corruptions()
-            apply_recoveries()
-            refresh_halted()
+            while next_corruption < len(corruptions) and corruptions[next_corruption].at <= clock:
+                corruption = corruptions[next_corruption]
+                sandbox.memory.poke(registers[corruption.register], corruption.value)
+                if tracer is not None:
+                    tracer.fault(corruption.register, float(clock))
+                next_corruption += 1
+            # Restarts run before crashes, so a restart instant at-or-before
+            # the crash instant is a no-op (entry consumed, pid not yet
+            # halted) — as is an entry whose pid never crashed or finished
+            # first.  Orphaned entries are legal: the shrinker relies on it.
+            for pid, when in list(recover_at.items()):
+                if clock < when:
+                    continue
+                del recover_at[pid]
+                if pid not in halted:
+                    continue
+                halted.discard(pid)
+                crash_at.pop(pid, None)
+                crash_after.pop(pid, None)
+                sandbox.restart(pid, factories[pid])
+                if tracer is not None:
+                    tracer.restart(pid, float(clock))
+            for pid in sandbox.enabled():
+                if pid in halted:
+                    continue
+                if clock >= crash_at.get(pid, inf) or sandbox.op_count(pid) >= crash_after.get(pid, inf):
+                    halted.add(pid)
+                    if tracer is not None:
+                        tracer.crash(pid, float(clock))
             if any(p not in halted for p in sandbox.enabled()):
-                return
+                break
             pending = [
                 when for pid, when in recover_at.items() if pid in halted
             ]
             if not pending:
-                return
-            # apply_recoveries consumed everything due, so the earliest
-            # pending restart is strictly in the future: ceil advances.
+                break
+            # Everything due was consumed above, so the earliest pending
+            # restart is strictly in the future: ceil advances.
             clock = max(clock, math.ceil(min(pending)))
-
-    def check_monitors() -> bool:
         frozen_halted = frozenset(halted)
-        for monitor in monitors:
-            message = monitor.on_step(sandbox, clock, frozen_halted)
-            if message is not None:
-                violations.append(ChaosViolation(monitor.name, message, clock))
-                if tracer is not None:
-                    tracer.violation(monitor.name, float(clock))
-                if stop_monitor is not None and monitor.name == stop_monitor:
-                    return True
-        return False
-
-    def budget():
-        # Generation's slot source: "scheduler's choice" (None) for as
-        # long as the step budget lasts.  Replay's is the recorded pids.
-        while clock < max_steps:
-            yield None
+        # A crash_at still at or before the clock belongs to a pid that is
+        # halted, finished or at its op bound: it cannot fire again.
+        upcoming = [c.at for c in corruptions[next_corruption:next_corruption + 1]]
+        upcoming += [when for when in crash_at.values() if when > clock]
+        due = min(upcoming + list(recover_at.values()), default=inf)
+        crash_after_pending = any(pid not in halted for pid in crash_after)
 
     stopped = False
-    for pid in budget() if generating else schedule:
-        settle()
-        if pid is None:
+    for pid in itertools.repeat(None) if generating else schedule:
+        if generating and clock >= max_steps:
+            break
+        runnable = sandbox.enabled()
+        if halted:
+            runnable = [p for p in runnable if p not in halted]
+        if clock >= due or crash_after_pending or (recover_at and not runnable):
+            settle()
             runnable = [p for p in sandbox.enabled() if p not in halted]
+        if pid is None:
             if not runnable:
                 break
-            free = [
-                p
-                for p in runnable
-                if not any(w.affects(p, clock) for w in windows)
-            ]
-            pid = rng.choice(free or runnable)
-        elif pid in halted or pid not in sandbox.enabled():
+            if windows:
+                free = [
+                    p
+                    for p in runnable
+                    if not any(w.affects(p, clock) for w in windows)
+                ]
+                runnable = free or runnable
+            pid = rng.choice(runnable)
+        elif pid not in runnable:
             continue  # tolerant replay: skip unrunnable slots
         pending = sandbox.pending_op(pid) if tracer is not None else None
         sandbox.step(pid)
@@ -480,14 +475,21 @@ def run_sim(
                 op_kind(pending), pid, op_register(pending),
                 float(clock - 1), float(clock),
             )
-        if check_monitors():
-            stopped = True
+        for monitor in monitors:
+            message = monitor.on_step(sandbox, clock, frozen_halted)
+            if message is not None:
+                violations.append(ChaosViolation(monitor.name, message, clock))
+                if tracer is not None:
+                    tracer.violation(monitor.name, float(clock))
+                if monitor.name == stop_monitor:
+                    stopped = True
+                    break
+        if stopped:
             break
 
     done = (not stopped) and all(sandbox.done(pid) for pid in factories)
     verdicts: List[ChaosViolation] = []
     if not stopped:
-        frozen_halted = frozenset(halted)
         for monitor in monitors:
             message = monitor.finalize(sandbox, clock, frozen_halted)
             if message is not None:
@@ -722,7 +724,7 @@ def sample_net_workload(
 ) -> Workload:
     """Draw the per-client read/write choices for one run."""
     return sample_workload(
-        random.Random(f"chaos:{campaign.seed}:{run_seed}:workload"),
+        random.Random(seed_key(campaign, run_seed) + ":workload"),
         params.clients, params.ops_per_client, params.registers,
     )
 
@@ -757,7 +759,7 @@ def run_net(
     crashed = campaign.crash_at or campaign.crash_after
     run = run_workload(
         workload, params.registers, params.replicas, params.bound,
-        f"chaos:{campaign.seed}:{run_seed}:transport",
+        seed_key(campaign, run_seed) + ":transport",
         campaign.net_plan(), campaign.crash_schedule() if crashed else None,
     )
     outcome = NetOutcome(

@@ -53,9 +53,5 @@ class LeaderElection:
         yield ops.label(ops.DECIDED, leader)
         return leader
 
-    @property
-    def am_leader_name(self) -> str:
-        return self.name
-
     def __repr__(self) -> str:
         return f"LeaderElection(n={self.n})"

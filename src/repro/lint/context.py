@@ -160,13 +160,6 @@ class ModuleContext:
                 out.update(d.codes or {"all"})
         return out
 
-    def snippet(self, line: int, limit: int = 60) -> str:
-        """The stripped source line (for finding messages)."""
-        if 1 <= line <= len(self.lines):
-            text = self.lines[line - 1].strip()
-            return text if len(text) <= limit else text[: limit - 3] + "..."
-        return ""
-
 
 def build_context(path: str, source: str) -> ModuleContext:
     """Parse ``source`` and assemble the rule-facing context.

@@ -8,9 +8,9 @@ consults ``time``, ``random``, ``datetime``, ``os.urandom``, ``secrets``
 or ``uuid`` produces runs that cannot be replayed or minimized.
 
 Randomized *workloads* remain fine: seeding happens outside program
-bodies (:mod:`repro.workloads.generators` draws from ``random.Random(seed)``
-at build time and bakes the choices into the program's arguments), which
-is exactly the discipline this rule enforces.
+bodies (:func:`repro.analysis.experiments.consensus_inputs` draws from
+``random.Random(seed)`` at build time and bakes the choices into the
+program's arguments), which is exactly the discipline this rule enforces.
 
 Detection tracks both module references (``import time`` … ``time.time()``)
 and direct imports (``from random import random``), including aliases.

@@ -3,12 +3,18 @@
 Exhaustive exploration (:func:`repro.verify.explorer.explore`) is the
 gold standard but tops out around two or three processes; this module
 complements it with *schedule fuzzing*: run many executions, each driven
-by a seeded random scheduler that picks an enabled process uniformly (or
-with a configurable bias) at every step, checking the safety properties
-at every state.  No soundness claim — only exhaustiveness finds the last
-bug — but thousands of random interleavings of a 4-6 process
-configuration catch what fixed timing models miss, and every violation
-comes back with its replayable schedule, exactly like the explorer's.
+by a seeded random scheduler that picks an enabled process uniformly at
+every step, checking the safety properties at every state.  No soundness
+claim — only exhaustiveness finds the last bug — but thousands of random
+interleavings of a 4-6 process configuration catch what fixed timing
+models miss, and every violation comes back with its replayable
+schedule, exactly like the explorer's.
+
+A fuzz run *is* a chaos run with an empty fault plan (in the sandbox a
+timing-failure window only biases which process steps next): one
+:func:`repro.chaos.runner.run_sim` call per run index with one
+:class:`~repro.chaos.monitors.SafetyMonitor` per property.  A skewed
+process mix is a campaign with windows, not a fuzzer option.
 
 The module is also runnable — the nightly CI workflow drives the
 standard campaigns with a rotating (date-derived) seed, so every night
@@ -34,15 +40,14 @@ per-worker wall/throughput telemetry (``--timing-json``) differs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.tracer import Tracer, active_tracer
+from repro.obs.tracer import Tracer, active_tracer, trace_scope
 
 from .explorer import Violation
 from .properties import SafetyProperty
-from .sandbox import ProgramFactory, Sandbox, op_kind, op_register
+from .sandbox import ProgramFactory
 
 __all__ = ["FuzzFailure", "FuzzResult", "fuzz", "main"]
 
@@ -52,7 +57,8 @@ class FuzzFailure:
     """One violation plus everything needed to replay it.
 
     ``seed_key`` is the exact string the failing run's scheduler was
-    seeded with (``random.Random(seed_key)``), so a reader can rerun the
+    seeded with (``random.Random(seed_key)``, built by
+    :func:`repro.chaos.runner.seed_key`), so a reader can rerun the
     schedule without reconstructing the campaign's seeding convention —
     and the violation's recorded schedule replays it deterministically
     through :func:`repro.verify.explorer.replay_schedule` regardless.
@@ -109,7 +115,6 @@ def fuzz(
     schedules: int = 200,
     max_ops: int = 200,
     seed: int = 0,
-    bias: Optional[Dict[int, float]] = None,
     stop_at_first_violation: bool = True,
     first_index: int = 0,
     trace: bool = False,
@@ -123,11 +128,8 @@ def fuzz(
     schedules:
         Number of random executions.
     seed:
-        Campaign seed; run ``i`` uses ``random.Random(f"{seed}:{i}")``.
-    bias:
-        Optional pid -> weight map; heavier pids are scheduled more often
-        (an easy way to emulate fast/slow process mixes in the untimed
-        semantics).
+        Campaign seed: run ``i`` is :func:`repro.chaos.runner.run_sim` on
+        the empty campaign seeded ``str(seed)`` with ``run_seed=str(i)``.
     first_index:
         Global index of the first run.  Run seeds and recorded
         ``run_index`` values are derived from ``first_index + i``, never
@@ -136,86 +138,52 @@ def fuzz(
         sequential campaign's slice — the property
         :mod:`repro.parallel.merge` relies on.
     trace:
-        Record every run as a ``repro.obs`` trace chunk in
-        :attr:`FuzzResult.trace_chunks` (logical-clock substrate, same
-        record vocabulary as the chaos runner).  Tracing is pure
-        observation — RNG draws, scheduling and verdicts are identical
-        with or without it.  With ``trace=False`` an *ambient* tracer
-        (:func:`repro.obs.tracer.trace_scope`) still receives the same
-        records, but chunking is skipped — the caller owns the buffer.
+        Record every run's ``repro.obs`` records (the chaos runner's) as a
+        chunk in :attr:`FuzzResult.trace_chunks`; pure observation.  With
+        ``trace=False`` an ambient tracer still receives them, unchunked.
     """
     if schedules < 0:
         raise ValueError(f"schedules must be >= 0, got {schedules}")
     if first_index < 0:
         raise ValueError(f"first_index must be >= 0, got {first_index}")
+    # Imported here (``repro.chaos`` imports this package); ``run_sim`` is
+    # looked up per call, so a wrapper on the module attribute sees it.
+    from ..chaos import runner
+    from ..chaos.monitors import SafetyMonitor
+    from ..chaos.plan import Campaign
+
+    target = runner.SimTarget(
+        "fuzz", "schedule fuzzing", lambda: (factories, [], {}),
+        max_ops=max_ops, pids=tuple(sorted(factories)), expect_violation=False,
+    )
+    campaign = Campaign(substrate="sim", seed=str(seed))
+    monitors = [SafetyMonitor(prop) for prop in properties]
+    # Every step spends one op of a process still under its bound, so
+    # this step budget never binds.
+    max_steps = max_ops * len(factories)
     tracer = Tracer() if trace else active_tracer()
     result = FuzzResult(schedules_run=0, steps_taken=0)
-    for local in range(schedules):
-        i = first_index + local
-        seed_key = f"{seed}:{i}"
-        rng = random.Random(seed_key)
-        sandbox = Sandbox(factories, max_ops=max_ops)
-        if tracer is not None:
-            tracer.run_marker(
-                "steps",
-                index=i,
-                seed=seed,
-                seed_key=seed_key,
-                pids=sorted(factories),
-            )
-        schedule: List[int] = []
-        fired: set = set()  # properties already reported for THIS run
-        stopped = False
-        while True:
-            enabled = sandbox.enabled()
-            if not enabled:
-                break
-            if bias:
-                weights = [bias.get(pid, 1.0) for pid in enabled]
-                pid = rng.choices(enabled, weights=weights, k=1)[0]
-            else:
-                pid = rng.choice(enabled)
-            pending = sandbox.pending_op(pid) if tracer is not None else None
-            sandbox.step(pid)
-            schedule.append(pid)
-            result.steps_taken += 1
-            if tracer is not None:
-                clock = len(schedule)
-                tracer.op(op_kind(pending), pid, op_register(pending),
-                          float(clock - 1), float(clock))
-            for prop in properties:
-                if prop.name in fired:
-                    continue  # a broken state persists; report it once per run
-                message = prop.check(sandbox)
-                if message is not None:
-                    fired.add(prop.name)
-                    if tracer is not None:
-                        tracer.violation(prop.name, float(len(schedule)))
-                    result.failures.append(
-                        FuzzFailure(
-                            run_index=i,
-                            seed_key=seed_key,
-                            violation=Violation(prop.name, message,
-                                                tuple(schedule)),
-                        )
-                    )
-                    if stop_at_first_violation:
-                        result.schedules_run = local + 1
-                        stopped = True
-                        break
-            if stopped:
-                break
-        if tracer is not None:
-            for pid in sorted(factories):
-                if sandbox.done(pid):
-                    tracer.done(pid, float(len(schedule)))
+    with trace_scope(tracer):
+        for index in range(first_index, first_index + schedules):
+            run_seed = str(index)
+            outcome = runner.run_sim(target, campaign, run_seed=run_seed,
+                                     max_steps=max_steps, monitors=monitors)
             if trace:
-                result.trace_chunks.append((i, tracer.take()))
-        if stopped:
-            return result
-        result.schedules_run += 1
-        if all(sandbox.done(pid) for pid in factories):
-            result.completed_runs += 1
+                result.trace_chunks.append((index, tracer.take()))
+            found = outcome.violations[:1 if stop_at_first_violation else None]
+            for violation in found:
+                result.failures.append(FuzzFailure(
+                    run_index=index,
+                    seed_key=runner.seed_key(campaign, run_seed),
+                    violation=Violation(violation.monitor, violation.message,
+                                        outcome.schedule[:violation.step]),
+                ))
+            result.schedules_run += 1
+            if stop_at_first_violation and found:
+                result.steps_taken += found[0].step
+                break
+            result.steps_taken += outcome.steps
+            result.completed_runs += outcome.done
     return result
 
 

@@ -1,15 +1,8 @@
-"""Tests for the workload generators."""
+"""Tests for the experiments' proposal-vector generator."""
 
 import pytest
 
-from repro.sim.timing import ConstantTiming, FailureWindowTiming, UniformTiming
-from repro.workloads import (
-    MutexWorkload,
-    arrival_times,
-    consensus_inputs,
-    failure_mix,
-    timing_for,
-)
+from repro.analysis.experiments import consensus_inputs
 
 
 class TestConsensusInputs:
@@ -31,72 +24,3 @@ class TestConsensusInputs:
             consensus_inputs(0)
         with pytest.raises(ValueError):
             consensus_inputs(3, "bogus")
-
-
-class TestArrivals:
-    def test_burst(self):
-        assert arrival_times(3, "burst") == [0.0, 0.0, 0.0]
-
-    def test_staggered(self):
-        assert arrival_times(3, "staggered", spacing=2.0) == [0.0, 2.0, 4.0]
-
-    def test_poisson_monotone_seeded(self):
-        a = arrival_times(5, "poisson", spacing=1.0, seed=7)
-        b = arrival_times(5, "poisson", spacing=1.0, seed=7)
-        assert a == b
-        assert a == sorted(a)
-        assert a[0] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            arrival_times(3, "bogus")
-
-
-class TestMutexWorkload:
-    def test_starts_delegate(self):
-        w = MutexWorkload(n=3, sessions=2, arrivals="staggered",
-                          arrival_spacing=1.5)
-        assert w.starts() == [0.0, 1.5, 3.0]
-
-
-class TestFailureMix:
-    def test_none(self):
-        assert failure_mix("none", delta=1.0) == []
-
-    def test_single_burst(self):
-        (window,) = failure_mix("single_burst", delta=2.0)
-        assert window.start == 2.0
-        assert window.end == 2.0 + 12.0
-
-    def test_targeted(self):
-        (window,) = failure_mix("targeted", delta=1.0)
-        assert window.pids == frozenset({0})
-
-    def test_scattered_seeded(self):
-        a = failure_mix("scattered", delta=1.0, seed=4)
-        b = failure_mix("scattered", delta=1.0, seed=4)
-        assert [(w.start, w.end) for w in a] == [(w.start, w.end) for w in b]
-        assert a  # nonempty over the default horizon
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            failure_mix("bogus", delta=1.0)
-
-
-class TestTimingFor:
-    def test_constant_clean(self):
-        model = timing_for(delta=2.0, base="constant", failures="none")
-        assert isinstance(model, ConstantTiming)
-        assert model.step == pytest.approx(1.6)
-
-    def test_jitter(self):
-        model = timing_for(delta=1.0, base="jitter")
-        assert isinstance(model, UniformTiming)
-
-    def test_with_failures_wraps(self):
-        model = timing_for(delta=1.0, failures="single_burst")
-        assert isinstance(model, FailureWindowTiming)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            timing_for(delta=1.0, base="bogus")

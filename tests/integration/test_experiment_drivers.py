@@ -19,6 +19,7 @@ from repro.analysis.tables import ExperimentTable
 
 def test_registry_covers_e1_to_e13_plus_networked():
     expected = [f"E{i}" for i in range(1, 14)] + ["E1N", "E8N"]
+    expected += [f"A{i}" for i in range(1, 5)] + [f"X{i}" for i in range(1, 4)]
     assert sorted(ALL_EXPERIMENTS, key=_experiment_order) == sorted(
         expected, key=_experiment_order
     )

@@ -37,7 +37,7 @@ class TestRegistry:
         assert "E8N" in ALL_EXPERIMENTS
 
     def test_experiment_order_interleaves_suffixed_ids(self):
-        ids = ["E10", "E1N", "E2", "E1", "E8N", "E8"]
+        ids = ["X1", "E10", "A2", "E1N", "E2", "A1", "E1", "E8N", "E8"]
         assert sorted(ids, key=_experiment_order) == [
-            "E1", "E1N", "E2", "E8", "E8N", "E10",
+            "E1", "E1N", "E2", "E8", "E8N", "E10", "A1", "A2", "X1",
         ]

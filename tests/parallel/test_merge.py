@@ -75,7 +75,7 @@ class TestFuzzMerge:
             schedules=10, first_index=30, seed=9,
             stop_at_first_violation=False,
         )
-        assert all(f.seed_key == f"9:{f.run_index}" for f in part.failures)
+        assert all(f.seed_key == f"chaos:9:{f.run_index}" for f in part.failures)
         assert all(30 <= f.run_index < 40 for f in part.failures)
 
 

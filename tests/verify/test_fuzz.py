@@ -3,15 +3,20 @@
 import pytest
 
 from repro.algorithms import FischerLock, mutex_session
+from repro.chaos.monitors import SafetyMonitor
+from repro.chaos.plan import Campaign
+from repro.chaos.runner import SimTarget, run_sim, run_sim_campaign
 from repro.core.consensus import TimeResilientConsensus, labeled_decision
 from repro.core.mutex import default_time_resilient_mutex
 from repro.sim import ops
+from repro.sim.failures import failure_window
 from repro.sim.registers import Register
 from repro.verify import (
     AgreementProperty,
     InvariantProperty,
     MutualExclusionProperty,
     ValidityProperty,
+    Violation,
     fuzz,
     replay_schedule,
 )
@@ -52,20 +57,51 @@ class TestMechanics:
                              max_ops=200)
         assert sb.memory.peek(X) == 2
 
-    def test_bias_weights_respected_roughly(self):
-        def spinner(pid):
-            for _ in range(50):
-                yield ops.read(X)
-
-        res = fuzz({0: spinner, 1: spinner}, [], schedules=1, max_ops=50,
-                   seed=2, bias={0: 10.0, 1: 1.0})
-        # both ran to their op bound eventually; just a smoke check that
-        # biased scheduling doesn't break anything
-        assert res.steps_taken == 100
-
     def test_negative_schedules_rejected(self):
         with pytest.raises(ValueError):
             fuzz({}, [], schedules=-1)
+
+
+class TestEmptyPlanChaosRun:
+    """A fuzz run is ``run_sim`` on the empty campaign, run seed = index."""
+
+    def _prog(self, pid):
+        for _ in range(3):
+            v = yield ops.read(X)
+            yield ops.write(X, v + 1)
+
+    def _factories(self):
+        return {pid: self._prog for pid in range(3)}
+
+    def test_a_fuzz_run_is_run_sim_on_the_empty_campaign(self):
+        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 4,
+                                 name="x<4", message="x hit 4")
+        res = fuzz(self._factories(), [prop], schedules=1, first_index=5,
+                   seed=7, stop_at_first_violation=False, trace=True)
+        target = SimTarget("fuzz", "", lambda: (self._factories(), [], {}),
+                           max_ops=200, pids=(0, 1, 2), expect_violation=False)
+        outcome = run_sim(target, Campaign(substrate="sim", seed="7"),
+                          run_seed="5", max_steps=600,
+                          monitors=[SafetyMonitor(prop)])
+        ((index, records),) = res.trace_chunks
+        assert index == 5
+        ops_seen = [r["pid"] for r in records if r["kind"] == "op"]
+        assert ops_seen == list(outcome.schedule)
+        assert res.steps_taken == outcome.steps == len(outcome.schedule)
+        assert outcome.violations
+        assert res.violations == [
+            Violation(v.monitor, v.message, outcome.schedule[:v.step])
+            for v in outcome.violations
+        ]
+
+    def test_stop_at_first_counts_steps_up_to_the_violation(self):
+        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 1,
+                                 name="x<1", message="x hit 1")
+        res = fuzz(self._factories(), [prop], schedules=10, seed=0)
+        assert res.schedules_run == 1 and res.completed_runs == 0
+        (failure,) = res.failures
+        assert res.steps_taken == len(failure.violation.schedule)
+        assert res.steps_taken < 18  # the run did not count its tail
 
 
 class TestOnAlgorithms:
@@ -107,22 +143,30 @@ class TestOnAlgorithms:
         assert res.ok, res.violations[:1]
 
     def test_biased_fuzzing_emulates_slow_process(self):
-        """A 20x speed skew (the adversarial mix) still never breaks Alg 1."""
-        consensus = TimeResilientConsensus(delta=1.0, max_rounds=3)
-        inputs = {0: 0, 1: 1}
-        factories = {
-            pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
-            for pid in inputs
-        }
-        res = fuzz(
-            factories,
-            [AgreementProperty(), ValidityProperty(inputs)],
-            schedules=200,
-            max_ops=60,
-            seed=7,
-            bias={0: 20.0, 1: 1.0},
+        """A 20x speed skew (the adversarial mix) still never breaks Alg 1.
+
+        The skew is a campaign: windows stall pid 1 for 19 of every 20
+        logical steps, so pid 0 runs far ahead of it.
+        """
+        def build():
+            consensus = TimeResilientConsensus(delta=1.0, max_rounds=3)
+            inputs = {0: 0, 1: 1}
+            factories = {
+                pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
+                for pid in inputs
+            }
+            return factories, [AgreementProperty(), ValidityProperty(inputs)], {}
+
+        target = SimTarget("consensus_n2", "Algorithm 1, 2 processes", build,
+                           max_ops=60, pids=(0, 1), expect_violation=False)
+        campaign = Campaign(
+            substrate="sim", seed="7",
+            windows=tuple(failure_window(20.0 * k, 20.0 * k + 19.0, pids=[1])
+                          for k in range(6)),
         )
-        assert res.ok
+        report = run_sim_campaign(target, campaign, schedules=200)
+        assert report.ok, report.failing
+        assert report.schedules_run == 200
 
 
 class TestFailureCollection:
@@ -160,12 +204,26 @@ class TestFailureCollection:
                    schedules=100, seed=7, stop_at_first_violation=False)
         assert not res.ok
         failure = res.failures[0]
-        assert failure.seed_key == f"7:{failure.run_index}"
+        assert failure.seed_key == f"chaos:7:{failure.run_index}"
         hint = failure.replay_hint()
         assert failure.seed_key in hint and "schedule=[" in hint
         sb = replay_schedule({0: self._prog, 1: self._prog},
                              failure.violation.schedule, max_ops=200)
         assert sb.memory.peek(X) == 2
+
+    def test_two_properties_each_fire_once_per_run(self):
+        props = [
+            InvariantProperty(lambda sb: sb.memory.peek(X) < 1,
+                              name="x<1", message="x hit 1"),
+            InvariantProperty(lambda sb: sb.memory.peek(X) < 2,
+                              name="x<2", message="x hit 2"),
+        ]
+        res = fuzz({0: self._prog, 1: self._prog}, props,
+                   schedules=20, seed=3, stop_at_first_violation=False)
+        for index in range(20):
+            names = [f.violation.property_name for f in res.failures
+                     if f.run_index == index]
+            assert len(names) == len(set(names)) and "x<1" in names
 
     def test_violations_property_mirrors_failures(self):
         prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 2,
