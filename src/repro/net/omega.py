@@ -20,6 +20,14 @@ It speaks ``broadcast``/``recv`` on an ``Engine(transport=...)``; a stall
 is a :class:`~repro.net.faults.DelaySpike` on the stalled node's links.
 On the simulator the whole behaviour — suspicion churn during failure
 windows, convergence after — is deterministic and testable.
+
+:class:`HeartbeatMonitor` also runs in production: the live lease
+service (:mod:`repro.serve.service`) keeps one per keeper, with a peer
+keeper's token-block delivery as its heartbeat, so a shard's standby
+keepers stay off the quorum until they suspect every keeper before
+them.  There heartbeats are the peers' useful work, and
+:meth:`HeartbeatMonitor.excuse` keeps an idle stretch from counting as
+silence.
 """
 
 from __future__ import annotations
@@ -75,6 +83,17 @@ class HeartbeatMonitor:
             self.suspected.discard(sender)
             self.timeout[sender] *= self.timeout_growth
             self.false_suspicions += 1
+
+    def excuse(self, now: float) -> None:
+        """Restart every unsuspected peer's silence at ``now``.
+
+        For heartbeats that are the peers' useful work: while there is no
+        work to do a quiet peer is an idle one, not a slow one.  Suspected
+        peers stay suspected until they are heard from.
+        """
+        for peer in self.last_heartbeat:
+            if peer not in self.suspected:
+                self.last_heartbeat[peer] = now
 
     def update_suspicions(self, now: float) -> None:
         for peer, last in self.last_heartbeat.items():

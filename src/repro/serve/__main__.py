@@ -49,7 +49,11 @@ from .workload import lease_churn_sim
 def _service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=4, help="lease namespaces")
     parser.add_argument(
-        "--keepers", type=int, default=1, help="keeper processes per shard"
+        "--keepers",
+        type=int,
+        default=1,
+        help="keeper processes per shard: one active, the rest passive "
+        "standbys that send nothing until they suspect it",
     )
     parser.add_argument("--replicas", type=int, default=3, help="register replicas")
     parser.add_argument(

@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.mutex import default_time_resilient_mutex
 from repro.net.faults import NetFaultPlan
+from repro.net.omega import HeartbeatMonitor
 from repro.net.quorum import QuorumSystem
 from repro.obs.tracer import Tracer
 from repro.sim import ops
@@ -386,25 +387,60 @@ def keeper_program(
 
 
 class _LiveFeed:
-    """The live keeper environment: demand-driven, wakes shard waiters."""
+    """The live keeper environment: demand-driven, wakes shard waiters.
 
-    def __init__(self, service: "LeaseService", state: "_ShardState") -> None:
+    Demand is the pool at or below ``low_water``, or a delivery that
+    found the pool empty under waiting acquirers.  Each keeper's
+    ``monitor`` watches the shard's keepers with smaller pids, and a
+    keeper refills only while it is the smallest unsuspected one (the Ω
+    rule), so the first keeper is active and every later one is a
+    passive standby that stays out of Algorithm 3, and off the quorum,
+    until it suspects every keeper before it.  A peer's delivery is its
+    heartbeat; silence counts only while the pool is dry, since an idle
+    keeper has nothing to deliver.  A suspected peer's next delivery
+    grows that peer's timeout.  A wrong suspicion is a timing failure:
+    both keepers contend and Algorithm 3 serialises them.
+    """
+
+    def __init__(
+        self, service: "LeaseService", state: "_ShardState", monitor: HeartbeatMonitor
+    ) -> None:
         self.service = service
         self.state = state
+        self.monitor = monitor
+        self.behind = False
 
     def finished(self) -> bool:
         return self.service._closing
 
     def wants_refill(self) -> bool:
-        return self.state.core.tokens_available <= self.service.low_water
+        monitor, service = self.monitor, self.service
+        now = service._now()
+        if not self.behind and self.state.core.tokens_available > service.low_water:
+            monitor.excuse(now)
+            return False
+        self.behind = False
+        monitor.update_suspicions(now)
+        return monitor.leader() == monitor.pid
 
     def deliver(self, base: int, limit: int) -> None:
-        self.state.core.refill(base, limit)
-        self.service._notify(self.state)
+        state = self.state
+        # An empty pool with acquirers waiting means supply is behind:
+        # reserve the next block at once, not after a demand poll (the
+        # keeper's next look finds this block still full).  A contending
+        # standby used to hide that pause by taking the lock the moment
+        # this keeper released it.
+        self.behind = state.core.tokens_available == 0 and state.waiters > 0
+        state.core.refill(base, limit)
+        pid, now = self.monitor.pid, self.service._now()
+        for monitor in state.monitors:
+            if pid in monitor.timeout:
+                monitor.observe_heartbeat(pid, now)
+        self.service._notify(state)
 
 
 class _ShardState:
-    __slots__ = ("core", "lock", "hwm", "wake", "waiters")
+    __slots__ = ("core", "lock", "hwm", "wake", "waiters", "monitors")
 
     def __init__(self, core: LeaseCore, lock: Any, hwm: Register) -> None:
         self.core = core
@@ -412,6 +448,7 @@ class _ShardState:
         self.hwm = hwm
         self.wake: Optional[asyncio.Event] = None
         self.waiters = 0
+        self.monitors: List[HeartbeatMonitor] = []  # one per keeper, by rank
 
 
 class LeaseService:
@@ -430,8 +467,16 @@ class LeaseService:
         Lease namespaces served in parallel; keys route by
         :func:`shard_for`.
     keepers_per_shard:
-        Keeper processes contending for each shard's mutex.  One is
-        enough; more exercises Algorithm 3 handoffs under load.
+        Keeper processes per shard: one active keeper and
+        ``keepers_per_shard - 1`` passive standbys.  A standby sends
+        nothing and stays out of Algorithm 3 until the pool has sat at
+        or below ``low_water`` for longer than its timeout with no
+        delivery from the keepers before it; then it takes over.  The
+        timeout starts at ``4 · Δ_net`` (0.52 s at the default bound)
+        and grows ×1.5 on every false suspicion
+        (:class:`~repro.net.omega.HeartbeatMonitor`).  A keeper killed
+        inside its doorway or critical section still wedges its shard:
+        Algorithm 3 is not crash-tolerant.
     block / low_water:
         Fencing tokens reserved per quorum round trip, and the pool
         level that triggers a proactive refill (default ``block // 2``).
@@ -440,14 +485,19 @@ class LeaseService:
         doorway ``delay(Δ_net)`` (112 ms at the default 20 ms bound with
         one keeper, 130 ms with four) plus about 37 quorum phases, each
         one wire round trip (≈ 0.4 ms on loopback) because a phase's
-        polling pause is a ``Nap`` that ends when the ack arrives.  The
-        ledger's ``live_refill`` measures a ≈ 165 ms refill cycle, so a
-        shard sustains about ``6 · block`` grants per second and the
-        doorway delay is four fifths of the cycle; when every phase
-        instead slept out a 5 ms polling quantum the same cycle took
-        380 ms (``2.6 · block``).  Size ``block`` for the offered load
-        (the load CLI does this automatically); an undersized block does
-        not break safety, it just queues acquirers on the refill.
+        polling pause is a ``Nap`` that ends when the ack arrives.  A
+        standby adds nothing to that: it sends no message while the
+        active keeper delivers, so a shard costs 37 phases per refill
+        whatever ``keepers_per_shard`` is.  While acquirers wait on an
+        empty pool the keeper starts the next refill as soon as it
+        delivers.  The ledger's ``live_refill`` then measures a
+        ≈ 145 ms refill cycle, so a shard sustains about ``7 · block``
+        grants per second and the doorway delay is nine tenths of the
+        cycle; when every phase instead slept out a 5 ms polling
+        quantum a cycle took 380 ms (``2.6 · block``).  Size ``block``
+        for the offered load (the load CLI does this automatically); an
+        undersized block does not break safety, it just queues
+        acquirers on the refill.
     fault_plan:
         A :class:`~repro.net.faults.NetFaultPlan` injected between the
         service and the sockets — the chaos path.
@@ -536,15 +586,21 @@ class LeaseService:
             self.driver.spawn(
                 self.system.replica(rpid), pid=rpid, name=f"replica{rpid}"
             )
+        # A fault-free refill cycle is a little over Δ_net, so a standby
+        # sits out about three missed cycles before it contends.
+        timeout = 4 * self.system.delta
         for shard, state in enumerate(self.states):
-            for k in range(self.keepers_per_shard):
-                pid = shard * self.keepers_per_shard + k
+            first = shard * self.keepers_per_shard
+            pids = range(first, first + self.keepers_per_shard)
+            for k, pid in enumerate(pids):
+                monitor = HeartbeatMonitor(pid, set(pids[:k]), initial_timeout=timeout)
+                state.monitors.append(monitor)
                 program = keeper_program(
                     state.lock,
                     state.hwm,
                     pid,
                     shard,
-                    _LiveFeed(self, state),
+                    _LiveFeed(self, state, monitor),
                     self.block,
                     self.system.poll,
                 )
@@ -568,26 +624,47 @@ class LeaseService:
 
         Keepers observe the closing flag at their next loop turn, return,
         and their register facades broadcast goodbyes; replicas retire
-        once every client has said goodbye.  If the drain outlasts
-        ``drain_timeout`` (a wedged program — not expected), the driver
-        cancels outright rather than hang.
+        once every client has said goodbye.  Whatever still runs after
+        ``drain_timeout`` (a wedged program — not expected) is cancelled
+        rather than waited on.  A keeper that died (cancelled, or raised)
+        never says goodbye, so then the replicas are cancelled as soon
+        as the other keepers are done.  The sockets close in every case;
+        after that, the first exception a program raised propagates.
         """
         if not self._started or self._closed:
             self._closed = True
             return
         self._closed = True
         self._closing = True
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            try:
-                await self._sweeper
-            except asyncio.CancelledError:
-                pass
         try:
-            await asyncio.wait_for(self.driver.wait(), drain_timeout)
-        except asyncio.TimeoutError:
+            if self._sweeper is not None:
+                self._sweeper.cancel()
+                try:
+                    await self._sweeper
+                except asyncio.CancelledError:
+                    pass
+            await self._drain(drain_timeout)
+        finally:
             await self.driver.cancel()
-        await self.base.close()
+            await self.base.close()
+        for task in self.driver.tasks.values():
+            error = None if task.cancelled() else task.exception()
+            if error is not None:
+                raise error
+
+    async def _drain(self, timeout: float) -> None:
+        """Let keepers, then replicas, retire on their own within ``timeout``."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        tasks = self.driver.tasks
+        for pids in (self.system.client_pids, self.system.replica_pids):
+            group = [tasks[pid] for pid in pids if pid in tasks]
+            if group:
+                await asyncio.wait(group, timeout=max(0.0, deadline - loop.time()))
+            if not all(
+                t.done() and not t.cancelled() and t.exception() is None for t in group
+            ):
+                return
 
     async def _sweep_loop(self) -> None:
         while not self._closing:

@@ -59,6 +59,16 @@ class TestHeartbeatMonitor:
         assert m.timeout[0] == 4.0
         assert m.false_suspicions == 1
 
+    def test_excuse_restarts_only_unsuspected_peers(self):
+        m = HeartbeatMonitor(2, {0, 1}, initial_timeout=2.0)
+        m.observe_heartbeat(1, now=2.0)
+        m.update_suspicions(now=3.0)
+        assert m.suspected == {0}
+        m.excuse(now=10.0)
+        m.update_suspicions(now=11.0)
+        assert m.suspected == {0}
+        assert m.last_heartbeat == {0: 0.0, 1: 10.0}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HeartbeatMonitor(0, {1}, initial_timeout=0)

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan
+from repro.net.omega import HeartbeatMonitor
 from repro.serve import LeaseService, LoadGenerator, percentile
+from repro.serve.service import _LiveFeed
 
 
 def _service(**kwargs):
@@ -14,6 +16,23 @@ def _service(**kwargs):
                     bound=0.05, seed=0, block=64)
     defaults.update(kwargs)
     return LeaseService(**defaults)
+
+
+async def _closed_loop(service, clients, seconds):
+    """``clients`` callers acquiring and releasing private keys."""
+    stop = False
+
+    async def client(index):
+        while not stop:
+            lease = await service.acquire(f"c{index}", ttl=5.0, timeout=10.0)
+            assert lease is not None
+            await asyncio.sleep(0)  # a grant from a stocked pool never yields
+            assert service.release(f"c{index}", lease.token)
+
+    tasks = [asyncio.ensure_future(client(i)) for i in range(clients)]
+    await asyncio.sleep(seconds)
+    stop = True
+    await asyncio.gather(*tasks)
 
 
 def test_acquire_release_and_contention():
@@ -164,6 +183,166 @@ def test_live_replicas_outlive_their_booked_model_time():
             assert returns[0] == 1
         finally:
             await substrate.close()
+
+    asyncio.run(body())
+
+
+def _fake_clock_feeds(service, now):
+    """Shard 0's keeper feeds wired as ``start`` does, on a settable clock."""
+    service._now = lambda: now[0]
+    state = service.states[0]
+    feeds = []
+    for pid in range(service.keepers_per_shard):
+        monitor = HeartbeatMonitor(pid, set(range(pid)), initial_timeout=1.0)
+        state.monitors.append(monitor)
+        feeds.append(_LiveFeed(service, state, monitor))
+    return state, feeds
+
+
+def test_standby_suspects_only_a_keeper_silent_under_demand():
+    async def body():
+        service = _service(shards=1, keepers_per_shard=2, block=64)
+        now = [0.0]
+        state, (active, standby) = _fake_clock_feeds(service, now)
+        active.deliver(0, 64)
+        # A stocked pool: the active keeper's silence is idleness.
+        now[0] = 50.0
+        assert not active.wants_refill() and not standby.wants_refill()
+        for i in range(40):  # 24 tokens left: at or below low_water
+            state.core.grant(f"k{i}", ttl=100.0)
+        now[0] = 50.9
+        assert active.wants_refill() and not standby.wants_refill()
+        now[0] = 51.1  # dry for longer than the timeout: suspect, take over
+        assert standby.wants_refill()
+        assert standby.monitor.suspected == {0}
+        # The suspected keeper delivers after all: a false suspicion.
+        active.deliver(64, 128)
+        assert standby.monitor.suspected == set()
+        assert standby.monitor.timeout[0] == 1.5
+        assert not standby.wants_refill()
+
+    asyncio.run(body())
+
+
+def test_keeper_refills_back_to_back_while_supply_is_behind():
+    async def body():
+        service = _service(shards=1, block=64)
+        state, (keeper,) = _fake_clock_feeds(service, [0.0])
+        keeper.deliver(0, 64)
+        assert not keeper.wants_refill()  # nobody was waiting on the pool
+        for i in range(64):
+            state.core.grant(f"k{i}", ttl=100.0)
+        state.waiters = 1  # an acquirer parked on the empty pool
+        keeper.deliver(64, 128)
+        assert state.core.tokens_available > service.low_water
+        assert keeper.wants_refill()
+        assert not keeper.wants_refill()  # one refill, then demand as usual
+
+    asyncio.run(body())
+
+
+def test_standby_keeper_sends_nothing_while_the_active_one_serves():
+    # Two keepers per shard cost what one does: about 37 quorum phases
+    # per refill.  A standby that spun through Algorithm 3's doorway
+    # alongside the active keeper cost ~330.
+    async def body():
+        service = _service(keepers_per_shard=2, bound=0.01, block=16)
+        await service.start()
+        try:
+            await _closed_loop(service, clients=16, seconds=1.5)
+        finally:
+            await service.close()
+        counters = service.summary()["counters"]
+        refills = counters["refills"] + counters["stale_refills"]
+        assert refills >= 8
+        assert service.summary()["net"]["quorum_rtts"] / refills <= 45
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
+def test_standby_takes_over_from_a_dead_keeper():
+    async def body():
+        service = _service(shards=1, keepers_per_shard=2, bound=0.005,
+                           block=256)
+        await service.start()
+        try:
+            state = service.states[0]
+            standby = state.monitors[1]
+            # The active keeper idles in its demand poll, holding no lock.
+            assert state.core.tokens_available > service.low_water
+            service.driver.tasks[0].cancel()
+            dry_at = None
+            leases = []
+            for i in range(3 * service.block):
+                if dry_at is None and (
+                        state.core.tokens_available <= service.low_water):
+                    dry_at = service.base.clock.now
+                lease = await service.acquire(f"k{i}", ttl=5.0, timeout=10.0)
+                assert lease is not None
+                assert service.release(f"k{i}", lease.token)
+                leases.append(lease)
+            tokens = [lease.token for lease in leases]
+            assert all(a < b for a, b in zip(tokens, tokens[1:]))
+            assert state.core.refills >= 3
+            assert standby.suspected == {0}
+            # The takeover waited out the standby's timeout, no longer.
+            first_new = next(l for l in leases if l.token >= service.block)
+            assert first_new.granted_at - dry_at >= standby.timeout[0]
+            assert service.verify() == []
+        finally:
+            await asyncio.wait_for(service.close(), 10.0)
+
+    asyncio.run(body())
+
+
+def test_delay_spike_on_the_active_keeper_is_a_false_suspicion():
+    # Keeper 0's links stall far past the standby's timeout (≈ 0.12 s):
+    # the standby suspects it and contends, Algorithm 3 serialises the
+    # two, and keeper 0's late delivery grows the standby's timeout.
+    async def body():
+        plan = NetFaultPlan(
+            spikes=(DelaySpike(0.4, 1.2, extra=0.03, pids=(0,)),))
+        service = _service(shards=1, keepers_per_shard=2, bound=0.005,
+                           block=16, fault_plan=plan)
+        await service.start()
+        standby = service.states[0].monitors[1]
+        initial = standby.timeout[0]
+        try:
+            await _closed_loop(service, clients=8, seconds=2.0)
+        finally:
+            await service.close()
+        assert service.driver.returns[1]["refills"] >= 1
+        assert standby.false_suspicions >= 1
+        assert standby.timeout[0] > initial
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize("death", ["cancelled", "raised"])
+def test_close_after_a_keeper_died(death):
+    async def body():
+        service = _service(shards=1, bound=0.005)
+        await service.start()
+        keeper = service.driver.tasks[0]
+        if death == "cancelled":
+            keeper.cancel()
+        else:
+            def broken(base, limit):
+                raise RuntimeError("keeper broke")
+
+            service.states[0].core.refill = broken
+            service.low_water = service.block  # demand a refill now
+        while not keeper.done():
+            await asyncio.sleep(0.01)
+        if death == "raised":
+            with pytest.raises(RuntimeError, match="keeper broke"):
+                await asyncio.wait_for(service.close(), 5.0)
+        else:
+            await asyncio.wait_for(service.close(), 5.0)
+        assert service.base._closed
+        assert all(task.done() for task in service.driver.tasks.values())
 
     asyncio.run(body())
 
