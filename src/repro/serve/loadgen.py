@@ -151,6 +151,8 @@ class LoadGenerator:
     def _retire(self, task: "asyncio.Task") -> None:
         self._tasks.discard(task)
         self._inflight -= 1
+        if not task.cancelled():
+            task.exception()  # counted in ``errors`` by the session itself
 
     async def _pump(self, worker: int) -> None:
         for index in range(worker, self.clients, self.workers):
@@ -175,10 +177,8 @@ class LoadGenerator:
             for w in range(self.workers)
         ]
         await asyncio.gather(*pumps)
-        drain = self.timeout + self.hold + 1.0
-        deadline = self._now() + drain
-        while self._tasks and self._now() < deadline:
-            await asyncio.sleep(0.02)
+        if self._tasks:
+            await asyncio.wait(set(self._tasks), timeout=self.timeout + self.hold + 1.0)
         cancelled = 0
         if self._tasks:
             stragglers = list(self._tasks)

@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import asyncio
 import zlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.mutex import default_time_resilient_mutex
 from repro.net.faults import NetFaultPlan
@@ -387,10 +388,11 @@ def keeper_program(
 
 
 class _LiveFeed:
-    """The live keeper environment: demand-driven, wakes shard waiters.
+    """The live keeper environment: demand-driven, feeds the pool queue.
 
     Demand is the pool at or below ``low_water``, or a delivery that
-    found the pool empty under waiting acquirers.  Each keeper's
+    found the pool empty under waiting acquirers.  A delivery grants the
+    new tokens to the heads of the shard's pool queue.  Each keeper's
     ``monitor`` watches the shard's keepers with smaller pids, and a
     keeper refills only while it is the smallest unsuspected one (the Ω
     rule), so the first keeper is active and every later one is a
@@ -430,24 +432,56 @@ class _LiveFeed:
         # keeper's next look finds this block still full).  A contending
         # standby used to hide that pause by taking the lock the moment
         # this keeper released it.
-        self.behind = state.core.tokens_available == 0 and state.waiters > 0
+        self.behind = state.core.tokens_available == 0 and bool(state.pool)
         state.core.refill(base, limit)
         pid, now = self.monitor.pid, self.service._now()
         for monitor in state.monitors:
             if pid in monitor.timeout:
                 monitor.observe_heartbeat(pid, now)
-        self.service._notify(state)
+        self.service._serve_pool(state)
+
+
+class _Waiter:
+    """An acquirer parked in a FIFO queue: its request and its future."""
+
+    __slots__ = ("future", "key", "ttl", "holder", "queue")
+
+    def __init__(
+        self, future: "asyncio.Future[Optional[Lease]]", key: Hashable,
+        ttl: float, holder: Optional[str],
+    ) -> None:
+        self.future = future
+        self.key = key
+        self.ttl = ttl
+        self.holder = holder
+        self.queue: Optional[Deque[_Waiter]] = None  # the queue it sits in
+
+
+def _head(queue: Deque[_Waiter]) -> Optional[_Waiter]:
+    """The queue's first live waiter, past any whose task was cancelled.
+
+    A cancelled task's future is cancelled at once, but the task leaves
+    its queue only when it next runs; a handoff in between skips it.
+    """
+    while queue and queue[0].future.done():
+        queue.popleft().queue = None
+    return queue[0] if queue else None
 
 
 class _ShardState:
-    __slots__ = ("core", "lock", "hwm", "wake", "waiters", "monitors")
+    __slots__ = ("core", "lock", "hwm", "queues", "pool", "timers", "monitors")
 
     def __init__(self, core: LeaseCore, lock: Any, hwm: Register) -> None:
         self.core = core
         self.lock = lock
         self.hwm = hwm
-        self.wake: Optional[asyncio.Event] = None
-        self.waiters = 0
+        # Waiters for a held key, per key; a queue exists only while its
+        # key has a lease in ``core.leases``.
+        self.queues: Dict[Hashable, Deque[_Waiter]] = {}
+        self.pool: Deque[_Waiter] = deque()  # waiters for a fencing token
+        # Per queued key: (instant, timer) armed at or before its lease's
+        # expiry, so the queue's head gets the key when the TTL frees it.
+        self.timers: Dict[Hashable, Tuple[float, asyncio.TimerHandle]] = {}
         self.monitors: List[HeartbeatMonitor] = []  # one per keeper, by rank
 
 
@@ -460,6 +494,18 @@ class LeaseService:
     3 mutex + ``hwm`` register + :class:`LeaseCore` per shard, and an
     :class:`~repro.serve.driver.AsyncioDriver` to run the keeper and
     replica generators.  Nothing runs until :meth:`start`.
+
+    The front door is FIFO per key.  A caller that finds its key held
+    parks a future at the tail of that key's queue.  Whoever frees the
+    key — :meth:`release`, the holder's TTL, or the sweep — grants it to
+    the queue's head in the same loop slice and wakes nobody else.  So
+    an ``acquire`` that arrives just after a release finds the key taken
+    and queues behind the others: nobody barges, and a waiter is
+    overtaken by no caller that arrived after it (bounded bypass).  A
+    caller that finds the token pool dry waits in the shard's pool
+    queue, and a keeper's delivery grants the new tokens to its heads in
+    order.  A handoff that finds the pool dry moves the key's waiters to
+    the pool queue, so none waits on a key that nobody holds.
 
     Parameters
     ----------
@@ -549,6 +595,8 @@ class LeaseService:
             self.substrate, time_scale=time_scale, tracer=tracer
         )
         self.timeouts = 0
+        self.handoffs = 0  # grants made to a parked waiter
+        self.max_queue_depth = 0  # longest key or pool queue seen
         self._closing = False
         self._started = False
         self._closed = False
@@ -580,8 +628,6 @@ class LeaseService:
             raise RuntimeError("service already started")
         self._started = True
         await self.base.start()
-        for state in self.states:
-            state.wake = asyncio.Event()
         for rpid in self.system.replica_pids:
             self.driver.spawn(
                 self.system.replica(rpid), pid=rpid, name=f"replica{rpid}"
@@ -671,21 +717,118 @@ class LeaseService:
             await asyncio.sleep(self.sweep_interval)
             for state in self.states:
                 if state.core.sweep():
-                    self._notify(state)
+                    for key in list(state.queues):
+                        self._handoff(state, key)
 
-    def _notify(self, state: _ShardState) -> None:
-        # Broadcast-and-replace: waiters hold a reference to the old
-        # event, which fires exactly once; new waiters park on the fresh
-        # one.  No wakeup is ever lost to a clear() race.  Skipping when
-        # nobody waits keeps the uncontended release path allocation-free;
-        # a waiter that registers a moment later re-checks within its
-        # bounded pause anyway.
-        if state.waiters == 0:
+    # -- the front door: FIFO handoff ----------------------------------------
+
+    def _grant(
+        self, state: _ShardState, key: Hashable, ttl: float, holder: Optional[str]
+    ) -> Optional[Lease]:
+        """``LeaseCore.grant``; on a dry pool the key's queue joins the pool's.
+
+        A grant on an expired lease ends that lease before it finds the
+        pool empty, and a grant for the head of a freed key's queue finds
+        no token: either way nobody holds the key, and its waiters now
+        wait for a token.
+        """
+        try:
+            return state.core.grant(key, ttl, holder)
+        except TokensExhausted:
+            stranded = state.queues.pop(key, None)
+            if stranded:
+                self._park(state.pool, stranded)
+            raise
+
+    def _park(self, queue: Deque[_Waiter], waiters: Iterable[_Waiter]) -> None:
+        for waiter in waiters:
+            waiter.queue = queue
+            queue.append(waiter)
+        if len(queue) > self.max_queue_depth:
+            self.max_queue_depth = len(queue)
+
+    def _unpark(self, state: _ShardState, waiter: _Waiter) -> None:
+        queue = waiter.queue
+        assert queue is not None
+        waiter.queue = None
+        queue.remove(waiter)
+        if not queue and queue is not state.pool:
+            del state.queues[waiter.key]
+
+    def _queue_for_key(self, state: _ShardState, waiter: _Waiter) -> None:
+        queue = state.queues.get(waiter.key)
+        if queue is None:
+            queue = state.queues[waiter.key] = deque()
+        self._park(queue, (waiter,))
+        self._watch(state, waiter.key, state.core.leases[waiter.key].expires_at)
+
+    def _resolve(self, waiter: _Waiter, lease: Lease) -> None:
+        waiter.queue = None
+        self.handoffs += 1
+        waiter.future.set_result(lease)
+
+    def _watch(self, state: _ShardState, key: Hashable, expires_at: float) -> None:
+        """Make sure a timer runs the key's handoff by ``expires_at``."""
+        armed = state.timers.get(key)
+        if armed is not None:
+            if armed[0] <= expires_at:
+                return
+            armed[1].cancel()
+        handle = asyncio.get_running_loop().call_later(
+            expires_at - self._now(), self._expired, state, key
+        )
+        state.timers[key] = (expires_at, handle)
+
+    def _expired(self, state: _ShardState, key: Hashable) -> None:
+        del state.timers[key]
+        self._handoff(state, key)
+
+    def _handoff(self, state: _ShardState, key: Hashable) -> None:
+        """If nobody holds ``key``, grant it to the head of its queue."""
+        queue = state.queues.get(key)
+        if queue is None:
             return
-        old = state.wake
-        state.wake = asyncio.Event()
-        if old is not None:
-            old.set()
+        held = state.core.leases.get(key)
+        if held is not None and held.expires_at > self._now():
+            self._watch(state, key, held.expires_at)
+            return
+        waiter = _head(queue)
+        if waiter is None:
+            del state.queues[key]
+            return
+        try:
+            lease = self._grant(state, key, waiter.ttl, waiter.holder)
+        except TokensExhausted:
+            return
+        assert lease is not None  # the key was free
+        queue.popleft()
+        if queue:
+            self._watch(state, key, lease.expires_at)
+        else:
+            del state.queues[key]
+        self._resolve(waiter, lease)
+
+    def _serve_pool(self, state: _ShardState) -> None:
+        """Grant the pool's tokens to the pool queue's heads, in order."""
+        pool = state.pool
+        while True:
+            waiter = _head(pool)
+            if waiter is None:
+                return
+            try:
+                lease = self._grant(state, waiter.key, waiter.ttl, waiter.holder)
+            except TokensExhausted:
+                return
+            pool.popleft()
+            if lease is None:  # an earlier waiter in the pool took its key
+                self._queue_for_key(state, waiter)
+            else:
+                self._resolve(waiter, lease)
+
+    def _give_up(self, state: _ShardState, waiter: _Waiter) -> None:
+        if not waiter.future.done():
+            self._unpark(state, waiter)
+            waiter.future.set_result(None)
 
     # -- the client API ------------------------------------------------------
 
@@ -702,60 +845,71 @@ class LeaseService:
         downstream resource — that is the fencing discipline), or
         ``None`` once ``timeout`` elapses without a grant.
 
-        Waiters park on the shard's wake event, not on a poll loop: at
-        10⁴+ arrivals per second a fixed retry cadence becomes a
-        thundering herd that starves the event loop — including the
-        keeper's own quorum round trips, which is exactly the death
-        spiral (dry pool → herd → slower refill → drier pool).  The
-        waiter registers *before* re-checking the grant, so a release or
-        refill landing between the check and the park is never missed.
+        A free key with a token in the pool is granted at once.  A held
+        key queues the caller behind that key's earlier waiters, and a
+        dry pool queues it behind the shard's earlier pool waiters; the
+        caller then waits on its own future, granted by whoever frees
+        the resource (see the class docstring).  ``ttl`` is checked
+        before the caller queues, so a handoff never raises into the
+        releasing caller.  A caller cancelled after it was handed a
+        lease releases it, so the key passes on at once.
         """
         if ttl is None:
             ttl = self.default_ttl
+        if ttl <= 0:
+            raise ValueError(f"lease ttl must be positive, got {ttl}")
         state = self.states[shard_for(key, self.shards)]
-        deadline = None if timeout is None else self._now() + timeout
-        while True:
-            wake = state.wake
-            assert wake is not None, "service not started"
-            state.waiters += 1
-            try:
-                try:
-                    lease = state.core.grant(key, ttl, holder)
-                except TokensExhausted:
-                    # Refill is in flight (or imminent: the keeper polls
-                    # demand every few ms) — wake on pool refill.
-                    wait_until = None
-                else:
-                    if lease is not None:
-                        return lease
-                    held = state.core.leases.get(key)
-                    wait_until = held.expires_at if held is not None else None
-                now = self._now()
-                if deadline is not None and now >= deadline:
-                    self.timeouts += 1
-                    return None
-                pause = None
-                if wait_until is not None:
-                    pause = wait_until - now
-                if deadline is not None:
-                    remaining = deadline - now
-                    pause = remaining if pause is None else min(pause, remaining)
-                try:
-                    if pause is None:
-                        await wake.wait()
-                    else:
-                        await asyncio.wait_for(wake.wait(), max(pause, 0.0005))
-                except asyncio.TimeoutError:
-                    pass
-            finally:
-                state.waiters -= 1
+        if key in state.queues:
+            # The holder's TTL may have run out before its timer fired:
+            # the queue's head takes the key before this caller tries.
+            self._handoff(state, key)
+        try:
+            lease = self._grant(state, key, ttl, holder)
+        except TokensExhausted:
+            dry = True
+        else:
+            if lease is not None:
+                return lease
+            dry = False
+        if timeout is not None and timeout <= 0:
+            self.timeouts += 1
+            return None
+        loop = asyncio.get_running_loop()
+        waiter = _Waiter(loop.create_future(), key, ttl, holder)
+        if dry:
+            self._park(state.pool, (waiter,))
+        else:
+            self._queue_for_key(state, waiter)
+        deadline = (
+            None if timeout is None
+            else loop.call_later(timeout, self._give_up, state, waiter)
+        )
+        try:
+            lease = await waiter.future
+        except asyncio.CancelledError:
+            future = waiter.future
+            if waiter.queue is not None:
+                self._unpark(state, waiter)
+            elif not future.cancelled() and future.result() is not None:
+                self.release(key, future.result().token)
+            raise
+        finally:
+            if deadline is not None:
+                deadline.cancel()
+        if lease is None:
+            self.timeouts += 1
+        return lease
 
     def release(self, key: Hashable, token: int) -> bool:
-        """Release ``key`` under ``token``; stale tokens are fenced off."""
+        """Release ``key`` under ``token``; stale tokens are fenced off.
+
+        The key's longest waiter, if any, is granted it before this
+        returns.
+        """
         state = self.states[shard_for(key, self.shards)]
         ok = state.core.release(key, token)
-        if ok:
-            self._notify(state)
+        if key in state.queues:
+            self._handoff(state, key)
         return ok
 
     # -- observation ---------------------------------------------------------
@@ -782,6 +936,10 @@ class LeaseService:
             "bound": self.base.bound,
             "timeouts": self.timeouts,
             "counters": totals,
+            "front_door": {
+                "handoffs": self.handoffs,
+                "max_queue_depth": self.max_queue_depth,
+            },
             "net": self.substrate.stats.snapshot(),
         }
 

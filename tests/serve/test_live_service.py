@@ -1,6 +1,7 @@
 """End-to-end over real sockets: the lease service doing its job."""
 
 import asyncio
+import gc
 import math
 
 import pytest
@@ -126,6 +127,23 @@ def test_small_load_run_is_clean():
     asyncio.run(body())
 
 
+def test_load_generator_retrieves_failed_sessions():
+    # Each session counts its error and re-raises; the generator must
+    # retrieve the exception, or asyncio logs "never retrieved" for it.
+    async def body():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context))
+        service = _service()  # not started: acquire rejects the ttl first
+        load = LoadGenerator(service, clients=5, duration=0.05, ttl=-1.0)
+        report = await load.run()
+        gc.collect()
+        assert report["errors"] == 5 and report["cancelled"] == 0
+        assert reported == []
+
+    asyncio.run(body())
+
+
 def test_service_survives_chaos_plan():
     async def body():
         plan = NetFaultPlan(
@@ -232,8 +250,12 @@ def test_keeper_refills_back_to_back_while_supply_is_behind():
         assert not keeper.wants_refill()  # nobody was waiting on the pool
         for i in range(64):
             state.core.grant(f"k{i}", ttl=100.0)
-        state.waiters = 1  # an acquirer parked on the empty pool
+        # An acquirer parked on the empty pool.
+        waiter = asyncio.ensure_future(service.acquire("w", ttl=100.0))
+        await asyncio.sleep(0)
+        assert len(state.pool) == 1
         keeper.deliver(64, 128)
+        assert (await waiter).token == 64  # the delivery's first token
         assert state.core.tokens_available > service.low_water
         assert keeper.wants_refill()
         assert not keeper.wants_refill()  # one refill, then demand as usual
