@@ -16,9 +16,12 @@ Commands
     The acceptance workload: seeded open-loop Poisson load
     (``--clients`` sessions over ``--duration`` seconds) against a fresh
     service.  Prints a JSON document with the latency percentiles,
-    throughput, lease counters, obs metrics registry and timeliness
-    mining; exits non-zero if any mutual-exclusion / fencing violation
-    was detected (always) or the p99 exceeds ``--max-p99`` (when given).
+    throughput, lease counters, the timing failures the substrate counted
+    as they happened (``service.timing_failures``: deliveries over the
+    bound, the worst excess, per link), obs metrics registry and
+    timeliness mining; exits non-zero if any mutual-exclusion / fencing
+    violation was detected (always) or the p99 exceeds ``--max-p99``
+    (when given).
 
 ``sim``
     The identical keeper workload on the simulated substrate —

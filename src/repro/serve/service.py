@@ -941,6 +941,7 @@ class LeaseService:
                 "max_queue_depth": self.max_queue_depth,
             },
             "net": self.substrate.stats.snapshot(),
+            "timing_failures": self.base.timing_failures.snapshot(),
         }
 
     def __repr__(self) -> str:

@@ -24,8 +24,10 @@ Three implementations satisfy it:
 What the protocol does **not** promise: that the bound holds.  On the
 sim substrate the bound is enforced by construction (faults aside); on
 the live substrate it is an *assumption* about loopback — the paper's
-Δ stance exactly — and :mod:`repro.obs.timeliness` mines the trace to
-report whether reality honoured it.
+Δ stance exactly.  :class:`AsyncioSubstrate` counts every delivery that
+broke it as the frame lands (:class:`TimingFailures`), and
+:mod:`repro.obs.timeliness` mines the trace afterwards for the per-link
+verdicts.
 
 The live substrate keeps the sim trace vocabulary: each delivered frame
 emits a ``send`` record whose ``arrive - t`` is the *measured* wire
@@ -46,7 +48,7 @@ import itertools
 import pickle
 import struct
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - version guard, exercised implicitly
     from typing import Protocol, runtime_checkable
@@ -59,7 +61,7 @@ except ImportError:  # pragma: no cover - Python < 3.8 has no Protocol
 from repro.net.transport import NetStats
 from repro.obs.tracer import Tracer, active_tracer
 
-__all__ = ["Substrate", "AsyncioSubstrate", "SubstrateClock"]
+__all__ = ["Substrate", "AsyncioSubstrate", "SubstrateClock", "TimingFailures"]
 
 # Frame layout: 4-byte big-endian payload length, then the header tuple
 # (src pid, sequence number, send instant) and the payload, pickled
@@ -128,6 +130,45 @@ class SubstrateClock:
         return self._loop.time() - self._origin
 
 
+class TimingFailures:
+    """Deliveries that took longer than the bound, counted as they land.
+
+    The networked timing failure is a message whose measured wire delay,
+    ``arrive - sent``, exceeds the bound the service assumes.  The reader
+    counts each one the moment it parses the frame: how many, by how much
+    the worst one overshot, and on which ``(src, dst)`` links — what an
+    operator needs while the service runs, without a trace.  It is kept
+    out of :class:`~repro.net.transport.NetStats`, whose snapshot a
+    simulated run reproduces exactly, run after run.
+    """
+
+    __slots__ = ("count", "worst_excess", "by_link")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.worst_excess = 0.0  # seconds past the bound
+        self.by_link: Dict[Tuple[int, int], int] = {}
+
+    def record(self, src: int, dst: int, excess: float) -> None:
+        """One delivery on ``src -> dst``, ``excess`` seconds over the bound."""
+        self.count += 1
+        if excess > self.worst_excess:
+            self.worst_excess = excess
+        link = (src, dst)
+        self.by_link[link] = self.by_link.get(link, 0) + 1
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-ready copy: links are ``"src->dst"`` strings."""
+        return {
+            "count": self.count,
+            "worst_excess_s": self.worst_excess,
+            "by_link": {
+                f"{src}->{dst}": count
+                for (src, dst), count in sorted(self.by_link.items())
+            },
+        }
+
+
 def _resolve(parked: Optional["asyncio.Future[bool]"], arrived: bool) -> None:
     """Wake a parked :meth:`AsyncioSubstrate.wait_for_message`, once."""
     if parked is not None and not parked.done():
@@ -171,6 +212,7 @@ class AsyncioSubstrate:
         self.n = n
         self.bound = float(bound)
         self.stats = NetStats()
+        self.timing_failures = TimingFailures()
         self.tracer = tracer if tracer is not None else active_tracer()
         self.clock = SubstrateClock()
         # Each entry is (src, payload, seq, arrive-instant).
@@ -244,6 +286,9 @@ class AsyncioSubstrate:
                     arrive = self.clock.now
                     self._inboxes[dst].append((src, payload, seq, arrive))
                     _resolve(self._parked[dst], True)
+                    delay = arrive - sent_at
+                    if delay > self.bound:
+                        self.timing_failures.record(src, dst, delay - self.bound)
                     if self.tracer is not None:
                         # The live "send" record is emitted at delivery,
                         # when arrive is known: arrive - t is the wire

@@ -14,26 +14,47 @@ state*, who is stopped by the bound) — what a generator holds now, not
 how it got there, so a spin loop is a cycle and a finite state space
 closes by itself (:mod:`repro.verify.sandbox` has the details, and the
 programs that break it: those keeping mutable state outside their frames,
-lint rule TMF003).  Two prunings bound the search:
+lint rule TMF003).  Three prunings bound the search:
 
 * **state memoization** — a state already seen is not expanded again.
   The search recognises a state by the undo sandbox's incrementally
   maintained 128-bit digest, which merges two different states only by a
   collision of probability at most (pairs of states) · 2⁻¹²⁸ (the
   :mod:`~repro.verify.sandbox` docstring has the argument);
+* **sleep sets** (Godefroid, *Partial-Order Methods for the Verification
+  of Concurrent Systems*, LNCS 1032, 1996) — a step that commutes with
+  one already taken from an ancestor is not taken again.  Two commuting
+  steps reach the same state in either order, so once ``p`` has been
+  tried from a state, the sibling that steps ``q`` first lets ``p``
+  *sleep* while the steps after ``q`` commute with it: stepping ``p``
+  there would only re-arrive where ``p`` then ``q`` already led.  Every
+  node carries its sleep set, a bitmask over pids
+  (:meth:`~repro.verify.sandbox._UndoSandbox.commuting` decides from the
+  two pending ops alone).  With memoization a state remembers the set it
+  was expanded with; a later arrival with fewer pids asleep expands the
+  ones it wakes and leaves asleep only what sleeps on both paths.  A
+  state expanded with nothing asleep is done for good and is kept in a
+  plain set;
 * a per-process operation bound (``max_ops``) — necessary because e.g.
   consensus under adversarial asynchrony legitimately runs forever (FLP).
 
+Sleep sets drop transitions, never states: every reachable state is
+still counted and checked, so every state-property verdict, every
+``on_terminal`` check and — where the bound stopped nobody — the state
+count are what the search without them gives, in about half the steps at
+three processes.  They do not keep every *edge*: a search for cycles (a
+liveness property) must take every transition, not this one's.
+
 What a verdict means depends on whether the bound ever bit, which
 :attr:`ExplorationResult.parked` counts.  ``complete and parked == 0``:
-every transition of every reachable state was taken, so the verdict
-covers every execution of any length — a proof for that configuration,
-and the same counts for every larger ``max_ops``.  With ``parked > 0``
-every counted state and every reported witness is real and within the
-bound, but a frame state first reached with little budget left is not
-expanded again when it is reached with more, so the search covers less
-than every prefix up to the bound: raise ``max_ops`` until nothing parks,
-or read a clean result as "no violation found", not as a proof.
+every reachable state was expanded, so the verdict covers every
+execution of any length — a proof for that configuration, and the same
+counts for every larger ``max_ops``.  With ``parked > 0`` every counted
+state and every reported witness is real and within the bound, but a
+frame state first reached with little budget left is not expanded again
+when it is reached with more, so the search covers less than every
+prefix up to the bound: raise ``max_ops`` until nothing parks, or read a
+clean result as "no violation found", not as a proof.
 
 :func:`explore` returns statistics plus every violation found, each with
 the exact schedule that produced it (replayable with
@@ -43,7 +64,7 @@ the exact schedule that produced it (replayable with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .properties import SafetyProperty
 from .sandbox import ProgramFactory, Sandbox, _UndoSandbox
@@ -131,20 +152,45 @@ def explore(
         claims under bounded schedules.
     """
     result = ExplorationResult(states=0, transitions=0, max_depth=0)
-    seen: Set[Hashable] = set()
     sandbox = _UndoSandbox(factories, max_ops=max_ops)
+    bit = sandbox.bit
+    # The states expanded with nothing asleep, which nothing can wake; the
+    # others, with the pids still asleep there (module docstring).
+    closed: Set[Hashable] = set()
+    asleep_at: Dict[Hashable, int] = {}
     schedule: List[int] = []
 
-    def arrive() -> Optional[Sequence[int]]:
-        """Check the state just reached; the pids to try from it, or
-        ``None`` to abort the whole search."""
+    def arrive(sleep: int) -> Optional[List[Any]]:
+        """Check the state just reached with the pids of ``sleep`` asleep.
+        Its node on the path (the pids to try from it, the pids asleep
+        there, the pids tried: none yet), or ``None`` to abort the whole
+        search."""
         fingerprint = sandbox.fingerprint()
-        if fingerprint in seen:
-            return ()
+        if fingerprint in closed:
+            return [iter(()), 0, 0]
+        asleep = asleep_at.get(fingerprint)
+        if asleep is not None:
+            # Try what slept when the state was expanded and is awake on
+            # this path; what sleeps on both stays asleep, here and from
+            # now on (Godefroid's rule for a state met again).
+            woken = asleep & ~sleep
+            if not woken:
+                return [iter(()), 0, 0]
+            asleep &= sleep
+            if asleep:
+                asleep_at[fingerprint] = asleep
+            else:
+                del asleep_at[fingerprint]
+                closed.add(fingerprint)
+            todo = [pid for pid in sandbox.enabled() if bit[pid] & woken]
+            return [iter(todo), asleep, 0]
         if result.states >= max_states:
             result.complete = False
             return None
-        seen.add(fingerprint)
+        if sleep:
+            asleep_at[fingerprint] = sleep
+        else:
+            closed.add(fingerprint)
         result.states += 1
         result.max_depth = max(result.max_depth, len(schedule))
         if sandbox.parked:
@@ -172,25 +218,31 @@ def explore(
                     if stop_at_first_violation:
                         result.complete = False
                         return None
-        return enabled
+        if sleep:
+            enabled = [pid for pid in enabled if not bit[pid] & sleep]
+        return [iter(enabled), sleep, 0]
 
-    start = arrive()
-    # untried[d]: the pids not yet tried from the state d steps down the
-    # current schedule.
-    untried: List[Iterator[int]] = [] if start is None else [iter(start)]
-    while untried:
-        pid = next(untried[-1], None)
+    start = arrive(0)
+    # path[d] is the node of the state d steps down the current schedule.
+    path: List[List[Any]] = [] if start is None else [start]
+    while path:
+        node = path[-1]
+        pid = next(node[0], None)
         if pid is None:
-            untried.pop()
+            path.pop()
             if schedule:
                 sandbox.undo()
                 schedule.pop()
             continue
+        # Asleep after this step: what sleeps here or was tried from here
+        # and commutes with it.
+        sleep = sandbox.commuting(pid, node[1] | node[2])
+        node[2] |= bit[pid]
         result.transitions += 1
         sandbox.step(pid)
         schedule.append(pid)
-        todo = arrive()
-        if todo is None:
+        reached = arrive(sleep)
+        if reached is None:
             break
-        untried.append(iter(todo))
+        path.append(reached)
     return result

@@ -155,9 +155,9 @@ _RESTART_MARK = ("__restart__",)
 def op_kind(op: Optional[Op]) -> str:
     """Trace-op name for a pending op (see :meth:`Sandbox.pending_op`).
 
-    Shared vocabulary for the harnesses that trace logical-clock steps
-    (:mod:`repro.chaos.runner`, :mod:`repro.verify.fuzz`): the returned
-    string is the ``op`` field of a ``repro.obs`` op record.
+    Shared vocabulary for the harness that traces logical-clock steps,
+    :func:`repro.chaos.runner.run_sim` (a fuzz run is one of its runs):
+    the returned string is the ``op`` field of a ``repro.obs`` op record.
     """
     return op.trace_kind if op is not None else "step"
 
@@ -458,18 +458,25 @@ class _Position(NamedTuple):
     in_cs: bool
     decision: Any
     z: int  # this position's 128-bit share of the state digest
+    # The pending op's footprint: the name of the register it touches
+    # (None at a pause point or the end) and whether it changes the cell.
+    touches: Optional[Hashable]
+    writes: bool
 
 
 class _UndoSandbox(Sandbox):
     """A sandbox whose steps can be taken back, for depth-first search.
 
-    :meth:`step` is :meth:`Sandbox.step` plus an undo record; only
-    ``_advance`` differs, consulting the recorded positions (module
-    docstring) before it resumes a generator.  The flat per-pid state of
-    the base class is kept current, so inspection and properties work
-    unchanged, and :meth:`Sandbox.fingerprint` called unbound is still the
-    exact reference of the execution that led here.  :meth:`fingerprint`
-    is the maintained digest of (memory, frame states, who is parked).
+    :meth:`step` does what :meth:`Sandbox.step` does and keeps an undo
+    record, but follows a recorded edge from the current position (module
+    docstring) when there is one and resumes a generator only when there
+    is not.  The flat per-pid state of the base class — read histories
+    and ``labels_seen`` included — is kept current, so inspection and
+    properties work unchanged, and :meth:`Sandbox.fingerprint` called
+    unbound is still the exact reference of the execution that led here.
+    :meth:`fingerprint` is the maintained digest of (memory, frame states,
+    who is parked), and :meth:`commuting` says which pending steps can be
+    taken in either order.
     Costs a table of positions and three of random bits (one ``z`` per
     position, one share per cell ever written, one per pid) — which is
     why the linear callers (fuzz, chaos, replay) stay on the base class —
@@ -497,6 +504,8 @@ class _UndoSandbox(Sandbox):
         self._cell_share: Dict[Tuple[Hashable, Hashable], int] = {}
         self._random_bits = random.Random(_DIGEST_SEED).getrandbits
         self._park_share = {pid: self._random_bits(128) for pid in sorted(factories)}
+        #: A pid's bit in the sets of pids :meth:`commuting` takes.
+        self.bit = {pid: 1 << index for index, pid in enumerate(sorted(factories))}
         #: How many processes the bound is stopping in the current state.
         self.parked = 0
         super().__init__(factories, max_ops)
@@ -504,20 +513,39 @@ class _UndoSandbox(Sandbox):
     def step(self, pid: int) -> None:
         """:meth:`Sandbox.step`, remembering what :meth:`undo` must restore."""
         here = self._position.get(pid)
-        op = self._pending.get(pid)
+        op = None if here is None else here.op
+        if op is None:
+            raise ValueError(f"pid {pid} has no pending step (done or unknown)")
+        count = self._op_count[pid] + 1
+        if count > self.max_ops:
+            raise ValueError(f"pid {pid} is suspended at the op bound")
+        self._op_count[pid] = count
         # A read changes no cell: nothing to restore, nothing to XOR.
-        register = None if isinstance(op, Read) else getattr(op, "register", None)
+        register = op.register if here.writes else None
         before = None if register is None else self.memory.peek(register)
-        reads = len(self._read_history.get(pid, ()))
-        labels = len(self.labels_seen)
-        super().step(pid)
+        history = self._read_history[pid]
+        reads, labels = len(history), len(self.labels_seen)
+        # A pause point (LocalWork) just ends: its perform is the no-op.
+        result = op.perform(self, pid, None)
+        edge = _freeze(result)
+        if here.touches is not None and not isinstance(op, Write):
+            # A read's value, or an RMW's result: the read history.
+            history.append(edge)
+        arrival = here.next.get(edge)
+        if arrival is None:
+            self._resume(pid, here, result, edge)
+        else:
+            there, emitted = arrival
+            if emitted:
+                self.labels_seen.extend(emitted)
+            self._place(pid, there)
         flipped = 0
         if register is not None:
             after = self.memory.peek(register)
             if after is not before:  # not rewritten with the object it held
                 flipped = self._share(register, before) ^ self._share(register, after)
                 self._digest ^= flipped
-        if self._op_count[pid] >= self.max_ops and self._pending[pid] is not None:
+        if count >= self.max_ops and self._pending[pid] is not None:
             self._digest ^= self._park_share[pid]
             self.parked += 1
         self._undo_log.append((pid, here, register, before, flipped, reads, labels))
@@ -541,6 +569,32 @@ class _UndoSandbox(Sandbox):
         """The maintained digest of the state (module docstring)."""
         return self._digest
 
+    def commuting(self, pid: int, pids: int) -> int:
+        """The pids of ``pids`` (a bitmask, see :attr:`bit`) whose pending
+        steps commute with ``pid``'s.
+
+        Taken in either order, two commuting steps reach the same state,
+        and neither disables the other.  That is decided by the two
+        pending ops alone: a step changes only its own process's position,
+        op count and observers (``in_cs``, ``decisions``, keyed by pid)
+        and the one cell its op writes, so the steps commute unless both
+        touch one register and one of them writes it.  A pause point
+        touches none and commutes with everything; a read commutes with
+        another read of its register; a write or read-modify-write does
+        not commute with any other op on its register.
+        """
+        step = self._position[pid]
+        touches = step.touches
+        if touches is None or not pids:
+            return pids
+        position = self._position
+        for other, bit in self.bit.items():
+            if pids & bit:
+                there = position[other]
+                if there.touches == touches and (step.writes or there.writes):
+                    pids ^= bit
+        return pids
+
     def _share(self, register: Register, value: Any) -> int:
         """The bits a cell holding ``value`` contributes to the digest."""
         if value == register.initial:
@@ -555,20 +609,17 @@ class _UndoSandbox(Sandbox):
         raise NotImplementedError("positions do not span incarnations")
 
     def _advance(self, pid: int, send_value: Any) -> None:
-        here = self._position.get(pid)  # None while __init__ finds the starts
-        edge = _freeze(send_value)
-        arrival = here.next.get(edge) if here is not None else None
-        if arrival is not None:
-            there, emitted = arrival
-            if emitted:
-                self.labels_seen.extend(emitted)
-            self._place(pid, there)
-            return
+        # Only Sandbox.__init__ gets here, to find where ``pid`` starts.
+        self._resume(pid, None, send_value, _freeze(send_value))
+
+    def _resume(self, pid: int, here: Optional[_Position], sent: Any, edge: Hashable) -> None:
+        """Resume ``pid``'s generator from ``here`` by ``sent`` (frozen:
+        ``edge``), an edge not recorded yet, and record where it leads."""
         if self._generator_at.get(pid) is not here:
             self._rebuild(pid, here)
         mark = len(self.labels_seen)
-        super()._advance(pid, send_value)
-        there = self._frame_position(pid, here, send_value)
+        super()._advance(pid, sent)
+        there = self._frame_position(pid, here, sent)
         if here is not None:
             here.next[edge] = (there, tuple(self.labels_seen[mark:]))
             self._digest ^= here.z
@@ -591,9 +642,12 @@ class _UndoSandbox(Sandbox):
             # Something in a frame has no key: a position of its own.
             key = there = None
         if there is None:
+            shared = op is not None and op.is_shared
             there = _Position(
                 parent=here, sent=sent, next={}, op=op, done=done, result=result,
                 in_cs=in_cs, decision=decision, z=self._random_bits(128),
+                touches=op.register.name if shared else None,
+                writes=shared and not isinstance(op, Read),
             )
             if key is not None:
                 self._frames[pid][key] = there

@@ -8,6 +8,7 @@ import pytest
 
 from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan
 from repro.net.omega import HeartbeatMonitor
+from repro.obs.tracer import Tracer
 from repro.serve import LeaseService, LoadGenerator, percentile
 from repro.serve.service import _LiveFeed
 
@@ -160,6 +161,32 @@ def test_service_survives_chaos_plan():
             assert service.summary()["net"]["messages_dropped"] >= 0
         finally:
             await service.close()
+
+    asyncio.run(body())
+
+
+def test_timing_failures_are_counted_as_they_land():
+    # Replica 3's links run 20 ms over a 5 ms bound; the other two
+    # replicas still answer every quorum phase in time.
+    async def body():
+        tracer = Tracer()
+        plan = NetFaultPlan(
+            spikes=(DelaySpike(start=0.0, end=math.inf, extra=0.02, pids=(3,)),))
+        service = _service(shards=1, bound=0.005, block=16, fault_plan=plan,
+                           tracer=tracer)
+        await service.start()
+        try:
+            await _closed_loop(service, clients=4, seconds=0.3)
+        finally:
+            await service.close()
+        late = service.summary()["timing_failures"]
+        wire = [r["arrive"] - r["t"] for r in tracer.records if r["kind"] == "send"]
+        over = [delay for delay in wire if delay > service.base.bound]
+        assert late["count"] == len(over) > 0
+        assert late["worst_excess_s"] == pytest.approx(max(over) - service.base.bound)
+        assert sum(late["by_link"].values()) == late["count"]
+        assert late["by_link"].get("0->3", 0) > 0  # the keeper to replica 3
+        assert service.verify() == []
 
     asyncio.run(body())
 
