@@ -56,6 +56,7 @@ from repro.obs.tracer import Tracer, active_tracer, trace_scope
 from ..net.fuzz import Workload, run_workload, sample_workload
 from ..parallel import WorkerPool, make_shards, timing_rows
 from ..parallel.merge import RunRecord, merge_campaign_runs
+from ..sim.failures import TimingFailureWindow
 from ..sim.registers import Register
 from ..verify.properties import (
     AgreementProperty,
@@ -295,6 +296,28 @@ def seed_key(campaign: Campaign, run_seed: Optional[str]) -> str:
     return f"chaos:{campaign.seed}:{run_seed}"
 
 
+def _stalls(
+    windows: Sequence[TimingFailureWindow], everyone: FrozenSet[int], clock: int
+) -> Tuple[FrozenSet[int], float]:
+    """The pids the windows stall at the integer ``clock``, and the first
+    clock after it at which that set can change.
+
+    On integers ``start <= clock < end`` flips only at the window edges
+    ``ceil(start)`` and ``ceil(end)``, so the set holds until the next
+    edge past ``clock`` (infinity when none is).  A ``pids=None`` window
+    stalls ``everyone``.
+    """
+    stalled: FrozenSet[int] = frozenset()
+    until = math.inf
+    for window in windows:
+        for edge in (window.start, window.end):
+            if clock < edge < until:  # so never an infinite edge
+                until = math.ceil(edge)
+        if window.start <= clock < window.end:
+            stalled |= everyone if window.pids is None else window.pids
+    return stalled, until
+
+
 def run_sim(
     target: SimTarget,
     campaign: Campaign,
@@ -369,6 +392,11 @@ def run_sim(
     corruptions = sorted(campaign.corruptions, key=lambda c: c.at)
     next_corruption = 0
     windows = campaign.windows
+    # The pids the windows stall at the current clock, recomputed only when
+    # the clock reaches the next window edge, ``stall_until`` (never, with
+    # no windows: the set stays empty and the filter below is skipped).
+    everyone = frozenset(factories)
+    stalled, stall_until = _stalls(windows, everyone, 0)
     generating = schedule is None
     rng = random.Random(seed_key(campaign, run_seed)) if generating else None
 
@@ -447,6 +475,8 @@ def run_sim(
     for pid in itertools.repeat(None) if generating else schedule:
         if generating and clock >= max_steps:
             break
+        # The sandbox keeps its runnable list current (finished, at the op
+        # bound, restarted); the crashed pids are this loop's to drop.
         runnable = sandbox.enabled()
         if halted:
             runnable = [p for p in runnable if p not in halted]
@@ -456,12 +486,10 @@ def run_sim(
         if pid is None:
             if not runnable:
                 break
-            if windows:
-                free = [
-                    p
-                    for p in runnable
-                    if not any(w.affects(p, clock) for w in windows)
-                ]
+            if clock >= stall_until:
+                stalled, stall_until = _stalls(windows, everyone, clock)
+            if stalled:
+                free = [p for p in runnable if p not in stalled]
                 runnable = free or runnable
             pid = rng.choice(runnable)
         elif pid not in runnable:

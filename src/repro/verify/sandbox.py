@@ -193,11 +193,22 @@ class Sandbox:
             self._op_count[pid] = 0
             self._done[pid] = False
             self._advance(pid, None)
+        # What enabled() answers, kept current by step() and restart():
+        # only the stepped or restarted pid can join or leave it.
+        self._runnable = self._runnable_now()
 
     # -- driving -----------------------------------------------------------
 
     def enabled(self) -> List[int]:
-        """Pids that can take a shared step right now."""
+        """Pids that can take a step right now — a shared op or a pause
+        point pending, and budget left — in pid order.
+
+        The list is the caller's: changing it leaves the sandbox alone.
+        """
+        return self._runnable[:]
+
+    def _runnable_now(self) -> List[int]:
+        """:meth:`enabled`, derived from every pid's pending op and budget."""
         return [
             pid
             for pid in self._pid_order
@@ -217,9 +228,10 @@ class Sandbox:
         op = self._pending.get(pid)
         if op is None:
             raise ValueError(f"pid {pid} has no pending step (done or unknown)")
-        if self._op_count[pid] >= self.max_ops:
+        count = self._op_count[pid] + 1
+        if count > self.max_ops:
             raise ValueError(f"pid {pid} is suspended at the op bound")
-        self._op_count[pid] += 1
+        self._op_count[pid] = count
         # A pause point (LocalWork) just ends: its perform is the no-op.
         result = op.perform(self, pid, None)
         if op.is_shared and not isinstance(op, Write):
@@ -228,6 +240,8 @@ class Sandbox:
             # fingerprint soundness.
             self._read_history[pid].append(_freeze(result))
         self._advance(pid, result)
+        if count == self.max_ops or self._pending[pid] is None:
+            self._runnable.remove(pid)  # at the bound, or finished
 
     def _advance(self, pid: int, send_value: Any) -> None:
         """Run ``pid`` forward to its next shared op (or to completion)."""
@@ -242,13 +256,16 @@ class Sandbox:
                 return
             if not isinstance(op, Op):
                 raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+            if op.is_shared:
+                self._pending[pid] = op  # the common case: a shared step
+                return
             if op.is_message:
                 raise TypeError(
                     f"pid {pid} yielded message op {op!r}; message operations "
                     f"need a transport, and the untimed sandbox has none"
                 )
-            if op.is_shared or (isinstance(op, LocalWork) and op.duration > 0):
-                # A shared step, or a pause point (e.g. the CS body).
+            if isinstance(op, LocalWork) and op.duration > 0:
+                # A pause point (e.g. the CS body).
                 self._pending[pid] = op
                 return
             if isinstance(op, Label):
@@ -295,6 +312,7 @@ class Sandbox:
         # differ only in "pid was restarted" have different futures.
         self._read_history[pid].append(_RESTART_MARK)
         self._advance(pid, None)
+        self._runnable = self._runnable_now()
 
     # -- inspection ----------------------------------------------------------
 
@@ -564,6 +582,9 @@ class _UndoSandbox(Sandbox):
         self._op_count[pid] -= 1
         del self._read_history[pid][reads:]
         self._place(pid, here)
+
+    # Steps are taken back here, so the runnable list is derived, not kept.
+    enabled = Sandbox._runnable_now
 
     def fingerprint(self) -> int:
         """The maintained digest of the state (module docstring)."""

@@ -1,5 +1,7 @@
 """Tests for campaign execution on both substrates."""
 
+import math
+
 import pytest
 
 from repro.chaos.monitors import ChaosViolation
@@ -8,6 +10,7 @@ from repro.chaos.runner import (
     SIM_TARGETS,
     NetParams,
     SimTarget,
+    _stalls,
     run_net,
     run_net_campaign,
     run_sim,
@@ -17,7 +20,7 @@ from repro.chaos.runner import (
 )
 from repro.obs import Tracer, trace_scope
 from repro.sim import ops
-from repro.sim.failures import failure_window
+from repro.sim.failures import TimingFailureWindow, failure_window
 from repro.sim.registers import Register
 from repro.verify.properties import InvariantProperty
 
@@ -184,6 +187,50 @@ class TestRunSimGeneration:
         outcome = run_sim(_counter_target(), campaign, run_seed="0")
         assert outcome.ok and outcome.find("no99") is None
         assert "ok" in repr(outcome)
+
+
+class TestStallSets:
+    """``run_sim`` recomputes who the windows stall only at window edges."""
+
+    PIDS = frozenset(range(4))
+    MAX_STEPS = 40
+
+    WINDOWS = (
+        TimingFailureWindow(0.0, 3.0, pids=frozenset({0})),  # starts at 0
+        TimingFailureWindow(2.5, 7.25, pids=frozenset({1, 2})),  # fractional
+        TimingFailureWindow(5.0, 9.0, pids=frozenset({2, 3})),  # overlaps
+        TimingFailureWindow(6.5, 6.5, pids=frozenset({0})),  # zero length
+        TimingFailureWindow(6.2, 6.8, pids=frozenset({3})),  # no integer inside
+        TimingFailureWindow(12.0, 14.0),  # pids=None: everyone
+        TimingFailureWindow(30.4, 55.0, pids=frozenset({1})),  # past max_steps
+    )
+
+    def expected(self, windows, clock):
+        return {p for p in self.PIDS if any(w.affects(p, clock) for w in windows)}
+
+    @pytest.mark.parametrize("count", [0, 1, 2, len(WINDOWS)])
+    def test_the_stall_set_is_reused_only_until_the_next_edge(self, count):
+        windows = self.WINDOWS[:count]
+        stalled, until = _stalls(windows, self.PIDS, 0)
+        recomputed = []
+        for clock in range(self.MAX_STEPS + 1):
+            if clock >= until:  # what run_sim does at each generated step
+                stalled, until = _stalls(windows, self.PIDS, clock)
+                recomputed.append(clock)
+            assert stalled == self.expected(windows, clock), clock
+            # settle() may jump the clock past edges: computing afresh at
+            # any clock gives the same set and the same next edge.
+            assert _stalls(windows, self.PIDS, clock) == (stalled, until), clock
+        if count == len(self.WINDOWS):
+            assert stalled == {1} and until == 55
+            assert recomputed == [3, 5, 7, 8, 9, 12, 14, 31]
+        elif not windows:
+            assert until == math.inf and recomputed == []
+
+    def test_an_endless_window_sets_no_edge(self):
+        window = TimingFailureWindow(2.0, math.inf, pids=frozenset({1}))
+        assert _stalls((window,), self.PIDS, 0) == (frozenset(), 2)
+        assert _stalls((window,), self.PIDS, 2) == ({1}, math.inf)
 
 
 class TestRunSimCampaign:

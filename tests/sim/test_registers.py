@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.chaos.plan import Campaign
+from repro.chaos.runner import SimTarget, run_sim
+from repro.sim import ops
 from repro.sim.registers import Array, Memory, Register, RegisterNamespace
+from repro.verify import explore
 
 
 class TestRegister:
@@ -57,6 +61,29 @@ class TestMemory:
         mem.read(Register("a", 0))
         with pytest.raises(ValueError):
             mem.read(Register("a", 1))
+
+    # The interpreters must keep asking Memory: a faster step that stopped
+    # going through Memory.read/write would drop the check silently.
+
+    @staticmethod
+    def conflicting_programs():
+        def program(pid):
+            yield ops.read(Register("a", pid))  # one name, two initial values
+
+        return {0: program, 1: program}
+
+    def test_conflicting_initials_rejected_through_run_sim(self):
+        def build():
+            return self.conflicting_programs(), [], {}
+
+        target = SimTarget("conflict", "one name, two initials", build,
+                           max_ops=5, pids=(0, 1), expect_violation=False)
+        with pytest.raises(ValueError, match="conflicting initial"):
+            run_sim(target, Campaign(substrate="sim", seed="conflict"), run_seed="0")
+
+    def test_conflicting_initials_rejected_through_explore(self):
+        with pytest.raises(ValueError, match="conflicting initial"):
+            explore(self.conflicting_programs(), [], max_ops=5)
 
     def test_register_count_tracks_touches(self):
         mem = Memory()

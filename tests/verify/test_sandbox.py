@@ -1,7 +1,10 @@
 """Unit tests for the asynchronous replay sandbox."""
 
+import random
+
 import pytest
 
+from repro.chaos.runner import SIM_TARGETS
 from repro.sim import ops
 from repro.sim.registers import Register
 from repro.verify.sandbox import Sandbox, _UndoSandbox
@@ -215,6 +218,58 @@ class TestRestart:
         sb = Sandbox({0: incrementer}, max_ops=10)
         with pytest.raises(ValueError, match="unknown pid"):
             sb.restart(7, incrementer)
+
+
+class TestKeptRunnableList:
+    """``enabled()`` is kept current by ``step`` and ``restart``; it must
+    always say what the per-pid state says."""
+
+    @staticmethod
+    def derived(sb, pids):
+        return [
+            pid for pid in sorted(pids)
+            if sb.pending_op(pid) is not None and sb.op_count(pid) < sb.max_ops
+        ]
+
+    def check(self, sb, pids):
+        expected = self.derived(sb, pids)
+        got = sb.enabled()
+        assert got == expected
+        got.reverse()
+        got.append(-1)
+        assert sb.enabled() == expected  # the caller's copy, not the sandbox's
+
+    @pytest.mark.parametrize("name", sorted(SIM_TARGETS))
+    def test_enabled_matches_the_per_pid_state_after_every_step(self, name):
+        target = SIM_TARGETS[name]
+        rng = random.Random(f"runnable:{name}")
+        # Why pids left the list: finished, or stopped by the bound (the
+        # small bound makes sure of that); and restarts that brought one back.
+        seen = {"finished": 0, "bound": 0, "restarted": 0}
+        for max_ops in (target.max_ops, 2):
+            for _ in range(10):
+                factories, _properties, _registers = target.build()
+                assert sorted(factories) == list(target.pids)
+                sb = Sandbox(factories, max_ops=max_ops)
+                self.check(sb, target.pids)
+                restarts = 3 if target.recover else 0
+                while True:
+                    runnable = sb.enabled()
+                    if restarts and rng.random() < 0.05:
+                        restarts -= 1
+                        pid = rng.choice(target.pids)
+                        seen["restarted"] += pid not in runnable
+                        sb.restart(pid, factories[pid])
+                    elif runnable:
+                        pid = rng.choice(runnable)
+                        sb.step(pid)
+                        if pid not in sb.enabled():
+                            seen["finished" if sb.done(pid) else "bound"] += 1
+                    else:
+                        break
+                    self.check(sb, target.pids)
+        assert seen["finished"] and seen["bound"]
+        assert bool(seen["restarted"]) == target.recover
 
 
 class TestUndo:
