@@ -47,9 +47,21 @@ from __future__ import annotations
 
 import asyncio
 import zlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.core.mutex import default_time_resilient_mutex
 from repro.net.faults import NetFaultPlan
@@ -67,6 +79,7 @@ from .substrate import AsyncioSubstrate
 __all__ = [
     "Lease",
     "LeaseCore",
+    "LeaseHistory",
     "LeaseService",
     "TokensExhausted",
     "keeper_program",
@@ -113,6 +126,60 @@ class Lease:
         return self.expires_at - now
 
 
+class LeaseHistory:
+    """The append-only audit history of one :class:`LeaseCore`.
+
+    One record per grant, release or expiry, stored in five packed
+    ``array`` columns — kind code, key id, token (``'q'``), ``at`` and
+    ``expires_at`` (``'d'``) — with each distinct key kept once in a
+    per-history key table: about 29 bytes a record instead of a boxed
+    5-tuple (≈ 166 bytes with its boxed token and floats).  Iterating
+    yields the ``(kind, key, token, at, expires_at)`` tuples
+    :func:`verify_lease_events` reads, built by C-level ``zip``/``map``.
+    """
+
+    GRANT, RELEASE, EXPIRE = range(3)
+    # A list, not a tuple: a list's bound ``__getitem__`` is a C method,
+    # a tuple's a slower slot wrapper, and ``__iter__`` maps it per record.
+    _KINDS = ["grant", "release", "expire"]
+
+    __slots__ = ("_kinds", "_key_ids", "_tokens", "_at", "_expires_at", "_ids", "_keys")
+
+    def __init__(self) -> None:
+        self._kinds = array("b")
+        self._key_ids = array("I")
+        self._tokens = array("q")
+        self._at = array("d")
+        self._expires_at = array("d")
+        self._ids: Dict[Hashable, int] = {}
+        self._keys: List[Hashable] = []
+
+    def append(
+        self, kind: int, key: Hashable, token: int, at: float, expires_at: float
+    ) -> None:
+        key_id = self._ids.get(key)
+        if key_id is None:
+            key_id = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+        self._kinds.append(kind)
+        self._key_ids.append(key_id)
+        self._tokens.append(token)
+        self._at.append(at)
+        self._expires_at.append(expires_at)
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __iter__(self) -> Iterator[Tuple[str, Hashable, int, float, float]]:
+        return zip(
+            map(self._KINDS.__getitem__, self._kinds),
+            map(self._keys.__getitem__, self._key_ids),
+            self._tokens,
+            self._at,
+            self._expires_at,
+        )
+
+
 class LeaseCore:
     """The per-shard lease table: pure bookkeeping, injected clock.
 
@@ -130,8 +197,11 @@ class LeaseCore:
       carrying a stale token is fenced off.
 
     When ``record_history`` is true every grant/release/expire lands in
-    :attr:`events`, which :func:`verify_lease_events` audits
-    independently — the checker trusts nothing this class believes.
+    :attr:`events`, a :class:`LeaseHistory` (packed columns, one distinct
+    key stored once; iterating it yields ``(kind, key, token, at,
+    expires_at)`` tuples), which :func:`verify_lease_events` audits
+    independently — the checker trusts nothing this class believes.  With
+    ``record_history=False`` :attr:`events` is ``None``.
     """
 
     def __init__(
@@ -154,8 +224,8 @@ class LeaseCore:
         self.refills = 0
         self.stale_refills = 0
         self.violations: List[str] = []
-        self.events: Optional[List[Tuple[str, Hashable, int, float, float]]] = (
-            [] if record_history else None
+        self.events: Optional[LeaseHistory] = (
+            LeaseHistory() if record_history else None
         )
 
     # -- token pool ----------------------------------------------------------
@@ -233,7 +303,7 @@ class LeaseCore:
         self.leases[key] = lease
         self.granted += 1
         if self.events is not None:
-            self.events.append(("grant", key, token, now, lease.expires_at))
+            self.events.append(LeaseHistory.GRANT, key, token, now, lease.expires_at)
         return lease
 
     def release(self, key: Hashable, token: int) -> bool:
@@ -255,7 +325,7 @@ class LeaseCore:
         del self.leases[key]
         self.released += 1
         if self.events is not None:
-            self.events.append(("release", key, token, now, lease.expires_at))
+            self.events.append(LeaseHistory.RELEASE, key, token, now, lease.expires_at)
         return True
 
     def sweep(self, now: Optional[float] = None) -> int:
@@ -277,7 +347,7 @@ class LeaseCore:
         self.expired += 1
         if self.events is not None:
             self.events.append(
-                ("expire", lease.key, lease.token, now, lease.expires_at)
+                LeaseHistory.EXPIRE, lease.key, lease.token, now, lease.expires_at
             )
 
     def counters(self) -> Dict[str, int]:

@@ -110,7 +110,7 @@ class CsInterval:
 class Trace:
     """An append-only sequence of trace events with query helpers."""
 
-    __slots__ = ("delta", "_events", "_finalized")
+    __slots__ = ("delta", "_events", "_finalized", "_cs_cache", "_spans_cache")
 
     def __init__(self, delta: float) -> None:
         if delta <= 0:
@@ -118,6 +118,10 @@ class Trace:
         self.delta = float(delta)
         self._events: List[TraceEvent] = []
         self._finalized = False
+        # All-pid views of a finalized trace (it can no longer change), so
+        # every checker reading them pays for one pass; callers get copies.
+        self._cs_cache: Optional[List[CsInterval]] = None
+        self._spans_cache: Optional[List[Tuple[int, float, float]]] = None
 
     # -- construction (engine-facing) --------------------------------------
 
@@ -245,6 +249,8 @@ class Trace:
         its critical section there, and the fresh incarnation may enter CS
         again without this counting as "entered twice".
         """
+        if pid is None and self._cs_cache is not None:
+            return list(self._cs_cache)
         open_by_pid: Dict[int, float] = {}
         crashed_open: Dict[int, Tuple[float, float]] = {}  # pid -> (enter, crash)
         sessions: Dict[int, int] = {}
@@ -285,6 +291,9 @@ class Trace:
             session = sessions.get(open_pid, 0)
             intervals.append(CsInterval(open_pid, enter, end, session))
         intervals.sort(key=lambda iv: (iv.enter, iv.pid))
+        if pid is None and self._finalized:
+            self._cs_cache = intervals
+            return list(intervals)
         return intervals
 
     def entry_spans(self, pid: Optional[int] = None) -> List[Tuple[int, float, float]]:
@@ -296,6 +305,8 @@ class Trace:
         in which case the attempt ends at the crash and the fresh
         incarnation may start a new entry.
         """
+        if pid is None and self._spans_cache is not None:
+            return list(self._spans_cache)
         open_by_pid: Dict[int, float] = {}
         crashed_open: Dict[int, Tuple[float, float]] = {}  # pid -> (start, crash)
         spans: List[Tuple[int, float, float]] = []
@@ -329,6 +340,9 @@ class Trace:
         for open_pid, start in open_by_pid.items():
             spans.append((open_pid, start, end))
         spans.sort(key=lambda s: (s[1], s[0]))
+        if pid is None and self._finalized:
+            self._spans_cache = spans
+            return list(spans)
         return spans
 
     def exit_spans(self, pid: Optional[int] = None) -> List[Tuple[int, float, float]]:

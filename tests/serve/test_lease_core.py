@@ -1,5 +1,7 @@
 """Lease semantics: TTL expiry, fencing tokens, the history audit."""
 
+import tracemalloc
+
 import pytest
 
 from repro.serve import LeaseCore, TokensExhausted, verify_lease_events
@@ -135,3 +137,78 @@ def test_history_recording_can_be_disabled(clock):
     core.refill(0, 10)
     core.grant("a", ttl=1.0)
     assert core.events is None
+
+
+def test_history_round_trips_every_record_kind(clock):
+    base = 2**40  # tokens far above 2**31
+    core = LeaseCore(0, clock)
+    core.refill(base, base + 100)
+    a = core.grant("a", ttl=5.0)
+    clock.t = 1.0
+    seven = core.grant(7, ttl=2.0)
+    clock.t = 1.5
+    pair = core.grant(("k", 1), ttl=1.0)
+    clock.t = 2.0
+    assert core.release("a", a.token)
+    assert not core.release(7, seven.token + 99)  # wrong token: fenced, unrecorded
+    clock.t = 3.0
+    assert core.sweep() == 2  # expiry by sweep
+    again = core.grant("a", ttl=1.0)
+    clock.t = 4.5
+    last = core.grant("a", ttl=2.0)  # expiry by grant
+    clock.t = 7.0
+    assert not core.release("a", last.token)  # fenced after its TTL: expired
+    assert (seven.token, pair.token, again.token) == (base + 1, base + 2, base + 3)
+    assert list(core.events) == [
+        ("grant", "a", base, 0.0, 5.0),
+        ("grant", 7, base + 1, 1.0, 3.0),
+        ("grant", ("k", 1), base + 2, 1.5, 2.5),
+        ("release", "a", base, 2.0, 5.0),
+        ("expire", 7, base + 1, 3.0, 3.0),
+        ("expire", ("k", 1), base + 2, 3.0, 2.5),
+        ("grant", "a", base + 3, 3.0, 4.0),
+        ("expire", "a", base + 3, 4.5, 4.0),
+        ("grant", "a", base + 4, 4.5, 6.5),
+        ("expire", "a", base + 4, 7.0, 6.5),
+    ]
+    assert len(core.events) == 10
+    assert list(core.events) == list(core.events)  # iterating does not consume
+    assert verify_lease_events(core.events) == []
+
+
+def test_history_truthiness_and_length(core):
+    assert core.events is not None
+    assert not core.events and len(core.events) == 0
+    core.grant("a", ttl=1.0)
+    assert core.events and len(core.events) == 1
+
+
+def test_disabled_history_stays_none_on_every_path(clock):
+    core = LeaseCore(0, clock, record_history=False)
+    core.refill(0, 10)
+    lease = core.grant("a", ttl=1.0)
+    core.release("a", lease.token)
+    core.grant("b", ttl=1.0)
+    clock.t = 2.0
+    core.sweep()
+    assert core.events is None
+
+
+def test_history_costs_at_most_48_bytes_a_record(clock):
+    core = LeaseCore(0, clock)
+    core.refill(0, 10**6)
+    names = [f"key-{i}" for i in range(64)]
+    for name in names:  # per-key tables fill once, not per record
+        core.release(name, core.grant(name, ttl=1.0).token)
+    pairs = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(pairs):
+            key = "".join(("key-", str(i % 64)))  # a fresh string every time
+            core.release(key, core.grant(key, ttl=1.0).token)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(core.events) == 2 * (pairs + 64)
+    assert grown / (2 * pairs) <= 48

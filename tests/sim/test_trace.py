@@ -224,6 +224,41 @@ class TestSpans:
         assert tr.exit_spans() == [(0, 1.0, 1.5)]
 
 
+class TestFinalizedViews:
+    """A finalized trace computes its all-pid views once, hands out copies."""
+
+    def build(self):
+        tr = Trace(delta=1.0)
+        tr.append(lbl(0, 0, ops.ENTRY_START, 0.5))
+        tr.append(lbl(1, 0, ops.CS_ENTER, 1.0))
+        tr.append(lbl(2, 1, ops.ENTRY_START, 1.5))
+        tr.append(lbl(3, 0, ops.CS_EXIT, 2.0))
+        return tr
+
+    def test_views_unchanged_by_finalize(self):
+        open_trace, closed = self.build(), self.build()
+        closed.finalize()
+        for _ in range(2):
+            assert closed.cs_intervals() == open_trace.cs_intervals()
+            assert closed.entry_spans() == open_trace.entry_spans()
+        assert closed.cs_intervals(pid=1) == [] and closed.entry_spans(pid=0) == [(0, 0.5, 1.0)]
+
+    def test_callers_get_copies(self):
+        tr = self.build()
+        tr.finalize()
+        tr.cs_intervals().clear()
+        tr.entry_spans().append((9, 0.0, 0.0))
+        assert len(tr.cs_intervals()) == 1
+        assert tr.entry_spans() == [(0, 0.5, 1.0), (1, 1.5, 2.0)]
+
+    def test_open_trace_sees_new_events(self):
+        tr = self.build()
+        assert len(tr.entry_spans()) == 2
+        tr.append(lbl(4, 1, ops.CS_ENTER, 3.0))
+        assert tr.entry_spans()[-1] == (1, 1.5, 3.0)
+        assert len(tr.cs_intervals()) == 2
+
+
 class TestRegisterHistory:
     def test_filtered_by_register(self):
         tr = Trace(delta=1.0)

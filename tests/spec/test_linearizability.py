@@ -1,5 +1,9 @@
 """Unit tests for histories and the linearizability checker."""
 
+import math
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from repro.spec.histories import History, Operation
@@ -214,3 +218,146 @@ class TestWitness:
         )
         with pytest.raises(ValueError):
             check_linearizability(h, QueueModel())
+
+
+# ---- differential against a brute-force reference ---------------------------
+
+MODEL_OPS = {
+    RegisterModel: (("write", lambda rng: (rng.randint(1, 3),)), ("read", lambda rng: ())),
+    QueueModel: (("enqueue", lambda rng: (rng.randint(1, 3),)), ("dequeue", lambda rng: ())),
+    StackModel: (("push", lambda rng: (rng.randint(1, 3),)), ("pop", lambda rng: ())),
+    CounterModel: (("increment", lambda rng: ()), ("read", lambda rng: ())),
+}
+WRONG_RESULTS = (None, 0, 1, 2, 3)
+
+
+def reference_linearizable(history, model, pending):
+    """Try every order respecting real time, each pending op taken or dropped."""
+    complete = list(history.operations)
+    for size in range(len(pending) + 1):
+        for taken in combinations(pending, size):
+            for order in permutations(complete + list(taken)):
+                if any(
+                    later.responded < earlier.invoked
+                    for i, earlier in enumerate(order)
+                    for later in order[i + 1:]
+                ):
+                    continue
+                state, legal = model.initial(), True
+                for o in order:
+                    state, result = model.apply(state, o.name, o.args)
+                    if any(o is c for c in complete) and result != o.result:
+                        legal = False
+                        break
+                if legal:
+                    return True
+    return False
+
+
+def assert_legal_witness(history, model, witness, pending=()):
+    """The witness holds every complete op once, respects real time and
+    replays to the recorded results; any pending ops in it are optional."""
+    complete = list(history.operations)
+    assert sorted(map(id, (o for o in witness if any(o is c for c in complete)))) == sorted(
+        map(id, complete)
+    )
+    assert all(any(o is c for c in complete + list(pending)) for o in witness)
+    for i, earlier in enumerate(witness):
+        for later in witness[i + 1:]:
+            assert not later.responded < earlier.invoked
+    state = model.initial()
+    for o in witness:
+        state, result = model.apply(state, o.name, o.args)
+        if any(o is c for c in complete):
+            assert result == o.result
+
+
+def random_history(rng, model_cls, with_pending):
+    """2-3 processes, 1-2 ops each, results from a random linearization
+    (pending ops take effect or not), then sometimes one corrupted result."""
+    model = model_cls()
+    names = MODEL_OPS[model_cls]
+    drafts = []  # [pid, name, args, invoked, responded, point, pending]
+    for pid in range(rng.randint(2, 3)):
+        t = rng.random() * 2
+        count = rng.randint(1, 2)
+        for index in range(count):
+            invoked = t + rng.random() * 2
+            responded = invoked + rng.random() * 3
+            name, make_args = rng.choice(names)
+            pending = with_pending and index == count - 1 and rng.random() < 0.5
+            point = rng.uniform(invoked, responded)
+            drafts.append([pid, name, make_args(rng), invoked, responded, point, pending])
+            t = responded
+    results = {}
+    state = model.initial()
+    for i in sorted(range(len(drafts)), key=lambda i: drafts[i][5]):
+        pid, name, args, _, _, _, pending = drafts[i]
+        if pending and rng.random() < 0.5:
+            continue  # the crashed op never took effect
+        state, results[i] = model.apply(state, name, args)
+    if rng.random() < 0.3:
+        results[rng.randrange(len(drafts))] = rng.choice(WRONG_RESULTS)
+    h, pending_ops = History(), []
+    for i, (pid, name, args, invoked, responded, _, pending) in enumerate(drafts):
+        if pending:
+            pending_ops.append(Operation(pid, name, args, None, invoked, math.inf))
+        else:
+            h.add(pid, name, args, results.get(i), invoked, responded)
+    return model, h, pending_ops
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("with_pending", [False, True], ids=["complete", "pending"])
+    @pytest.mark.parametrize(
+        "model_cls", list(MODEL_OPS), ids=lambda cls: cls.__name__
+    )
+    def test_agrees_with_brute_force(self, model_cls, with_pending):
+        rng = random.Random(f"{model_cls.__name__}:{with_pending}")
+        verdicts = set()
+        for _ in range(120):
+            model, h, pending = random_history(rng, model_cls, with_pending)
+            expected = reference_linearizable(h, model, pending)
+            res = check_linearizability(h, model, pending=pending)
+            assert res.ok == expected, (h.operations, pending)
+            if res.ok:
+                assert_legal_witness(h, model, res.witness, pending)
+            verdicts.add(res.ok)
+        assert verdicts == {True, False}  # both outcomes exercised
+
+
+# ---- long histories ----------------------------------------------------------
+
+
+def long_register_history(rounds, stale_last_read=False):
+    """Four processes, each writing a fresh value then reading, per round.
+
+    In round r the writes overlap in [10r, 10r+4] and take effect in pid
+    order, so every read in [10r+5, 10r+6] returns pid 3's value.  With
+    ``stale_last_read`` the final read returns round 0's value instead.
+    """
+    h = History()
+    for r in range(rounds):
+        base = 10.0 * r
+        for pid in range(4):
+            h.add(pid, "write", (pid * 1_000_000 + r + 1,), None,
+                  base + 0.1 * pid, base + 4.0 - 0.1 * pid)
+        for pid in range(4):
+            h.add(pid, "read", (), 3_000_000 + r + 1, base + 5.0, base + 6.0)
+    if stale_last_read:
+        last = h.operations.pop()
+        h.add(last.pid, "read", (), 3_000_001, last.invoked, last.responded)
+    return h
+
+
+class TestLongHistories:
+    def test_long_history_gets_a_verdict_and_legal_witness(self):
+        h = long_register_history(200)  # 1 600 ops: past the recursion limit
+        assert len(h) >= 1500
+        res = check_linearizability(h, RegisterModel())
+        assert res.ok
+        assert_legal_witness(h, RegisterModel(), res.witness)
+
+    def test_long_non_linearizable_history_rejected(self):
+        h = long_register_history(200, stale_last_read=True)
+        assert not check_linearizability(h, RegisterModel()).ok
