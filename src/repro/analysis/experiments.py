@@ -2,9 +2,10 @@
 
 Each ``run_eN`` function executes the workloads for one reproduced
 table/figure and returns an :class:`~repro.analysis.tables.ExperimentTable`
-whose rows are what EXPERIMENTS.md records.  The benchmark suite calls the
-same drivers (usually with reduced parameters) and asserts the *shape*
-claims — who wins, by what rough factor, where behaviour changes.
+whose rows are what EXPERIMENTS.md records.  The shape suite
+(``tests/shapes``) calls the same drivers (usually with reduced
+parameters) and asserts the *shape* claims — who wins, by what rough
+factor, where behaviour changes.
 
 This module is also the one command line for every table — the E*
 experiments here, the A1..A4 ablations (:mod:`.ablations`) and the

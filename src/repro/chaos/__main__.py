@@ -13,7 +13,8 @@ Subcommands::
 Exit codes: 0 = expectation met, 1 = violated (a hit under ``--expect
 clean``, no hit under ``--expect violation``, or a replay mismatch),
 2 = usage error (an empty run — ``--campaigns 0`` or ``--schedules 0`` —
-is one, not a vacuous pass).
+is one, not a vacuous pass; so is an artifact file that cannot be read or
+lacks a field or holds one of the wrong type).
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .artifact import (
+    Artifact,
     artifact_from_net,
     artifact_from_sim,
     attach_observability,
-    load_artifact,
     replay,
     save_artifact,
 )
@@ -313,8 +314,28 @@ def _run_campaigns(
     return hits
 
 
+def _load(path: Path) -> Optional[Artifact]:
+    """The artifact at ``path``, or ``None`` after a one-line usage error."""
+    try:
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"a JSON {type(data).__name__} is not an artifact")
+        artifact = Artifact.from_dict(data)
+        if artifact.substrate == "sim" and artifact.target not in SIM_TARGETS:
+            raise ValueError(f"unknown sim target {artifact.target!r}")
+        return artifact
+    except KeyError as exc:
+        problem = f"missing field {exc.args[0]!r}"
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        problem = str(exc)
+    print(f"error: cannot load artifact {str(path)!r}: {problem}", file=sys.stderr)
+    return None
+
+
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    artifact = load_artifact(args.artifact)
+    artifact = _load(args.artifact)
+    if artifact is None:
+        return 2
     if artifact.substrate == "sim":
         shrunk = shrink_sim(
             sim_target(artifact.target), artifact.campaign,
@@ -348,7 +369,9 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    artifact = load_artifact(args.artifact)
+    artifact = _load(args.artifact)
+    if artifact is None:
+        return 2
     if args.trace is not None:
         from repro.obs import Tracer, trace_scope, write_jsonl
 

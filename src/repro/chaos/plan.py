@@ -202,8 +202,8 @@ class Campaign:
         """A timed-engine model realizing the sim-side timing windows.
 
         For runs through the *timed* :class:`~repro.sim.Engine` (where
-        window times are virtual time, not logical steps) — the bench
-        scenarios and the trace-level resilience monitors use this.
+        window times are virtual time, not logical steps) — the
+        trace-level resilience monitors use this.
         """
         if not self.windows:
             return base

@@ -152,7 +152,7 @@ class ProgramFacts:
 
     @property
     def fact_count(self) -> int:
-        """Deterministic size of this program's fact base (bench counter)."""
+        """Deterministic size of this program's fact base."""
         return (
             len(self.accesses)
             + len(self.delegations)
@@ -346,7 +346,7 @@ class ModuleFlow:
                 complete = False
         return leafs, complete
 
-    # -- sizes (bench counters) --------------------------------------------
+    # -- sizes --------------------------------------------------------------
 
     @property
     def cfg_node_count(self) -> int:

@@ -9,7 +9,9 @@ deterministic: same trace bytes in, same bytes out.
   timeliness TRACE [--delta D] [--json]
                                      timeliness-graph report
 
-Exit codes: 0 on success, 2 on unreadable/empty input.
+Exit codes: 0 on success, 2 on unreadable, empty or malformed input (a
+record that is not an object, lacks a field or holds one of the wrong
+type).
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def _load(path: str) -> Optional[list]:
     if not records:
         print(f"error: trace {path!r} is empty", file=sys.stderr)
         return None
+    for index, record in enumerate(records, 1):
+        if not isinstance(record, dict):
+            print(f"error: trace {path!r}: record {index} is not an object",
+                  file=sys.stderr)
+            return None
     return records
 
 
@@ -87,7 +94,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     records = _load(args.trace)
     if records is None:
         return 2
+    try:
+        return _run(args, records)
+    except KeyError as exc:
+        problem = f"a record lacks field {exc.args[0]!r}"
+    except (TypeError, ValueError) as exc:
+        problem = f"a record holds an ill-typed field: {exc}"
+    print(f"error: trace {args.trace!r}: {problem}", file=sys.stderr)
+    return 2
 
+
+def _run(args: argparse.Namespace, records: list) -> int:
     if args.command == "summarize":
         metrics = compute_metrics(records)
         if args.json:

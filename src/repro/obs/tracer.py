@@ -17,8 +17,8 @@ Tracing follows the probe's contract exactly:
   ``tracer is not None`` check;
 * **pure observation** — an attached tracer never touches the RNGs, the
   heap, or any scheduling decision, so a traced run is bit-identical to
-  an untraced one (the ``obs/trace_overhead`` bench scenario and the
-  tier-1 suite both assert counter equality);
+  an untraced one (``tests/obs/test_tracer.py::TestZeroPerturbation``
+  asserts probe counter equality);
 * **deterministic** — records are canonicalized to JSON-able values at
   emission time, so a fixed seed yields a byte-identical export.
 

@@ -13,7 +13,7 @@ load — without changing a line of algorithm code:
 * :mod:`~repro.serve.service` — :class:`LeaseService`: TTL leases with
   fencing tokens, minted in blocks under Algorithm 3 per shard;
 * :mod:`~repro.serve.workload` — the same keeper workload under the
-  deterministic sim engine (the bench scenario body);
+  deterministic sim engine;
 * :mod:`~repro.serve.loadgen` — seeded open-loop Poisson load;
 * :mod:`~repro.serve.chaosproxy` — :class:`FaultProxySubstrate`, the
   chaos seam for the live service.

@@ -37,8 +37,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.metrics import compute_metrics
 from repro.obs.timeliness import mine_timeliness
@@ -49,18 +50,35 @@ from .service import LeaseService
 from .workload import lease_churn_sim
 
 
+def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse ``type`` for a count or a duration: finite and > 0."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_count = _positive(int)
+_seconds = _positive(float)
+
+
 def _service_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=int, default=4, help="lease namespaces")
+    parser.add_argument("--shards", type=_count, default=4, help="lease namespaces")
     parser.add_argument(
         "--keepers",
-        type=int,
+        type=_count,
         default=1,
         help="keeper processes per shard: one active, the rest passive "
         "standbys that send nothing until they suspect it",
     )
-    parser.add_argument("--replicas", type=int, default=3, help="register replicas")
+    parser.add_argument("--replicas", type=_count, default=3, help="register replicas")
     parser.add_argument(
-        "--bound", type=float, default=0.02, help="assumed delivery bound (s)"
+        "--bound", type=_seconds, default=0.02, help="assumed delivery bound (s)"
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
@@ -249,36 +267,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     load = sub.add_parser("load", help="seeded open-loop load run (the benchmark)")
     _service_args(load)
-    load.add_argument("--clients", type=int, default=10_000)
-    load.add_argument("--duration", type=float, default=10.0)
-    load.add_argument("--keyspace", type=int, default=1024)
-    load.add_argument("--ttl", type=float, default=None, help="lease ttl (s)")
+    load.add_argument("--clients", type=_count, default=10_000)
+    load.add_argument("--duration", type=_seconds, default=10.0)
+    load.add_argument("--keyspace", type=_count, default=1024)
+    load.add_argument("--ttl", type=_seconds, default=None, help="lease ttl (s)")
     load.add_argument("--hold", type=float, default=0.0, help="hold time (s)")
-    load.add_argument("--timeout", type=float, default=2.0, help="acquire timeout")
-    load.add_argument("--workers", type=int, default=1, help="arrival pump shards")
-    load.add_argument("--max-inflight", type=int, default=50_000)
+    load.add_argument("--timeout", type=_seconds, default=2.0, help="acquire timeout")
+    load.add_argument("--workers", type=_count, default=1, help="arrival pump shards")
+    load.add_argument("--max-inflight", type=_count, default=50_000)
     load.add_argument("--json", default=None, help="also write the report here")
     load.add_argument(
-        "--max-p99", type=float, default=None, help="fail if p99 exceeds this (s)"
+        "--max-p99", type=_seconds, default=None, help="fail if p99 exceeds this (s)"
     )
     load.set_defaults(fn=cmd_load)
 
     run = sub.add_parser("run", help="start the service, idle, shut down")
     _service_args(run)
-    run.add_argument("--duration", type=float, default=5.0)
+    run.add_argument("--duration", type=_seconds, default=5.0)
     run.add_argument("--json", default=None)
     run.set_defaults(fn=cmd_run)
 
     demo = sub.add_parser("demo", help="narrated small live run")
     _service_args(demo)
-    demo.add_argument("--clients", type=int, default=500)
-    demo.add_argument("--duration", type=float, default=2.0)
+    demo.add_argument("--clients", type=_count, default=500)
+    demo.add_argument("--duration", type=_seconds, default=2.0)
     demo.set_defaults(fn=cmd_demo)
 
     sim = sub.add_parser("sim", help="same keeper workload, sim substrate")
     _service_args(sim)
-    sim.add_argument("--cycles", type=int, default=2)
-    sim.add_argument("--grants", type=int, default=4)
+    sim.add_argument("--cycles", type=_count, default=2)
+    sim.add_argument("--grants", type=_count, default=4)
     sim.add_argument("--json", default=None)
     sim.set_defaults(fn=cmd_sim)
     return parser

@@ -6,14 +6,14 @@ service spawns, but under the deterministic
 :class:`~repro.sim.engine.Engine` via
 :meth:`~repro.net.quorum.QuorumSystem.run` — the acceptance criterion's
 "identical lease workload on the sim substrate through the same
-Substrate protocol with no algorithm-code changes", and the body behind
-the ``serve/lease_churn`` bench scenario.
+Substrate protocol with no algorithm-code changes".  The golden test
+``lease_churn`` pins its executions bit for bit.
 
 Because virtual time is discrete and seeded, every run with the same
 parameters produces the same counters — so the function *asserts* its
 own safety properties (per-shard keeper mutual exclusion from the trace,
 zero fencing violations from the history audit) and returns plain
-integer counters the bench runner can diff across repeats and commits.
+integer counters that are equal across repeats and machines.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ FAULT_PID = -1
 #
 # Tuples instead of a dataclass keep the hot loop free of per-event object
 # construction and rich-comparison dispatch (~20% of event-loop time on
-# the bench pingpong micro-scenario).
+# a private-register read/write ping-pong).
 
 
 class Engine:

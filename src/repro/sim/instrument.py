@@ -1,13 +1,15 @@
 """Deterministic execution counters for the engine (perf instrumentation).
 
-Wall-clock time on shared CI runners is too noisy to gate regressions on,
-so the benchmark harness (:mod:`repro.bench`) tracks *simulator-native
-work counters* instead: events popped off the engine's heap, heap pushes,
-operations linearized, shared steps, register reads/writes, registers
-touched.  Given the same programs, timing model (with its seed), tie
-break and crash schedule, these counters are bit-for-bit reproducible on
-any machine — a change in them means the simulation itself did different
-work, which is exactly the drift a perf gate must catch.
+Wall-clock time on shared CI runners is too noisy to gate on, so the
+probe counts *simulator-native work* instead: events popped off the
+engine's heap, heap pushes, operations linearized, shared steps, register
+reads/writes, registers touched, messages and quorum round trips.  Given
+the same programs, timing model (with its seed), tie break and crash
+schedule, these counters are bit-for-bit reproducible on any machine — a
+change in them means the simulation itself did different work.  The
+golden tests (``tests/sim/test_engine_golden.py``) pin them next to a
+trace digest, the ledger reports them as its ``sim.*`` layer, and
+``repro.lint.flow.xcheck`` runs the algorithms under a probe.
 
 Instrumentation is **off by default and costs nothing when off**: an
 :class:`Engine` holds ``_probe = None`` unless a probe was passed
@@ -23,8 +25,8 @@ Two ways to attach a probe::
     with probe_scope(probe):                            # ambient
         run_e5()    # every Engine built inside the scope reports here
 
-The ambient form is what :mod:`repro.bench` uses to instrument the
-experiment drivers without threading a probe through their signatures.
+The ambient form instruments the experiment drivers without threading a
+probe through their signatures.
 The simulator is single-threaded; the ambient scope is process-global and
 not thread-safe, like the rest of the simulator.
 """

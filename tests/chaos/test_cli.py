@@ -186,3 +186,19 @@ class TestCommittedRecoverArtifacts:
         assert wedge["target"] == "fischer_n3"
         assert wedge["violation"]["monitor"] == "convergence"
         assert wedge["campaign"]["corruptions"]
+
+
+@pytest.mark.parametrize("command", ["replay", "shrink"])
+@pytest.mark.parametrize("text, problem", [
+    ('{"schema": 3}', "missing field 'substrate'"),
+    ("[]", "a JSON list is not an artifact"),
+    ((ARTIFACTS / "fischer_n3_violation.json").read_text()[:200], "Unterminated"),
+], ids=["no-substrate", "array", "truncated"])
+def test_malformed_artifact_is_a_usage_error(command, text, problem, tmp_path, capsys):
+    # Exit 2 with one line naming the file, not a traceback; exit 1
+    # would read as "did not reproduce".
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and problem in err

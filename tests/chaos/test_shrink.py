@@ -109,11 +109,17 @@ class TestShrinkSim:
         assert shrink_sim(target, campaign, [0, 0, 0],
                           monitor="mutual_exclusion") is None
 
-    @pytest.mark.parametrize("seed", ["demo-a", "s1"])
-    def test_acceptance_demo(self, seed, tmp_path):
-        """ISSUE 5 acceptance: a Fischer n=3 violation under a 6-window
+    # sizes: (schedules run, failing schedule length, violation step,
+    # shrunk schedule length, shrunk fault count, shrink executions).
+    @pytest.mark.parametrize("seed, sizes", [
+        ("demo-a", (5, 34, 8, 6, 0, 28)),
+        ("s1", (2, 40, 26, 6, 0, 65)),
+    ], ids=["demo-a", "s1"])
+    def test_acceptance_demo(self, seed, sizes, tmp_path):
+        """Acceptance demo: a Fischer n=3 violation under a 6-window
         campaign shrinks to <= 1 window and <= 25% of the schedule, and
-        ``python -m repro.chaos replay`` reproduces it identically."""
+        ``python -m repro.chaos replay`` reproduces it identically.  The
+        exact sizes pin the scheduler, the monitors and the shrinker."""
         from repro.chaos.__main__ import main as chaos_main
         from repro.chaos.artifact import artifact_from_sim, save_artifact
 
@@ -132,6 +138,9 @@ class TestShrinkSim:
         assert len(shrunk.campaign.windows) <= 1
         assert shrunk.payload_reduction <= 0.25
         assert shrunk.violation.monitor == "mutual_exclusion"
+        assert (report.schedules_run, len(outcome.schedule), violation.step,
+                len(shrunk.payload), shrunk.campaign.fault_count,
+                shrunk.executions) == sizes
 
         # Shrinking must preserve reproducibility: the exact CLI replay.
         artifact = artifact_from_sim(target.name, outcome,

@@ -1,9 +1,14 @@
-"""The ``python -m repro.serve`` command line, end to end in subprocesses."""
+"""The ``python -m repro.serve`` command line: end to end in subprocesses,
+and argument checking in process."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from repro.serve.__main__ import main
 
 
 def _run(*argv, timeout=240):
@@ -36,3 +41,16 @@ def test_load_subcommand_small_run(tmp_path):
     assert doc["load"]["errors"] == 0
     assert doc["load"]["latency"]["p99"] is not None
     assert doc["obs"]["metrics"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["load", "--clients", "0"], ["load", "--duration", "-1"],
+    ["load", "--keepers", "0"], ["sim", "--shards", "0"],
+], ids=["load-clients", "load-duration", "load-keepers", "sim-shards"])
+def test_out_of_range_argument_is_a_usage_error(argv, capsys):
+    # Exit 2, naming the flag, before any service is built; exit 1
+    # would read as "the audit found violations".
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[1]}: must be positive" in capsys.readouterr().err
