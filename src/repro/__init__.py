@@ -23,32 +23,22 @@ Quickstart::
 See ``examples/quickstart.py``, README.md and DESIGN.md.
 """
 
-from .core.consensus import (
-    UNDECIDED,
-    ConsensusResult,
-    TimeResilientConsensus,
-    labeled_decision,
-    run_consensus,
-)
-from .core.mutex import TimeResilientMutex, default_time_resilient_mutex
-from .core.resilience import (
-    ResilienceReport,
-    check_consensus_resilience,
-    check_resilience,
-)
+from ._exports import export_lazily
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TimeResilientConsensus",
-    "ConsensusResult",
-    "run_consensus",
-    "labeled_decision",
-    "UNDECIDED",
-    "TimeResilientMutex",
-    "default_time_resilient_mutex",
-    "ResilienceReport",
-    "check_resilience",
-    "check_consensus_resilience",
-    "__version__",
-]
+__all__ = export_lazily(globals(), {
+    "core.consensus": (
+        "TimeResilientConsensus",
+        "ConsensusResult",
+        "run_consensus",
+        "labeled_decision",
+        "UNDECIDED",
+    ),
+    "core.mutex": ("TimeResilientMutex", "default_time_resilient_mutex"),
+    "core.resilience": (
+        "ResilienceReport",
+        "check_resilience",
+        "check_consensus_resilience",
+    ),
+}) + ["__version__"]

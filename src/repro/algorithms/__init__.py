@@ -14,49 +14,25 @@ corruption) and Golab's recoverable consensus (survives crash-restart
 with persistent registers).
 """
 
-from .aat_consensus import AatConsensus
-from .at_consensus import AtConsensus
-from .bakery import BakeryLock
-from .bar_david import BarDavidLock
-from .base import DurationFn, MutexAlgorithm, MutexProperties, mutex_session
-from .black_white_bakery import BLACK, WHITE, BlackWhiteBakeryLock
-from .dg_mutex import (
-    DGTokenMutex,
-    speculative_bound,
-    stabilizing_ring,
-    stabilizing_session,
-)
-from .fischer import FREE, FischerLock
-from .lamport_fast import LamportFastLock
-from .peterson import FilterLock, PetersonTwoProcess
-from .recoverable import RecoverableConsensus
-from .rmw import CasConsensus, TestAndSetLock, TicketLock
-from .tournament import TournamentLock
+from .._exports import export_lazily
 
-__all__ = [
-    "MutexAlgorithm",
-    "MutexProperties",
-    "mutex_session",
-    "DurationFn",
-    "FischerLock",
-    "FREE",
-    "LamportFastLock",
-    "BakeryLock",
-    "BlackWhiteBakeryLock",
-    "BLACK",
-    "WHITE",
-    "PetersonTwoProcess",
-    "FilterLock",
-    "TournamentLock",
-    "BarDavidLock",
-    "AtConsensus",
-    "AatConsensus",
-    "TicketLock",
-    "TestAndSetLock",
-    "CasConsensus",
-    "DGTokenMutex",
-    "stabilizing_session",
-    "stabilizing_ring",
-    "speculative_bound",
-    "RecoverableConsensus",
-]
+__all__ = export_lazily(globals(), {
+    "base": ("MutexAlgorithm", "MutexProperties", "mutex_session", "DurationFn"),
+    "fischer": ("FischerLock", "FREE"),
+    "lamport_fast": ("LamportFastLock",),
+    "bakery": ("BakeryLock",),
+    "black_white_bakery": ("BlackWhiteBakeryLock", "BLACK", "WHITE"),
+    "peterson": ("PetersonTwoProcess", "FilterLock"),
+    "tournament": ("TournamentLock",),
+    "bar_david": ("BarDavidLock",),
+    "at_consensus": ("AtConsensus",),
+    "aat_consensus": ("AatConsensus",),
+    "rmw": ("TicketLock", "TestAndSetLock", "CasConsensus"),
+    "dg_mutex": (
+        "DGTokenMutex",
+        "stabilizing_session",
+        "stabilizing_ring",
+        "speculative_bound",
+    ),
+    "recoverable": ("RecoverableConsensus",),
+})

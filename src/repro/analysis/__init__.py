@@ -1,43 +1,23 @@
 """Measurement, statistics, table rendering and the experiment drivers."""
 
-from .metrics import (
-    ConvergencePoint,
-    convergence_point,
-    decision_times_in_deltas,
-    delay_count,
-    handover_times,
-    max_decision_time_in_deltas,
-    registers_touched_under,
-    rmr_count,
-    rmr_per_cs_entry,
-    rounds_used,
-    solo_steps_to_decision,
-    throughput,
-)
-from .stats import Summary, geometric_mean, percentile, speedup, summarize
-from .tables import ExperimentTable, format_cell
-from .timeline import lane_for, render_timeline
+from .._exports import export_lazily
 
-__all__ = [
-    "decision_times_in_deltas",
-    "max_decision_time_in_deltas",
-    "rounds_used",
-    "rmr_count",
-    "rmr_per_cs_entry",
-    "delay_count",
-    "solo_steps_to_decision",
-    "throughput",
-    "handover_times",
-    "registers_touched_under",
-    "ConvergencePoint",
-    "convergence_point",
-    "Summary",
-    "summarize",
-    "percentile",
-    "geometric_mean",
-    "speedup",
-    "ExperimentTable",
-    "format_cell",
-    "render_timeline",
-    "lane_for",
-]
+__all__ = export_lazily(globals(), {
+    "metrics": (
+        "decision_times_in_deltas",
+        "max_decision_time_in_deltas",
+        "rounds_used",
+        "rmr_count",
+        "rmr_per_cs_entry",
+        "delay_count",
+        "solo_steps_to_decision",
+        "throughput",
+        "handover_times",
+        "registers_touched_under",
+        "ConvergencePoint",
+        "convergence_point",
+    ),
+    "stats": ("Summary", "summarize", "percentile", "geometric_mean", "speedup"),
+    "tables": ("ExperimentTable", "format_cell"),
+    "timeline": ("render_timeline", "lane_for"),
+})

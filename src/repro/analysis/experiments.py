@@ -18,6 +18,7 @@ X1..X3 extension tables (:mod:`.extensions`)::
 
 from __future__ import annotations
 
+import argparse
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
@@ -864,27 +865,45 @@ def _experiment_order(experiment_id: str):
     return ("EAX".index(experiment_id[0]), int(digits), experiment_id)
 
 
+def _unknown_id(ids: Sequence[str]) -> Optional[str]:
+    """The error for the first id that names no experiment, if any."""
+    for experiment_id in ids:
+        if experiment_id.upper() not in ALL_EXPERIMENTS:
+            return (f"unknown experiment {experiment_id!r}; choose from "
+                    + " ".join(sorted(ALL_EXPERIMENTS, key=_experiment_order)))
+    return None
+
+
 def run_all(ids: Optional[Sequence[str]] = None) -> List[ExperimentTable]:
     chosen = list(ids) if ids else sorted(ALL_EXPERIMENTS, key=_experiment_order)
-    tables = []
-    for experiment_id in chosen:
-        runner = ALL_EXPERIMENTS.get(experiment_id.upper())
-        if runner is None:
-            raise SystemExit(
-                f"unknown experiment {experiment_id!r}; "
-                f"choose from {sorted(ALL_EXPERIMENTS)}"
-            )
-        tables.append(runner())
-    return tables
+    error = _unknown_id(chosen)
+    if error:
+        raise SystemExit(error)
+    return [ALL_EXPERIMENTS[experiment_id.upper()]() for experiment_id in chosen]
 
 
-def main(argv: Sequence[str]) -> int:
-    args = list(argv)
-    markdown = "--markdown" in args
-    if markdown:
-        args.remove("--markdown")
-    for experiment_table in run_all(args or None):
-        if markdown:
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis.experiments",
+        description="Run experiment tables and print them (all when no id is given).",
+        epilog="experiment ids: "
+        + " ".join(sorted(ALL_EXPERIMENTS, key=_experiment_order)),
+    )
+    parser.add_argument("ids", nargs="*", metavar="ID",
+                        help="experiment ids, case-insensitive")
+    parser.add_argument("--markdown", action="store_true",
+                        help="print markdown tables instead of text")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    error = _unknown_id(args.ids)
+    if error:
+        parser.error(error)
+    for experiment_table in run_all(args.ids or None):
+        if args.markdown:
             print(experiment_table.to_markdown())
         else:
             print(experiment_table.render())

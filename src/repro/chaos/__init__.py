@@ -12,89 +12,51 @@ artifacts replay violations (or convergence verdicts) bit-identically
 anywhere (``python -m repro.chaos run|shrink|replay``).
 """
 
-from .artifact import (
-    Artifact,
-    ReplayReport,
-    artifact_from_net,
-    artifact_from_sim,
-    artifact_from_sim_verdict,
-    load_artifact,
-    replay,
-    save_artifact,
-)
-from .monitors import (
-    ChaosMonitor,
-    ChaosViolation,
-    ConvergenceMonitor,
-    SafetyMonitor,
-    StabilizationMonitor,
-    TraceResilienceMonitor,
-    default_monitors,
-    stabilization_monitors,
-)
-from .plan import (
-    Campaign,
-    MemCorruption,
-    campaign_from_dict,
-    campaign_to_dict,
-    sample_net_campaign,
-    sample_recover_campaign,
-    sample_sim_campaign,
-)
-from .runner import (
-    SIM_TARGETS,
-    CampaignReport,
-    NetOutcome,
-    NetParams,
-    SimOutcome,
-    SimTarget,
-    run_net,
-    run_net_campaign,
-    run_sim,
-    run_sim_campaign,
-    sample_net_workload,
-    sim_target,
-)
-from .shrink import ShrinkResult, ddmin, shrink_net, shrink_sim
+from .._exports import export_lazily
 
-__all__ = [
-    "Campaign",
-    "MemCorruption",
-    "campaign_to_dict",
-    "campaign_from_dict",
-    "sample_sim_campaign",
-    "sample_net_campaign",
-    "sample_recover_campaign",
-    "ChaosMonitor",
-    "ChaosViolation",
-    "SafetyMonitor",
-    "ConvergenceMonitor",
-    "StabilizationMonitor",
-    "TraceResilienceMonitor",
-    "default_monitors",
-    "stabilization_monitors",
-    "SimTarget",
-    "SIM_TARGETS",
-    "sim_target",
-    "SimOutcome",
-    "NetOutcome",
-    "NetParams",
-    "CampaignReport",
-    "run_sim",
-    "run_sim_campaign",
-    "run_net",
-    "run_net_campaign",
-    "sample_net_workload",
-    "ddmin",
-    "ShrinkResult",
-    "shrink_sim",
-    "shrink_net",
-    "Artifact",
-    "ReplayReport",
-    "artifact_from_sim",
-    "artifact_from_sim_verdict",
-    "artifact_from_net",
-    "save_artifact",
-    "load_artifact",
-    "replay",
-]
+__all__ = export_lazily(globals(), {
+    "plan": (
+        "Campaign",
+        "MemCorruption",
+        "campaign_to_dict",
+        "campaign_from_dict",
+        "sample_sim_campaign",
+        "sample_net_campaign",
+        "sample_recover_campaign",
+    ),
+    "monitors": (
+        "ChaosMonitor",
+        "ChaosViolation",
+        "SafetyMonitor",
+        "ConvergenceMonitor",
+        "StabilizationMonitor",
+        "TraceResilienceMonitor",
+        "default_monitors",
+        "stabilization_monitors",
+    ),
+    "runner": (
+        "SimTarget",
+        "SIM_TARGETS",
+        "sim_target",
+        "SimOutcome",
+        "NetOutcome",
+        "NetParams",
+        "CampaignReport",
+        "run_sim",
+        "run_sim_campaign",
+        "run_net",
+        "run_net_campaign",
+        "sample_net_workload",
+    ),
+    "shrink": ("ddmin", "ShrinkResult", "shrink_sim", "shrink_net"),
+    "artifact": (
+        "Artifact",
+        "ReplayReport",
+        "artifact_from_sim",
+        "artifact_from_sim_verdict",
+        "artifact_from_net",
+        "save_artifact",
+        "load_artifact",
+        "replay",
+    ),
+})

@@ -49,11 +49,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs.tracer import Tracer, active_tracer, trace_scope
 
-from ..net.fuzz import Workload, run_workload, sample_workload
 from ..parallel import WorkerPool, make_shards, timing_rows
 from ..parallel.merge import RunRecord, merge_campaign_runs
 from ..sim.failures import TimingFailureWindow
@@ -72,6 +81,9 @@ from .monitors import (
     stabilization_monitors,
 )
 from .plan import Campaign
+
+if TYPE_CHECKING:  # the net substrate loads only when a net run asks for it
+    from ..net.fuzz import Workload
 
 __all__ = [
     "SimTarget",
@@ -751,6 +763,8 @@ def sample_net_workload(
     campaign: Campaign, run_seed: str, params: NetParams
 ) -> Workload:
     """Draw the per-client read/write choices for one run."""
+    from ..net.fuzz import sample_workload
+
     return sample_workload(
         random.Random(seed_key(campaign, run_seed) + ":workload"),
         params.clients, params.ops_per_client, params.registers,
@@ -784,6 +798,8 @@ def run_net(
             run_seed=run_seed,
             pids=list(range(params.clients + params.replicas)),
         )
+    from ..net.fuzz import run_workload
+
     crashed = campaign.crash_at or campaign.crash_after
     run = run_workload(
         workload, params.registers, params.replicas, params.bound,

@@ -1,49 +1,30 @@
 """The paper's contributions: Algorithm 1, Algorithm 3, the resilience
 definition as a checker, optimistic(Δ) tuning, and the derived objects."""
 
-from .adaptive import AdaptiveMutex, default_adaptive_mutex
-from .bounded import BoundedConsensus, RoundBudgetExceeded
-from .consensus import (
-    UNDECIDED,
-    ConsensusResult,
-    TimeResilientConsensus,
-    labeled_decision,
-    run_consensus,
-)
-from .mutex import TimeResilientMutex, default_time_resilient_mutex
-from .optimistic import (
-    AimdEstimator,
-    DeltaEstimator,
-    FixedEstimate,
-    SlowStartEstimator,
-    TuningStep,
-    tune,
-)
-from .resilience import (
-    ResilienceReport,
-    check_consensus_resilience,
-    check_resilience,
-)
+from .._exports import export_lazily
 
-__all__ = [
-    "AdaptiveMutex",
-    "default_adaptive_mutex",
-    "BoundedConsensus",
-    "RoundBudgetExceeded",
-    "UNDECIDED",
-    "TimeResilientConsensus",
-    "ConsensusResult",
-    "run_consensus",
-    "labeled_decision",
-    "TimeResilientMutex",
-    "default_time_resilient_mutex",
-    "ResilienceReport",
-    "check_resilience",
-    "check_consensus_resilience",
-    "DeltaEstimator",
-    "FixedEstimate",
-    "AimdEstimator",
-    "SlowStartEstimator",
-    "TuningStep",
-    "tune",
-]
+__all__ = export_lazily(globals(), {
+    "adaptive": ("AdaptiveMutex", "default_adaptive_mutex"),
+    "bounded": ("BoundedConsensus", "RoundBudgetExceeded"),
+    "consensus": (
+        "UNDECIDED",
+        "TimeResilientConsensus",
+        "ConsensusResult",
+        "run_consensus",
+        "labeled_decision",
+    ),
+    "mutex": ("TimeResilientMutex", "default_time_resilient_mutex"),
+    "resilience": (
+        "ResilienceReport",
+        "check_resilience",
+        "check_consensus_resilience",
+    ),
+    "optimistic": (
+        "DeltaEstimator",
+        "FixedEstimate",
+        "AimdEstimator",
+        "SlowStartEstimator",
+        "TuningStep",
+        "tune",
+    ),
+})

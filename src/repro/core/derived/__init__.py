@@ -5,21 +5,14 @@ timing failures, liveness as soon as the timing constraints hold, any
 number of crash failures tolerated.
 """
 
-from .election import LeaderElection
-from .long_lived import ConsensusService
-from .multivalued import MultivaluedConsensus
-from .renaming import Renaming
-from .set_consensus import SetConsensus
-from .test_and_set import TestAndSet
-from .universal import Universal, UniversalClient
+from ..._exports import export_lazily
 
-__all__ = [
-    "MultivaluedConsensus",
-    "LeaderElection",
-    "TestAndSet",
-    "Renaming",
-    "SetConsensus",
-    "Universal",
-    "UniversalClient",
-    "ConsensusService",
-]
+__all__ = export_lazily(globals(), {
+    "multivalued": ("MultivaluedConsensus",),
+    "election": ("LeaderElection",),
+    "test_and_set": ("TestAndSet",),
+    "renaming": ("Renaming",),
+    "set_consensus": ("SetConsensus",),
+    "universal": ("Universal", "UniversalClient"),
+    "long_lived": ("ConsensusService",),
+})

@@ -23,42 +23,25 @@ substrate in both directions of the classic equivalence:
   linearizability spec (``python -m repro.verify.fuzz --substrate net``).
 """
 
-from .faults import DelaySpike, MessageLoss, NetFaultPlan, Partition
-from .fuzz import NetFuzzReport, fuzz_quorum_register
-from .omega import HeartbeatMonitor, LeaderSample, OmegaElection, eventual_agreement
-from .quorum import QuorumSystem
-from .resilience import (
-    bound_for_delta,
-    convergence_start,
-    default_costs,
-    delta_net,
-    emulated_op_bound,
-)
-from .transport import NetStats, Transport
+from .._exports import export_lazily
 
-__all__ = [
+__all__ = export_lazily(globals(), {
     # message layer
-    "Transport",
-    "NetStats",
+    "transport": ("Transport", "NetStats"),
     # faults
-    "NetFaultPlan",
-    "MessageLoss",
-    "DelaySpike",
-    "Partition",
+    "faults": ("NetFaultPlan", "MessageLoss", "DelaySpike", "Partition"),
     # quorum emulation
-    "QuorumSystem",
+    "quorum": ("QuorumSystem",),
     # failure detection
-    "HeartbeatMonitor",
-    "OmegaElection",
-    "LeaderSample",
-    "eventual_agreement",
+    "omega": ("HeartbeatMonitor", "OmegaElection", "LeaderSample", "eventual_agreement"),
     # resilience bridge
-    "default_costs",
-    "emulated_op_bound",
-    "delta_net",
-    "bound_for_delta",
-    "convergence_start",
+    "resilience": (
+        "default_costs",
+        "emulated_op_bound",
+        "delta_net",
+        "bound_for_delta",
+        "convergence_start",
+    ),
     # fuzzing
-    "NetFuzzReport",
-    "fuzz_quorum_register",
-]
+    "fuzz": ("NetFuzzReport", "fuzz_quorum_register"),
+})

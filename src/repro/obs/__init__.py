@@ -9,42 +9,17 @@ timeliness graph.  ``python -m repro.obs summarize|convert|timeliness``
 operates on stored JSONL traces.
 """
 
-from repro.obs.export import (
-    read_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import Histogram, compute_metrics, format_summary
-from repro.obs.timeliness import (
-    delay_observations,
-    format_timeliness,
-    mine_timeliness,
-)
-from repro.obs.tracer import (
-    Tracer,
-    active_tracer,
-    canonical,
-    register_name,
-    trace_scope,
-)
+from .._exports import export_lazily
 
-__all__ = [
-    "Tracer",
-    "active_tracer",
-    "canonical",
-    "register_name",
-    "trace_scope",
-    "to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "Histogram",
-    "compute_metrics",
-    "format_summary",
-    "delay_observations",
-    "mine_timeliness",
-    "format_timeliness",
-]
+__all__ = export_lazily(globals(), {
+    "tracer": ("Tracer", "active_tracer", "canonical", "register_name", "trace_scope"),
+    "export": (
+        "to_jsonl",
+        "write_jsonl",
+        "read_jsonl",
+        "to_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "metrics": ("Histogram", "compute_metrics", "format_summary"),
+    "timeliness": ("delay_observations", "mine_timeliness", "format_timeliness"),
+})

@@ -20,28 +20,16 @@ violation found in parallel replays through the unchanged single-process
 ``repro.chaos`` pipeline.
 """
 
-from .merge import (
-    RunRecord,
-    merge_campaign_runs,
-    merge_counters,
-    merge_fuzz_results,
-    merge_net_reports,
-)
-from .pool import ShardResult, WorkerError, WorkerPool, run_sharded, timing_rows
-from .shard import Shard, derive_subseeds, make_shards
+from .._exports import export_lazily
 
-__all__ = [
-    "Shard",
-    "derive_subseeds",
-    "make_shards",
-    "ShardResult",
-    "WorkerError",
-    "WorkerPool",
-    "run_sharded",
-    "timing_rows",
-    "RunRecord",
-    "merge_counters",
-    "merge_fuzz_results",
-    "merge_net_reports",
-    "merge_campaign_runs",
-]
+__all__ = export_lazily(globals(), {
+    "shard": ("Shard", "derive_subseeds", "make_shards"),
+    "pool": ("ShardResult", "WorkerError", "WorkerPool", "run_sharded", "timing_rows"),
+    "merge": (
+        "RunRecord",
+        "merge_counters",
+        "merge_fuzz_results",
+        "merge_net_reports",
+        "merge_campaign_runs",
+    ),
+})

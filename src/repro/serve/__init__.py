@@ -10,8 +10,11 @@ load — without changing a line of algorithm code:
   :class:`AsyncioSubstrate`, the loopback-TCP implementation;
 * :mod:`~repro.serve.driver` — :class:`AsyncioDriver`, the interpreter
   that drives the repo's generator programs over a live substrate;
-* :mod:`~repro.serve.service` — :class:`LeaseService`: TTL leases with
-  fencing tokens, minted in blocks under Algorithm 3 per shard;
+* :mod:`~repro.serve.lease` — the asyncio-free core both substrates
+  share: :class:`LeaseCore` (TTL leases with fencing tokens), its audit
+  and the Algorithm 3 keeper that mints tokens in blocks per shard;
+* :mod:`~repro.serve.service` — :class:`LeaseService`, the asyncio front
+  door over the live substrate;
 * :mod:`~repro.serve.workload` — the same keeper workload under the
   deterministic sim engine;
 * :mod:`~repro.serve.loadgen` — seeded open-loop Poisson load;
@@ -21,36 +24,21 @@ load — without changing a line of algorithm code:
 CLI: ``python -m repro.serve demo|load|sim`` (see ``--help``).
 """
 
-from .chaosproxy import FaultProxySubstrate
-from .driver import AsyncioDriver
-from .loadgen import LoadGenerator, percentile
-from .service import (
-    Lease,
-    LeaseCore,
-    LeaseService,
-    TokensExhausted,
-    keeper_program,
-    shard_for,
-    verify_lease_events,
-)
-from .substrate import AsyncioSubstrate, Substrate, SubstrateClock
-from .workload import ChurnFeed, lease_churn_sim
+from .._exports import export_lazily
 
-__all__ = [
-    "AsyncioDriver",
-    "AsyncioSubstrate",
-    "ChurnFeed",
-    "FaultProxySubstrate",
-    "Lease",
-    "LeaseCore",
-    "LeaseService",
-    "LoadGenerator",
-    "Substrate",
-    "SubstrateClock",
-    "TokensExhausted",
-    "keeper_program",
-    "lease_churn_sim",
-    "percentile",
-    "shard_for",
-    "verify_lease_events",
-]
+__all__ = export_lazily(globals(), {
+    "driver": ("AsyncioDriver",),
+    "substrate": ("AsyncioSubstrate", "Substrate", "SubstrateClock"),
+    "workload": ("ChurnFeed", "lease_churn_sim"),
+    "chaosproxy": ("FaultProxySubstrate",),
+    "lease": (
+        "Lease",
+        "LeaseCore",
+        "TokensExhausted",
+        "keeper_program",
+        "shard_for",
+        "verify_lease_events",
+    ),
+    "service": ("LeaseService",),
+    "loadgen": ("LoadGenerator", "percentile"),
+})

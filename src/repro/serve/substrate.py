@@ -37,8 +37,11 @@ and the metrics registry consume live traces unchanged.
 
 Payload framing is :mod:`pickle` over a length prefix.  The substrate
 only ever listens on the loopback interface and carries this process's
-own traffic between its own endpoints; frames are trusted by design and
-never cross a machine boundary.
+own traffic between its own endpoints; frames never cross a machine
+boundary.  A reader still refuses two bad frames: a length header above
+:data:`MAX_FRAME_BYTES` and a body that does not unpickle to a frame.
+Either closes that one connection and counts into
+:attr:`AsyncioSubstrate.bad_frames`; every other link keeps delivering.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ __all__ = ["Substrate", "AsyncioSubstrate", "SubstrateClock", "TimingFailures"]
 # (src pid, sequence number, send instant) and the payload, pickled
 # together.  One connection carries one (src, dst) direction.
 _LEN = struct.Struct("!I")
+# The largest frame a reader accepts.  An ABD frame is a few hundred
+# bytes; a header announcing more than this is a bad frame, refused
+# before its body is read (the prefix alone could ask for 4 GiB).
+MAX_FRAME_BYTES = 1 << 16
 
 
 @runtime_checkable
@@ -213,6 +220,7 @@ class AsyncioSubstrate:
         self.bound = float(bound)
         self.stats = NetStats()
         self.timing_failures = TimingFailures()
+        self.bad_frames = 0  # connections closed on a bad frame
         self.tracer = tracer if tracer is not None else active_tracer()
         self.clock = SubstrateClock()
         # Each entry is (src, payload, seq, arrive-instant).
@@ -281,12 +289,19 @@ class AsyncioSubstrate:
                 while True:
                     head = await reader.readexactly(_LEN.size)
                     (length,) = _LEN.unpack(head)
+                    if length > MAX_FRAME_BYTES:
+                        self.bad_frames += 1
+                        return
                     body = await reader.readexactly(length)
-                    src, seq, sent_at, payload = pickle.loads(body)
-                    arrive = self.clock.now
+                    try:
+                        src, seq, sent_at, payload = pickle.loads(body)
+                        arrive = self.clock.now
+                        delay = arrive - sent_at
+                    except Exception:  # any undecodable body is a bad frame
+                        self.bad_frames += 1
+                        return
                     self._inboxes[dst].append((src, payload, seq, arrive))
                     _resolve(self._parked[dst], True)
-                    delay = arrive - sent_at
                     if delay > self.bound:
                         self.timing_failures.record(src, dst, delay - self.bound)
                     if self.tracer is not None:

@@ -1,7 +1,7 @@
 """The lease workload on the *sim* substrate — same keeper, virtual time.
 
 :func:`lease_churn_sim` runs the exact
-:func:`~repro.serve.service.keeper_program` generator that the live
+:func:`~repro.serve.lease.keeper_program` generator that the live
 service spawns, but under the deterministic
 :class:`~repro.sim.engine.Engine` via
 :meth:`~repro.net.quorum.QuorumSystem.run` — the acceptance criterion's
@@ -25,7 +25,7 @@ from repro.core.mutex import default_time_resilient_mutex
 from repro.net.quorum import QuorumSystem
 from repro.sim.registers import RegisterNamespace
 
-from .service import LeaseCore, keeper_program, verify_lease_events
+from .lease import LeaseCore, keeper_program, verify_lease_events
 
 __all__ = ["ChurnFeed", "lease_churn_sim"]
 

@@ -14,145 +14,80 @@ The public surface most users need:
 * :class:`Trace` — what happened, queryable by the spec checkers.
 """
 
-from .adversary import (
-    compose_hooks,
-    slow_after,
-    stall_read_of,
-    stall_step_index,
-    stall_write_to,
-)
-from .clock import VirtualClock
-from .engine import Engine, RunResult, RunStatus, SimulationError
-from .instrument import EngineProbe, active_probe, probe_scope
-from .failures import (CrashSchedule, MemoryFault, RecoverSchedule,
-                       TimingFailureWindow, failure_window, merge_windows)
-from .ops import (
-    CS_ENTER,
-    CS_EXIT,
-    DECIDED,
-    ENTRY_START,
-    EXIT_DONE,
-    Broadcast,
-    Delay,
-    Label,
-    LocalWork,
-    Nap,
-    Op,
-    Read,
-    ReadModifyWrite,
-    Recv,
-    Send,
-    Write,
-    broadcast,
-    compare_and_swap,
-    delay,
-    fetch_and_add,
-    get_and_set,
-    label,
-    local_work,
-    nap,
-    read,
-    recv,
-    send,
-    write,
-)
-from .process import Process, ProcessState, Program, ProgramFactory
-from .registers import Array, Memory, Register, RegisterNamespace
-from .scheduler import FifoTieBreak, PidOrderTieBreak, RandomTieBreak, TieBreak
-from .timing import (
-    AsynchronousTiming,
-    ConstantTiming,
-    EmpiricalTiming,
-    FailureWindowTiming,
-    HookTiming,
-    PerProcessTiming,
-    StepContext,
-    TimingModel,
-    UniformTiming,
-)
-from .trace import CsInterval, EventKind, Trace, TraceEvent
+from .._exports import export_lazily
 
-__all__ = [
+__all__ = export_lazily(globals(), {
     # engine
-    "Engine",
-    "RunResult",
-    "RunStatus",
-    "SimulationError",
-    "VirtualClock",
+    "engine": ("Engine", "RunResult", "RunStatus", "SimulationError"),
+    "clock": ("VirtualClock",),
     # instrumentation
-    "EngineProbe",
-    "active_probe",
-    "probe_scope",
+    "instrument": ("EngineProbe", "active_probe", "probe_scope"),
     # processes
-    "Process",
-    "ProcessState",
-    "Program",
-    "ProgramFactory",
+    "process": ("Process", "ProcessState", "Program", "ProgramFactory"),
     # memory
-    "Array",
-    "Memory",
-    "Register",
-    "RegisterNamespace",
+    "registers": ("Array", "Memory", "Register", "RegisterNamespace"),
     # ops
-    "Op",
-    "Read",
-    "Write",
-    "ReadModifyWrite",
-    "compare_and_swap",
-    "fetch_and_add",
-    "get_and_set",
-    "Delay",
-    "Nap",
-    "LocalWork",
-    "Label",
-    "Send",
-    "Broadcast",
-    "Recv",
-    "read",
-    "write",
-    "delay",
-    "nap",
-    "local_work",
-    "label",
-    "send",
-    "broadcast",
-    "recv",
-    "ENTRY_START",
-    "CS_ENTER",
-    "CS_EXIT",
-    "EXIT_DONE",
-    "DECIDED",
+    "ops": (
+        "Op",
+        "Read",
+        "Write",
+        "ReadModifyWrite",
+        "compare_and_swap",
+        "fetch_and_add",
+        "get_and_set",
+        "Delay",
+        "Nap",
+        "LocalWork",
+        "Label",
+        "Send",
+        "Broadcast",
+        "Recv",
+        "read",
+        "write",
+        "delay",
+        "nap",
+        "local_work",
+        "label",
+        "send",
+        "broadcast",
+        "recv",
+        "ENTRY_START",
+        "CS_ENTER",
+        "CS_EXIT",
+        "EXIT_DONE",
+        "DECIDED",
+    ),
     # timing
-    "TimingModel",
-    "StepContext",
-    "ConstantTiming",
-    "EmpiricalTiming",
-    "UniformTiming",
-    "PerProcessTiming",
-    "FailureWindowTiming",
-    "AsynchronousTiming",
-    "HookTiming",
+    "timing": (
+        "TimingModel",
+        "StepContext",
+        "ConstantTiming",
+        "EmpiricalTiming",
+        "UniformTiming",
+        "PerProcessTiming",
+        "FailureWindowTiming",
+        "AsynchronousTiming",
+        "HookTiming",
+    ),
     # failures
-    "TimingFailureWindow",
-    "CrashSchedule",
-    "RecoverSchedule",
-    "MemoryFault",
-    "failure_window",
-    "merge_windows",
+    "failures": (
+        "TimingFailureWindow",
+        "CrashSchedule",
+        "RecoverSchedule",
+        "MemoryFault",
+        "failure_window",
+        "merge_windows",
+    ),
     # adversaries
-    "compose_hooks",
-    "slow_after",
-    "stall_read_of",
-    "stall_step_index",
-    "stall_write_to",
+    "adversary": (
+        "compose_hooks",
+        "slow_after",
+        "stall_read_of",
+        "stall_step_index",
+        "stall_write_to",
+    ),
     # scheduling
-    "TieBreak",
-    "FifoTieBreak",
-    "PidOrderTieBreak",
-    "RandomTieBreak",
+    "scheduler": ("TieBreak", "FifoTieBreak", "PidOrderTieBreak", "RandomTieBreak"),
     # trace
-    "Trace",
-    "TraceEvent",
-    "EventKind",
-    "CsInterval",
-]
+    "trace": ("Trace", "TraceEvent", "EventKind", "CsInterval"),
+})

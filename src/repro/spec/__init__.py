@@ -8,52 +8,36 @@
   objects.
 """
 
-from .consensus_spec import ConsensusVerdict, check_consensus
-from .histories import INVOKE, RESPOND, History, Operation, history_from_trace, pending_from_trace
-from .linearizability import (
-    ConsensusModel,
-    CounterModel,
-    LinearizabilityResult,
-    QueueModel,
-    RegisterModel,
-    SequentialModel,
-    StackModel,
-    TestAndSetModel,
-    check_linearizability,
-)
-from .mutex_spec import (
-    MutexVerdict,
-    check_mutex,
-    check_mutual_exclusion,
-    check_starvation,
-    max_bypass,
-    time_complexity,
-    unserved_intervals,
-)
+from .._exports import export_lazily
 
-__all__ = [
-    "ConsensusVerdict",
-    "check_consensus",
-    "MutexVerdict",
-    "check_mutex",
-    "check_mutual_exclusion",
-    "check_starvation",
-    "max_bypass",
-    "time_complexity",
-    "unserved_intervals",
-    "History",
-    "Operation",
-    "history_from_trace",
-    "pending_from_trace",
-    "INVOKE",
-    "RESPOND",
-    "SequentialModel",
-    "ConsensusModel",
-    "TestAndSetModel",
-    "QueueModel",
-    "StackModel",
-    "CounterModel",
-    "RegisterModel",
-    "LinearizabilityResult",
-    "check_linearizability",
-]
+__all__ = export_lazily(globals(), {
+    "consensus_spec": ("ConsensusVerdict", "check_consensus"),
+    "mutex_spec": (
+        "MutexVerdict",
+        "check_mutex",
+        "check_mutual_exclusion",
+        "check_starvation",
+        "max_bypass",
+        "time_complexity",
+        "unserved_intervals",
+    ),
+    "histories": (
+        "History",
+        "Operation",
+        "history_from_trace",
+        "pending_from_trace",
+        "INVOKE",
+        "RESPOND",
+    ),
+    "linearizability": (
+        "SequentialModel",
+        "ConsensusModel",
+        "TestAndSetModel",
+        "QueueModel",
+        "StackModel",
+        "CounterModel",
+        "RegisterModel",
+        "LinearizabilityResult",
+        "check_linearizability",
+    ),
+})

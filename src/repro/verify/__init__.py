@@ -6,38 +6,23 @@ configurations and machine-finds Fischer's violation (experiments E6 and
 E13).
 """
 
-from .explorer import ExplorationResult, Violation, explore, replay_schedule
-from .fuzz import FuzzFailure, FuzzResult, fuzz
-from .properties import (
-    AgreementProperty,
-    InvariantProperty,
-    MutualExclusionProperty,
-    SafetyProperty,
-    ValidityProperty,
-)
-from .sandbox import ProgramFactory, Sandbox
-from .stabilization import (
-    SelfStabilizationProperty,
-    StabilizationReport,
-    dg_ring_property,
-)
+from .._exports import export_lazily
 
-__all__ = [
-    "Sandbox",
-    "ProgramFactory",
-    "explore",
-    "replay_schedule",
-    "ExplorationResult",
-    "Violation",
-    "FuzzFailure",
-    "FuzzResult",
-    "fuzz",
-    "SafetyProperty",
-    "MutualExclusionProperty",
-    "AgreementProperty",
-    "ValidityProperty",
-    "InvariantProperty",
-    "SelfStabilizationProperty",
-    "StabilizationReport",
-    "dg_ring_property",
-]
+__all__ = export_lazily(globals(), {
+    "sandbox": ("Sandbox", "ProgramFactory"),
+    "explorer": ("explore", "replay_schedule", "ExplorationResult", "Violation"),
+    # ``fuzz`` the function shadows ``fuzz`` the module: bound eagerly.
+    "fuzz": ("FuzzFailure", "FuzzResult", "fuzz"),
+    "properties": (
+        "SafetyProperty",
+        "MutualExclusionProperty",
+        "AgreementProperty",
+        "ValidityProperty",
+        "InvariantProperty",
+    ),
+    "stabilization": (
+        "SelfStabilizationProperty",
+        "StabilizationReport",
+        "dg_ring_property",
+    ),
+})

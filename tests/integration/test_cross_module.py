@@ -3,6 +3,7 @@ all three interpreters, end-to-end pipelines combining several
 subsystems, and the public API surface."""
 
 import asyncio
+import importlib
 
 import pytest
 
@@ -30,13 +31,36 @@ from repro.spec import (
 from repro.verify import MutualExclusionProperty, explore
 
 
+PACKAGES = (
+    "repro",
+    "repro.algorithms",
+    "repro.analysis",
+    "repro.chaos",
+    "repro.core",
+    "repro.core.derived",
+    "repro.net",
+    "repro.obs",
+    "repro.parallel",
+    "repro.serve",
+    "repro.sim",
+    "repro.spec",
+    "repro.verify",
+)
+
+
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__
 
-    def test_top_level_exports(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_top_level_exports(self, package):
+        module = importlib.import_module(package)
+        star = {}
+        exec(f"from {package} import *", star)
+        listing = dir(module)
+        for name in module.__all__:
+            assert getattr(module, name) is star[name], name
+            assert name in listing, name
 
     def test_run_consensus_from_top_level(self):
         result = repro.run_consensus([0, 1], delta=1.0,

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.experiments import (
     ALL_EXPERIMENTS,
     _experiment_order,
+    main,
     run_e1,
     run_e4,
     run_e5,
@@ -29,6 +30,26 @@ def test_registry_covers_e1_to_e13_plus_networked():
 def test_run_all_unknown_id_rejected():
     with pytest.raises(SystemExit):
         run_all(["E99"])
+
+
+def test_cli_help_lists_experiment_ids(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(experiment_id in out.split() for experiment_id in ALL_EXPERIMENTS)
+
+
+def test_cli_unknown_id_is_a_usage_error_before_any_run(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(ALL_EXPERIMENTS, "E4", lambda: ran.append("E4"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["E4", "E99"])
+    assert exit_info.value.code == 2
+    assert "E99" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_all(["E4", "E99"])
+    assert ran == []
 
 
 def test_run_all_subset():

@@ -186,6 +186,7 @@ def test_timing_failures_are_counted_as_they_land():
         assert late["worst_excess_s"] == pytest.approx(max(over) - service.base.bound)
         assert sum(late["by_link"].values()) == late["count"]
         assert late["by_link"].get("0->3", 0) > 0  # the keeper to replica 3
+        assert service.summary()["bad_frames"] == 0
         assert service.verify() == []
 
     asyncio.run(body())

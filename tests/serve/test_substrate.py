@@ -1,12 +1,14 @@
 """The Substrate protocol and the live loopback implementation."""
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.net.transport import Transport
 from repro.serve import AsyncioSubstrate, FaultProxySubstrate, Substrate
 from repro.net.faults import NetFaultPlan
+from repro.serve.substrate import MAX_FRAME_BYTES
 
 # A wait that leaks a task or a never-retrieved future says so in a
 # warning when the loop closes; make every one of those a failure.
@@ -69,6 +71,43 @@ def test_live_round_trip_and_stats():
         finally:
             await substrate.close()
             await substrate.close()  # idempotent
+
+    asyncio.run(body())
+
+
+def test_bad_frames_close_their_connection_only():
+    # An oversized length header and a body that does not unpickle each
+    # close the offending connection and count as bad frames; the
+    # reader raises nothing and every other link keeps delivering.
+    async def body():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+        substrate = AsyncioSubstrate(3, bound=0.05)
+        await substrate.start()
+        port = substrate._ports[1]
+        try:
+            for frame in (struct.pack("!I", MAX_FRAME_BYTES + 1),
+                          struct.pack("!I", 12) + b"not a pickle"):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(frame)
+                assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+                writer.close()
+                await writer.wait_closed()
+            assert substrate.bad_frames == 2
+            for src, dst in ((0, 1), (2, 1), (1, 0)):
+                substrate.send(src, dst, ("still", src), substrate.clock.now)
+            got = []
+            deadline = substrate.clock.now + 2.0
+            while len(got) < 3 and substrate.clock.now < deadline:
+                for dst in (0, 1):
+                    got += [(src, dst) for src, _ in
+                            substrate.collect(dst, substrate.clock.now)]
+                await asyncio.sleep(0.005)
+            assert sorted(got) == [(0, 1), (1, 0), (2, 1)]
+        finally:
+            await substrate.close()
+        assert errors == []
 
     asyncio.run(body())
 
