@@ -311,7 +311,11 @@ class QuorumSystem:
         not the overwrite).  The loop tracks its own virtual elapsed time
         from the known op costs — under the engine a conservative
         undercount, so a replica never retires before ``lifetime`` even if
-        clients crashed without saying goodbye.
+        clients crashed without saying goodbye.  Between batches it naps
+        for ``poll``; a replica whose lifetime is unbounded (every live
+        substrate's default) has no clock to keep, so its nap has no
+        timeout and ends only when a message arrives — an idle live
+        replica takes no step at all.
 
         Returns ``None`` (a replica is not a decider — the consensus spec
         reads non-``None`` returns as decisions); the final store lands in
@@ -320,6 +324,7 @@ class QuorumSystem:
         store: Dict[Hashable, Tuple[Tuple[int, int], Any]] = {}
         byes: set = set()
         elapsed = 0.0
+        pause = self.poll if self.lifetime < math.inf else math.inf
         while len(byes) < self.clients and elapsed < self.lifetime:
             messages = yield ops.recv()
             elapsed += self.recv_cost
@@ -340,7 +345,7 @@ class QuorumSystem:
                 elif kind == _BYE:
                     byes.add(message[1])
             if len(byes) < self.clients:
-                yield ops.nap(self.poll)
+                yield ops.nap(pause)
                 elapsed += self.poll
         self.replica_stores[pid] = store  # repro-lint: disable=TMF003 — test-facing bookkeeping, not model state: the emulation's observable behaviour flows only through messages
         return None

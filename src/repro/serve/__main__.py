@@ -50,21 +50,26 @@ from .service import LeaseService
 from .workload import lease_churn_sim
 
 
-def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
-    """An argparse ``type`` for a count or a duration: finite and > 0."""
+def _in_range(convert: Callable[[str], Any], zero: bool) -> Callable[[str], Any]:
+    """An argparse ``type`` for a count or a duration: finite and > 0
+    (or ≥ 0 with ``zero``)."""
+    low = "non-negative" if zero else "positive"
 
     def parse(text: str) -> Any:
         value = convert(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        above = 0 <= value if zero else 0 < value
+        if not (above and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {low} and finite, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
     return parse
 
 
-_count = _positive(int)
-_seconds = _positive(float)
+_count = _in_range(int, zero=False)
+_seconds = _in_range(float, zero=False)
+_amount = _in_range(int, zero=True)
+_span = _in_range(float, zero=True)
 
 
 def _service_args(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +88,7 @@ def _service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--block",
-        type=int,
+        type=_amount,
         default=0,
         help="fencing tokens per refill (0 = size for the offered load)",
     )
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--duration", type=_seconds, default=10.0)
     load.add_argument("--keyspace", type=_count, default=1024)
     load.add_argument("--ttl", type=_seconds, default=None, help="lease ttl (s)")
-    load.add_argument("--hold", type=float, default=0.0, help="hold time (s)")
+    load.add_argument("--hold", type=_span, default=0.0, help="hold time (s)")
     load.add_argument("--timeout", type=_seconds, default=2.0, help="acquire timeout")
     load.add_argument("--workers", type=_count, default=1, help="arrival pump shards")
     load.add_argument("--max-inflight", type=_count, default=50_000)

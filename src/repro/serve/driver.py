@@ -30,10 +30,12 @@ the net substrate.  What is left here is scheduling:
   message for this process arrives or after ``d`` scaled seconds,
   whichever is first — waking early from a polling pause is
   indistinguishable from having polled faster, and the engine's
-  semantics promise nothing about poll granularity.  The driver looks
-  at the op's type and nothing else (not at the ops around it); on a
-  substrate without ``wait_for_message``, or with none at all, a nap is
-  the plain sleep a ``Delay`` is;
+  semantics promise nothing about poll granularity.  A nap of unbounded
+  duration (``nap(math.inf)``, an idle live replica's) arms no timer and
+  ends only when a message arrives.  The driver looks at the op's type
+  and nothing else (not at the ops around it); on a substrate without
+  ``wait_for_message``, or with none at all, a nap is the plain sleep a
+  ``Delay`` is, so an unbounded one there never ends;
 * ``LocalWork(d)`` — also a scaled sleep (think time is think time);
 * ``Label`` — a tracer record, free.
 

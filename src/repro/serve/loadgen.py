@@ -2,10 +2,16 @@
 
 Open-loop means arrivals come from a pre-drawn Poisson schedule and do
 *not* wait for earlier requests to finish — the generator models 10⁵–10⁶
-independent clients multiplexed onto asyncio tasks, so a slow service
-accumulates queueing delay in the measured latency instead of quietly
-throttling the offered load (the coordinated-omission trap closed-loop
-generators fall into).
+independent clients, so a slow service accumulates queueing delay in the
+measured latency instead of quietly throttling the offered load (the
+coordinated-omission trap closed-loop generators fall into).
+
+A session is a Task only once it suspends.  The pump runs each session's
+coroutine itself, at its arrival, up to its first suspension: a session
+on a free key with a token in the pool acquires, releases and finishes
+right there, costing no Task and no trip round the event loop.  One that
+waits — its key is held, the token pool is dry, or it holds its lease
+for ``hold`` — continues in a Task from where it stopped.
 
 Determinism discipline, stated precisely: the *workload* is seeded and
 exactly reproducible — the arrival schedule (``expovariate`` draws from
@@ -28,7 +34,7 @@ import asyncio
 import math
 import random
 import zlib
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Coroutine, Dict, List, Optional, Sequence
 
 from .service import LeaseService
 
@@ -45,6 +51,49 @@ def percentile(sorted_values: Sequence[float], q: float) -> Optional[float]:
     return sorted_values[rank - 1]
 
 
+_HANDED_OVER = object()  # what a _Suspended holds once its Task took the future
+
+
+class _Suspended:
+    """The rest of a session whose first step suspended it, for a Task to run.
+
+    A Task drives this exactly as it would drive the session coroutine
+    from its start.  The first ``send`` hands back what the coroutine
+    yielded when it suspended — the future it awaits, or ``None`` for a
+    bare yield — so the Task waits on that.  Every later ``send`` and
+    every ``throw`` (a result, an exception, cancellation, even a
+    cancellation before the Task's first step) goes straight to the
+    coroutine, so the Task finishes, fails or is cancelled as the
+    session does.
+    """
+
+    __slots__ = ("_session", "_awaiting")
+
+    def __init__(self, session: Coroutine[Any, Any, None], awaiting: Any) -> None:
+        self._session = session
+        self._awaiting = awaiting
+
+    def send(self, value: Any) -> Any:
+        awaiting = self._awaiting
+        if awaiting is _HANDED_OVER:
+            return self._session.send(value)
+        self._awaiting = _HANDED_OVER
+        return awaiting
+
+    def throw(self, *exc: Any) -> Any:
+        self._awaiting = _HANDED_OVER
+        return self._session.throw(*exc)
+
+    def close(self) -> None:
+        self._session.close()
+
+    def __await__(self) -> "_Suspended":
+        return self
+
+    def __next__(self) -> Any:
+        return self.send(None)
+
+
 class LoadGenerator:
     """Drive ``clients`` lease sessions through ``service`` in ``duration`` s.
 
@@ -54,9 +103,10 @@ class LoadGenerator:
     lateness and queueing both count against the service — open-loop
     honesty.
 
-    ``max_inflight`` bounds concurrently-alive session tasks; arrivals
-    beyond the bound are *shed* (counted, not silently dropped) so a
-    wedged service cannot balloon task memory without saying so.
+    ``max_inflight`` bounds concurrently-alive session tasks (sessions
+    that suspended); arrivals beyond the bound are *shed* (counted, not
+    silently dropped) so a wedged service cannot balloon task memory
+    without saying so.
     """
 
     def __init__(
@@ -78,6 +128,8 @@ class LoadGenerator:
             raise ValueError(f"duration must be positive, got {duration}")
         if keyspace < 1:
             raise ValueError(f"keyspace must be positive, got {keyspace}")
+        if not 0 <= hold < math.inf:
+            raise ValueError(f"hold must be non-negative and finite, got {hold}")
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.service = service
@@ -142,8 +194,12 @@ class LoadGenerator:
             raise
 
     def _spawn(self, index: int, scheduled: float) -> None:
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(self._session(index, scheduled))
+        session = self._session(index, scheduled)
+        try:
+            awaiting = session.send(None)
+        except Exception:  # StopIteration: done; else counted in ``errors``
+            return
+        task = asyncio.get_running_loop().create_task(_Suspended(session, awaiting))
         self._tasks.add(task)
         self._inflight += 1
         task.add_done_callback(self._retire)
@@ -164,8 +220,6 @@ class LoadGenerator:
                 self.shed += 1
                 continue
             self._spawn(index, target)
-        # Yield so freshly-spawned tail sessions start before the drain.
-        await asyncio.sleep(0)
 
     # -- the run -------------------------------------------------------------
 

@@ -233,9 +233,9 @@ class LeaseService:
         whatever ``keepers_per_shard`` is.  While acquirers wait on an
         empty pool the keeper starts the next refill as soon as it
         delivers.  The ledger's ``live_refill`` then measures a
-        ≈ 145 ms refill cycle, so a shard sustains about ``7 · block``
-        grants per second and the doorway delay is nine tenths of the
-        cycle; when every phase instead slept out a 5 ms polling
+        ≈ 156 ms refill cycle, so a shard sustains about ``6.4 · block``
+        grants per second and the doorway delay is ≈ 83 % of the cycle
+        (130 of 156 ms); when every phase instead slept out a 5 ms polling
         quantum a cycle took 380 ms (``2.6 · block``).  Size ``block``
         for the offered load (the load CLI does this automatically); an
         undersized block does not break safety, it just queues

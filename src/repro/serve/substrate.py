@@ -38,20 +38,27 @@ and the metrics registry consume live traces unchanged.
 Payload framing is :mod:`pickle` over a length prefix.  The substrate
 only ever listens on the loopback interface and carries this process's
 own traffic between its own endpoints; frames never cross a machine
-boundary.  A reader still refuses two bad frames: a length header above
-:data:`MAX_FRAME_BYTES` and a body that does not unpickle to a frame.
-Either closes that one connection and counts into
-:attr:`AsyncioSubstrate.bad_frames`; every other link keeps delivering.
+boundary.  Frames are parsed in the connection's
+:meth:`asyncio.Protocol.data_received` callback, straight from a
+per-connection buffer: no stream reader and no task per connection, so
+a delivery costs the event loop nothing beyond the socket's own read
+callback.  A frame cut across reads waits in the buffer for its rest;
+EOF or a reset drops whatever part of a frame is buffered.  A reader
+refuses two bad frames: a length header above :data:`MAX_FRAME_BYTES`
+and a body that does not unpickle to a frame.  Either closes that one
+connection and counts into :attr:`AsyncioSubstrate.bad_frames`; every
+other link keeps delivering.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import pickle
 import struct
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - version guard, exercised implicitly
     from typing import Protocol, runtime_checkable
@@ -182,14 +189,62 @@ def _resolve(parked: Optional["asyncio.Future[bool]"], arrived: bool) -> None:
         parked.set_result(arrived)
 
 
+class _FrameReader(asyncio.Protocol):
+    """One accepted connection into endpoint ``dst``: frames parse as bytes land.
+
+    The buffer holds at most one incomplete frame between reads.  A frame
+    is unpickled from a slice, which is a copy, so nothing pins the buffer
+    while it compacts.
+    """
+
+    def __init__(self, substrate: "AsyncioSubstrate", dst: int) -> None:
+        self.substrate = substrate
+        self.dst = dst
+        self.buffer = bytearray()
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.substrate._readers.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # EOF or a reset: a partial frame left in the buffer is never read.
+        self.substrate._readers.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        deliver = self.substrate._deliver
+        start, end = 0, len(buffer)
+        while end - start >= _LEN.size:
+            (length,) = _LEN.unpack_from(buffer, start)
+            stop = start + _LEN.size + length
+            if length > MAX_FRAME_BYTES:
+                return self._refuse()
+            if stop > end:
+                break
+            try:
+                src, seq, sent_at, payload = pickle.loads(buffer[start + _LEN.size:stop])
+            except Exception:  # any undecodable body is a bad frame
+                return self._refuse()
+            deliver(src, self.dst, seq, sent_at, payload)
+            start = stop
+        del buffer[:start]
+
+    def _refuse(self) -> None:
+        self.substrate.bad_frames += 1
+        assert self.transport is not None
+        self.transport.close()  # no data_received follows
+
+
 class AsyncioSubstrate:
     """Real loopback sockets behind the :class:`Substrate` surface.
 
     Each endpoint pid gets an asyncio TCP server on ``127.0.0.1`` (an
     OS-assigned port); :meth:`start` brings all servers up and
     pre-connects every ordered endpoint pair, so the synchronous
-    :meth:`send` only ever writes to an established stream.  Incoming
-    frames land in per-endpoint deques the moment the reader task parses
+    :meth:`send` only ever writes to an established connection.  Incoming
+    frames land in per-endpoint deques in the read callback that parses
     them; :meth:`collect` drains the deque — the same poll-don't-block
     contract :class:`~repro.sim.ops.Recv` has on the sim substrate.
 
@@ -232,7 +287,9 @@ class AsyncioSubstrate:
         self._parked: List[Optional["asyncio.Future[bool]"]] = [None] * n
         self._servers: List[asyncio.AbstractServer] = []
         self._ports: List[Optional[int]] = [None] * n
-        self._writers: dict = {}
+        # Outgoing transports by (src, dst); incoming ones as accepted.
+        self._links: Dict[Tuple[int, int], asyncio.Transport] = {}
+        self._readers: Set[asyncio.BaseTransport] = set()
         self._seq = itertools.count()
         self._started = False
         self._closed = False
@@ -240,14 +297,20 @@ class AsyncioSubstrate:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bring up one loopback server per endpoint and pre-connect pairs."""
+        """Bring up one loopback server per endpoint and pre-connect pairs.
+
+        Returns once both ends of every link are up, so the accepting
+        side has nothing left to do and the first :meth:`send` on any
+        link is read at once.
+        """
         if self._started:
             raise RuntimeError("substrate already started")
         self._started = True
         self.clock.start()
+        loop = asyncio.get_running_loop()
         for pid in range(self.n):
-            server = await asyncio.start_server(
-                self._make_handler(pid), host="127.0.0.1", port=0
+            server = await loop.create_server(
+                lambda dst=pid: _FrameReader(self, dst), host="127.0.0.1", port=0
             )
             self._servers.append(server)
             self._ports[pid] = server.sockets[0].getsockname()[1]
@@ -255,71 +318,46 @@ class AsyncioSubstrate:
             for dst in range(self.n):
                 if src == dst:
                     continue
-                _, writer = await asyncio.open_connection(
-                    "127.0.0.1", self._ports[dst]
+                transport, _ = await loop.create_connection(
+                    asyncio.Protocol, "127.0.0.1", self._ports[dst]
                 )
-                self._writers[(src, dst)] = writer
+                self._links[(src, dst)] = transport
+        # Wait out the servers' accepts; each one's task ends a turn after
+        # its connection_made.
+        while len(self._readers) < len(self._links):
+            await asyncio.sleep(0)
+        await asyncio.sleep(0)
 
     async def close(self) -> None:
-        """Tear down every stream and server (idempotent).
+        """Tear down every connection and server (idempotent).
 
-        Waits for each outgoing stream to actually close so every
-        handler sees EOF and exits *before* the event loop goes away —
-        otherwise loop shutdown cancels handlers mid-read and the
-        streams machinery logs spurious ``CancelledError`` noise.
+        Both ends of every connection are this substrate's own, so it
+        aborts them all — a frame still in flight has no reader left to
+        want it — and gives the loop one turn to release their sockets.
         """
         if self._closed:
             return
         self._closed = True
-        for writer in self._writers.values():
-            writer.close()
-        for writer in self._writers.values():
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        for transport in [*self._links.values(), *self._readers]:
+            transport.abort()
+        await asyncio.sleep(0)
         for server in self._servers:
             server.close()
         for server in self._servers:
             await server.wait_closed()
 
-    def _make_handler(self, dst: int):
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-            try:
-                while True:
-                    head = await reader.readexactly(_LEN.size)
-                    (length,) = _LEN.unpack(head)
-                    if length > MAX_FRAME_BYTES:
-                        self.bad_frames += 1
-                        return
-                    body = await reader.readexactly(length)
-                    try:
-                        src, seq, sent_at, payload = pickle.loads(body)
-                        arrive = self.clock.now
-                        delay = arrive - sent_at
-                    except Exception:  # any undecodable body is a bad frame
-                        self.bad_frames += 1
-                        return
-                    self._inboxes[dst].append((src, payload, seq, arrive))
-                    _resolve(self._parked[dst], True)
-                    if delay > self.bound:
-                        self.timing_failures.record(src, dst, delay - self.bound)
-                    if self.tracer is not None:
-                        # The live "send" record is emitted at delivery,
-                        # when arrive is known: arrive - t is the wire
-                        # delay the timeliness miner judges against the
-                        # bound, exactly as on the sim transport.
-                        self.tracer.msg_send(seq, src, dst, sent_at, arrive)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                pass
-            except asyncio.CancelledError:
-                # Loop teardown cancelled a parked read; the connection
-                # is dead either way and nobody awaits this leaf task.
-                pass
-            finally:
-                writer.close()
-
-        return handle
+    def _deliver(self, src: int, dst: int, seq: int, sent_at: float, payload: Any) -> None:
+        arrive = self.clock.now
+        self._inboxes[dst].append((src, payload, seq, arrive))
+        _resolve(self._parked[dst], True)
+        delay = arrive - sent_at
+        if delay > self.bound:
+            self.timing_failures.record(src, dst, delay - self.bound)
+        if self.tracer is not None:
+            # The live "send" record is emitted at delivery, when arrive
+            # is known: arrive - t is the wire delay the timeliness miner
+            # judges against the bound, exactly as on the sim transport.
+            self.tracer.msg_send(seq, src, dst, sent_at, arrive)
 
     # -- the Substrate surface ----------------------------------------------
 
@@ -331,13 +369,13 @@ class AsyncioSubstrate:
             raise ValueError(f"destination pid {dst} outside substrate 0..{self.n - 1}")
         if dst == src:
             raise ValueError(f"pid {src} sent a message to itself")
-        writer = self._writers.get((src, dst))
-        if writer is None:
+        link = self._links.get((src, dst))
+        if link is None:
             raise RuntimeError("substrate not started — call `await start()` first")
         self.stats.messages_sent += 1
         seq = next(self._seq)
         body = pickle.dumps((src, seq, now, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        writer.write(_LEN.pack(len(body)) + body)
+        link.write(_LEN.pack(len(body)) + body)
 
     def collect(self, dst: int, now: float) -> List[Tuple[int, Any]]:
         inbox = self._inboxes[dst]
@@ -359,7 +397,9 @@ class AsyncioSubstrate:
         This is what the live driver turns a :class:`~repro.sim.ops.Nap`
         into, so every quorum phase passes through here: the wait is one
         future per endpoint, resolved by the reader on arrival or by a
-        timer that is cancelled on wake-up — no task, no event.  A
+        timer that is cancelled on wake-up — no task, no event.  An
+        infinite ``timeout`` arms no timer: the wait ends only when a
+        message arrives (or the waiting task is cancelled).  A
         wake-up guarantees nothing beyond "collect may now return
         something".  With a message already waiting the call returns at
         once, without suspending: the caller's next ``collect`` is due,
@@ -374,11 +414,15 @@ class AsyncioSubstrate:
             raise RuntimeError(f"endpoint {dst} already has a parked waiter")
         loop = asyncio.get_running_loop()
         parked = self._parked[dst] = loop.create_future()
-        timer = loop.call_later(timeout, _resolve, parked, False)
+        timer = (
+            loop.call_later(timeout, _resolve, parked, False)
+            if timeout < math.inf else None
+        )
         try:
             return await parked
         finally:
-            timer.cancel()
+            if timer is not None:
+                timer.cancel()
             self._parked[dst] = None
 
     def __repr__(self) -> str:

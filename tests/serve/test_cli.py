@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.serve.__main__ import main
+from repro.serve.__main__ import build_parser
 
 
 def _run(*argv, timeout=240):
@@ -43,14 +43,22 @@ def test_load_subcommand_small_run(tmp_path):
     assert doc["obs"]["metrics"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["load", "--clients", "0"], ["load", "--duration", "-1"],
-    ["load", "--keepers", "0"], ["sim", "--shards", "0"],
-], ids=["load-clients", "load-duration", "load-keepers", "sim-shards"])
-def test_out_of_range_argument_is_a_usage_error(argv, capsys):
+@pytest.mark.parametrize("argv, problem", [
+    (["load", "--clients", "0"], "must be positive"),
+    (["load", "--duration", "-1"], "must be positive"),
+    (["load", "--keepers", "0"], "must be positive"),
+    (["sim", "--shards", "0"], "must be positive"),
+    (["load", "--hold", "-1"], "must be non-negative"),
+    (["load", "--hold", "inf"], "must be non-negative and finite"),
+    (["load", "--block", "-5"], "must be non-negative"),
+], ids=["load-clients", "load-duration", "load-keepers", "sim-shards",
+        "load-hold-negative", "load-hold-inf", "load-block-negative"])
+def test_out_of_range_argument_is_a_usage_error(argv, problem, capsys):
     # Exit 2, naming the flag, before any service is built; exit 1
-    # would read as "the audit found violations".
+    # would read as "the audit found violations".  Parsing only: a value
+    # that slipped through would start a service (and `--hold inf`
+    # would never drain).
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        build_parser().parse_args(argv)
     assert exit_info.value.code == 2
-    assert f"argument {argv[1]}: must be positive" in capsys.readouterr().err
+    assert f"argument {argv[1]}: {problem}" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan
 from repro.net.omega import HeartbeatMonitor
 from repro.obs.tracer import Tracer
 from repro.serve import LeaseService, LoadGenerator, percentile
+from repro.serve.lease import shard_for
 from repro.serve.service import _LiveFeed
 
 
@@ -143,6 +144,141 @@ def test_load_generator_retrieves_failed_sessions():
         assert reported == []
 
     asyncio.run(body())
+
+
+def _count_acquires(monkeypatch):
+    """Wrap ``LeaseService.acquire`` as a tracer would; count the calls."""
+    calls = []
+    original = LeaseService.acquire
+
+    async def acquire(self, key, *args, **kwargs):
+        calls.append(key)
+        return await original(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(LeaseService, "acquire", acquire)
+    return calls
+
+
+def test_open_loop_sessions_that_never_wait_run_without_a_task(monkeypatch):
+    # A hold-0 session on a free key with tokens in the pool never
+    # suspends, so the pump runs it whole: the run's only Task is the
+    # pump.  Every session still goes through acquire.
+    calls = _count_acquires(monkeypatch)
+
+    async def body():
+        service = _service(block=4096)
+        await service.start()
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+        try:
+            load = LoadGenerator(service, clients=300, duration=0.3, seed=0,
+                                 keyspace=1 << 20, timeout=5.0)
+            report = await load.run()
+        finally:
+            loop.set_task_factory(None)
+            await service.close()
+        assert report["granted"] == report["released"] == 300
+        assert len(calls) == 300
+        assert len(created) == load.workers
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
+def test_session_cancelled_before_its_task_runs_leaves_no_waiter():
+    # The Task that takes over a suspended session forwards a
+    # cancellation that lands before its first step into the session,
+    # so acquire takes its waiter out of the key's queue.
+    async def body():
+        service = _service()
+        await service.start()
+        try:
+            load = LoadGenerator(service, clients=1, duration=1.0, timeout=5.0)
+            key = load.key_for(0)
+            held = await service.acquire(key, ttl=5.0)
+            load._spawn(0, service.base.clock.now)
+            (task,) = load._tasks
+            state = service.states[shard_for(key, service.shards)]
+            assert len(state.queues[key]) == 1
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert key not in state.queues
+            assert load._inflight == 0 and load.errors == 0
+            assert service.release(key, held.token)
+            assert service.verify() == []
+        finally:
+            await service.close()
+
+    asyncio.run(body())
+
+
+def test_idle_service_does_not_wake_its_replicas(monkeypatch):
+    # A live replica's lifetime is unbounded, so it naps until a message
+    # arrives: with no load it takes no step.  A replica polling every
+    # 5 ms enters about 60 naps in the window.
+    from repro.serve import AsyncioSubstrate
+
+    entered = []
+    original = AsyncioSubstrate.wait_for_message
+
+    def wait_for_message(self, dst, timeout):
+        entered.append(dst)
+        return original(self, dst, timeout)
+
+    monkeypatch.setattr(AsyncioSubstrate, "wait_for_message", wait_for_message)
+
+    async def body():
+        service = _service(bound=0.02)
+        await service.start()
+        try:
+            await asyncio.sleep(0.2)  # the keepers leave the warm-up's mutex
+            del entered[:]
+            await asyncio.sleep(0.3)
+        finally:
+            await service.close()
+        for rpid in service.system.replica_pids:
+            assert entered.count(rpid) <= 1, (rpid, entered.count(rpid))
+
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize("shape", [
+    dict(keyspace=1024, hold=0.0),
+    dict(keyspace=1024, hold=0.02),
+    dict(keyspace=2, hold=0.05, timeout=0.1),
+], ids=["hold-0", "hold", "hot-key-timeouts"])
+def test_every_session_is_accounted_for(shape):
+    async def body():
+        service = _service(block=256)
+        await service.start()
+        try:
+            settings = dict(timeout=5.0, seed=0)
+            settings.update(shape)
+            load = LoadGenerator(service, clients=150, duration=0.5, **settings)
+            report = await load.run()
+        finally:
+            await service.close()
+        outcomes = ("granted", "timeouts", "shed", "cancelled", "errors")
+        assert sum(report[name] for name in outcomes) == report["clients"]
+        assert report["errors"] == 0
+        if shape["keyspace"] == 2:
+            assert report["timeouts"] > 0
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize("hold", [-1.0, math.inf, math.nan])
+def test_load_generator_rejects_a_hold_that_never_ends(hold):
+    with pytest.raises(ValueError, match="hold must be non-negative"):
+        LoadGenerator(_service(), clients=1, duration=1.0, hold=hold)
 
 
 def test_service_survives_chaos_plan():

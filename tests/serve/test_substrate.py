@@ -1,6 +1,8 @@
 """The Substrate protocol and the live loopback implementation."""
 
 import asyncio
+import math
+import pickle
 import struct
 
 import pytest
@@ -108,6 +110,131 @@ def test_bad_frames_close_their_connection_only():
         finally:
             await substrate.close()
         assert errors == []
+
+    asyncio.run(body())
+
+
+def _frame(src, payload, seq=0):
+    """A frame as :meth:`AsyncioSubstrate.send` writes it."""
+    body = pickle.dumps((src, seq, 0.0, payload))
+    return struct.pack("!I", len(body)) + body
+
+
+async def _on_connection(test, n=2):
+    """Run ``test(substrate, reader, writer)`` on a raw connection into
+    endpoint 1; return what the loop's exception handler saw."""
+    loop = asyncio.get_running_loop()
+    errors = []
+    loop.set_exception_handler(lambda _loop, context: errors.append(context))
+    substrate = AsyncioSubstrate(n, bound=0.05)
+    await substrate.start()
+    try:
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", substrate._ports[1])
+        try:
+            await test(substrate, reader, writer)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+    finally:
+        await substrate.close()
+    return errors
+
+
+async def _delivered(substrate, count, dst=1):
+    """Collect until ``count`` payloads arrived at ``dst``, then a little
+    longer, so a duplicate would show."""
+    got = []
+    deadline = substrate.clock.now + 2.0
+    while len(got) < count and substrate.clock.now < deadline:
+        got += substrate.collect(dst, substrate.clock.now)
+        await asyncio.sleep(0.002)
+    await asyncio.sleep(0.02)
+    return got + substrate.collect(dst, substrate.clock.now)
+
+
+@pytest.mark.parametrize("pieces", ["bytewise", "split-header"])
+def test_a_frame_cut_across_reads_is_delivered_once(pieces, caplog):
+    frame = _frame(0, ("cut", 1))
+
+    async def test(substrate, reader, writer):
+        cuts = range(1, len(frame)) if pieces == "bytewise" else (2,)
+        start = 0
+        for cut in (*cuts, len(frame)):
+            writer.write(frame[start:cut])
+            await writer.drain()
+            await asyncio.sleep(0.001)  # let the reader see this piece alone
+            start = cut
+        assert await _delivered(substrate, 1) == [(0, ("cut", 1))]
+        assert substrate.bad_frames == 0
+
+    assert asyncio.run(_on_connection(test)) == []
+    assert caplog.records == []
+
+
+def test_two_frames_in_one_write_are_both_delivered():
+    async def test(substrate, reader, writer):
+        writer.write(_frame(0, "first", seq=1) + _frame(0, "second", seq=2))
+        assert await _delivered(substrate, 2) == [(0, "first"), (0, "second")]
+
+    assert asyncio.run(_on_connection(test)) == []
+
+
+def test_oversized_header_after_a_good_frame_closes_the_connection():
+    async def test(substrate, reader, writer):
+        writer.write(_frame(0, "good") + struct.pack("!I", MAX_FRAME_BYTES + 1))
+        assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+        assert await _delivered(substrate, 1) == [(0, "good")]
+        assert substrate.bad_frames == 1
+
+    assert asyncio.run(_on_connection(test)) == []
+
+
+def test_eof_inside_a_frame_is_dropped_silently(caplog):
+    async def test(substrate, reader, writer):
+        frame = _frame(0, "half")
+        writer.write(frame[: len(frame) // 2])
+        writer.write_eof()
+        # The reader closes its end on EOF, after handling every byte.
+        assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+        assert substrate.collect(1, substrate.clock.now) == []
+        assert substrate.bad_frames == 0
+
+    assert asyncio.run(_on_connection(test)) == []
+    assert caplog.records == []
+
+
+def test_start_leaves_no_task_behind():
+    # Frames are parsed in the connection's read callback: a started
+    # substrate runs no reader task per link, and no accept is pending.
+    async def body():
+        before = asyncio.all_tasks()
+        substrate = AsyncioSubstrate(4)
+        await substrate.start()
+        try:
+            assert asyncio.all_tasks() == before
+            substrate.send(0, 3, "x", substrate.clock.now)
+            assert await substrate.wait_for_message(3, timeout=2.0)
+            assert asyncio.all_tasks() == before
+        finally:
+            await substrate.close()
+
+    asyncio.run(body())
+
+
+def test_infinite_wait_arms_no_timer():
+    async def body():
+        substrate = AsyncioSubstrate(2)
+        await substrate.start()
+        try:
+            loop = asyncio.get_running_loop()
+            waiter = loop.create_task(substrate.wait_for_message(0, math.inf))
+            await asyncio.sleep(0.01)
+            assert _live_timers(loop) == []
+            substrate.send(1, 0, "wake", 0.0)
+            assert await asyncio.wait_for(waiter, 2.0)
+        finally:
+            await substrate.close()
 
     asyncio.run(body())
 
