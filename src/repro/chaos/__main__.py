@@ -10,20 +10,29 @@ Subcommands::
     shrink  re-minimize an existing artifact (e.g. one uploaded by CI)
     replay  re-execute an artifact and verify the violation byte-identically
 
+``run`` is the one campaign CLI.  ``--windows 0`` samples the empty
+plan, so ``run --target {fischer_n3,alg3_n4,consensus_n4} --windows 0``
+is the schedule fuzzer's campaign; ``--substrate net`` checks the ABD
+register emulation for linearizability under loss, spikes, partitions
+and crashed replicas and clients.
+
 Exit codes: 0 = expectation met, 1 = violated (a hit under ``--expect
 clean``, no hit under ``--expect violation``, or a replay mismatch),
-2 = usage error (an empty run — ``--campaigns 0`` or ``--schedules 0`` —
-is one, not a vacuous pass; so is an artifact file that cannot be read or
-lacks a field or holds one of the wrong type).
+2 = usage error (an empty run — ``--campaigns``, ``--schedules`` or
+``--max-steps`` below 1 — is one, not a vacuous pass; so are ``--workers``
+below 1, a negative ``--windows``, a ``--severity`` that is not positive
+and finite, a ``--crash-prob`` outside [0, 1], and an artifact file that
+cannot be read or lacks a field or holds one of the wrong type).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .artifact import (
     Artifact,
@@ -49,6 +58,30 @@ from .runner import (
 from .shrink import shrink_net, shrink_sim
 
 
+def _checked(
+    convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str
+) -> Callable[[str], Any]:
+    """An argparse ``type``: ``convert(text)``, rejected unless ``ok``
+    (every comparison with NaN is false, so NaN never passes)."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+# A zero --campaigns/--schedules/--max-steps would meet any --expect
+# vacuously.
+_positive = _checked(int, lambda n: n > 0, "positive")
+_non_negative = _checked(int, lambda n: n >= 0, "non-negative")
+_severity = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
+_probability = _checked(float, lambda p: 0 <= p <= 1, "in [0, 1]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
@@ -62,19 +95,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target",
         default="fischer_n3",
         choices=sorted(SIM_TARGETS),
-        help="sim program under test (ignored for net)",
+        help="sim program under test (ignored for net); --windows 0 "
+             "runs the schedule fuzzer's campaign (the empty plan)",
     )
     run.add_argument("--seed", default="chaos", help="campaign family seed")
-    run.add_argument("--campaigns", type=int, default=3, metavar="N")
+    run.add_argument("--campaigns", type=_positive, default=3, metavar="N")
     run.add_argument(
-        "--schedules", type=int, default=20, metavar="N",
+        "--schedules", type=_positive, default=20, metavar="N",
         help="runs per campaign before declaring it clean",
     )
-    run.add_argument("--severity", type=float, default=1.0)
-    run.add_argument("--windows", type=int, default=6, metavar="N",
+    run.add_argument("--severity", type=_severity, default=1.0)
+    run.add_argument("--windows", type=_non_negative, default=6, metavar="N",
                      help="fault windows per sampled campaign")
-    run.add_argument("--crash-prob", type=float, default=0.0)
-    run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    run.add_argument("--crash-prob", type=_probability, default=0.0)
+    run.add_argument("--max-steps", type=_positive, default=DEFAULT_MAX_STEPS)
     run.add_argument(
         "--expect", choices=("clean", "violation", "recover", "any"),
         default="any",
@@ -82,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "additionally demands a stabilization verdict from every "
              "schedule (recover targets only)",
     )
-    run.add_argument("--workers", type=int, default=1, metavar="N",
+    run.add_argument("--workers", type=_positive, default=1, metavar="N",
                      help="shard each campaign's schedule range over N "
                           "processes; reports are identical to --workers 1 "
                           "(default: 1)")
@@ -91,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", type=Path, default=None, metavar="FILE",
                      help="write every run's structured trace (repro.obs "
                           "JSONL, global run-index order) here; "
-                          "byte-identical across --workers counts "
-                          "(sim substrate only)")
+                          "byte-identical across --workers counts")
     run.add_argument("--shrink", action="store_true",
                      help="minimize the first failing run")
     run.add_argument("--artifact-dir", type=Path, default=None,
@@ -119,23 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     from ..parallel import WorkerPool
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    for flag, count in (
-        ("--campaigns", args.campaigns), ("--schedules", args.schedules)
-    ):
-        if count < 1:
-            # Zero runs would meet any --expect vacuously.
-            print(
-                f"an empty campaign explores nothing: {flag} must be "
-                f"positive, got {count}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.trace is not None and args.substrate != "sim":
-        print("--trace is sim-only", file=sys.stderr)
-        return 2
     if args.expect == "recover" and (
         args.substrate != "sim" or not sim_target(args.target).recover
     ):
@@ -224,8 +240,6 @@ def _run_campaigns(
                 workers=args.workers, pool=pool,
                 trace=args.trace is not None,
             )
-            for _run_index, records in report.trace_chunks:
-                trace_records.extend(records)
         else:
             params = NetParams()
             campaign = sample_net_campaign(
@@ -235,7 +249,10 @@ def _run_campaigns(
             report = run_net_campaign(
                 campaign, schedules=args.schedules, params=params,
                 workers=args.workers, pool=pool,
+                trace=args.trace is not None,
             )
+        for _run_index, records in report.trace_chunks:
+            trace_records.extend(records)
         if report.shard_timing:
             timing.extend(report.shard_timing)
         entry: Dict[str, Any] = {

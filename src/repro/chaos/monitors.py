@@ -1,6 +1,6 @@
 """Online resilience monitors for chaos runs.
 
-The fuzzers check safety properties post-step and the resilience
+The fuzzer checks safety properties post-step and the resilience
 checker (:func:`repro.core.resilience.check_resilience`) evaluates a
 finished trace; a chaos run wants both *while the run is happening*,
 judged against the campaign's declared failure-free suffix (everything

@@ -362,8 +362,8 @@ def sample_sim_campaign(
     """
     if not (0.0 <= crash_prob <= 1.0):
         raise ValueError(f"crash_prob must be in [0, 1], got {crash_prob}")
-    if severity <= 0:
-        raise ValueError(f"severity must be positive, got {severity}")
+    if not (0 < severity < math.inf):  # also rejects NaN
+        raise ValueError(f"severity must be positive and finite, got {severity}")
     rng = _campaign_rng(seed)
     pid_list = list(pids)
     drawn: List[TimingFailureWindow] = []
@@ -420,10 +420,14 @@ def sample_net_campaign(
 
     Fault kinds rotate through the draw so every campaign mixes them;
     ``crash_minority`` additionally crashes a random minority of the
-    replicas (the ABD emulation must not notice).
+    replicas (the ABD emulation must not notice).  Half the campaigns
+    also crash one client mid-workload, leaving its invocation pending:
+    a crashed write may or may not have taken effect, and the
+    linearizability check must explain either.  That draw comes last, so
+    it changes none of the faults drawn before it.
     """
-    if severity <= 0:
-        raise ValueError(f"severity must be positive, got {severity}")
+    if not (0 < severity < math.inf):  # also rejects NaN
+        raise ValueError(f"severity must be positive and finite, got {severity}")
     rng = _campaign_rng(seed)
     replica_pids = list(range(clients, clients + replicas))
     all_pids = list(range(clients + replicas))
@@ -457,16 +461,17 @@ def sample_net_campaign(
             partitions.append(
                 Partition(start=start, end=start + width, groups=(rest, isolated))
             )
-    crash_at: Tuple[Tuple[int, float], ...] = ()
+    crash_at: List[Tuple[int, float]] = []
     if crash_minority and replicas // 2 > 0 and rng.random() < 0.5:
         victims = rng.sample(replica_pids, replicas // 2)
-        crash_at = tuple(
-            (pid, rng.uniform(0.0, horizon)) for pid in sorted(victims)
-        )
+        crash_at = [(pid, rng.uniform(0.0, horizon)) for pid in sorted(victims)]
+    if clients and rng.random() < 0.5:
+        victim = rng.randrange(clients)
+        crash_at.insert(0, (victim, rng.uniform(bound, 8.0 * bound)))
     return Campaign(
         substrate="net",
         seed=str(seed),
-        crash_at=crash_at,
+        crash_at=tuple(crash_at),
         losses=tuple(losses),
         spikes=tuple(spikes),
         partitions=tuple(partitions),

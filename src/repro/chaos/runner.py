@@ -16,7 +16,8 @@ scheduler over the logical clock (number of shared steps executed):
 * :class:`~repro.chaos.plan.MemCorruption` entries poke the named
   register at their logical instant.
 
-With no faults at all this is the schedule fuzzer (:mod:`repro.verify.fuzz`).
+With no faults at all this is the schedule fuzzer (:mod:`repro.verify.fuzz`),
+and ``python -m repro.chaos run --windows 0`` runs its campaigns.
 
 The recorded pid sequence plus the campaign's *state-affecting* faults
 (crashes, corruptions) fully determine the run, so
@@ -32,9 +33,8 @@ usually delete every window — see :mod:`repro.chaos.shrink`.)
 **Net substrate.**  A chaos run is a seeded client workload over the ABD
 quorum emulation under the campaign's fault plan, checked against the
 atomic-register linearizability spec — through
-:func:`repro.net.fuzz.run_workload`, the harness the net fuzzer calls
-too, with the explicit (campaign, workload, seed) triple the shrinker
-and the artifacts need.
+:func:`repro.net.fuzz.run_workload`, with the explicit (campaign,
+workload, seed) triple the shrinker and the artifacts need.
 
 **Campaigns.**  On either substrate a campaign is one loop
 (:func:`_sim_runs` / :func:`_net_runs`) over a range of global run
@@ -570,8 +570,7 @@ class CampaignReport:
     verdicts: int = 0
     first_verdict: Optional[ChaosViolation] = None
     # (global run index, repro.obs records) per traced run, in index
-    # order — same chunk discipline as the fuzzers, so concatenating is
-    # byte-identical across worker counts.
+    # order, so concatenating is byte-identical across worker counts.
     trace_chunks: List[Tuple[int, List[Dict[str, Any]]]] = field(
         default_factory=list
     )
@@ -833,23 +832,29 @@ def run_net(
 
 
 def _net_runs(
-    campaign: Campaign, params: NetParams, indices: Sequence[int]
+    campaign: Campaign, params: NetParams, indices: Sequence[int], trace: bool
 ) -> List[RunRecord]:
     """The net campaign loop: sampled workloads up to the first failure.
 
     Workloads are drawn from the campaign seed and the global run index,
-    so slices compose exactly as in :func:`_sim_runs`.
+    so slices compose exactly as in :func:`_sim_runs`, and ``trace``
+    chunks the records the same way.
     """
+    tracer = Tracer() if trace else active_tracer()
     records: List[RunRecord] = []
     for index in indices:
         run_seed = str(index)
         workload = sample_net_workload(campaign, run_seed, params)
-        outcome = run_net(campaign, workload, params=params, run_seed=run_seed)
+        with trace_scope(tracer):
+            outcome = run_net(
+                campaign, workload, params=params, run_seed=run_seed
+            )
         records.append(
             RunRecord(
                 index=index,
                 steps=outcome.operations,
                 outcome=None if outcome.ok else outcome,
+                trace=tracer.take() if trace else None,
             )
         )
         if not outcome.ok:
@@ -859,8 +864,8 @@ def _net_runs(
 
 def _net_shard(shard, payload) -> List[RunRecord]:
     """Shard worker (module-level for the spawn pool)."""
-    campaign, params = payload
-    return _net_runs(campaign, params, range(shard.start, shard.stop))
+    campaign, params, trace = payload
+    return _net_runs(campaign, params, range(shard.start, shard.stop), trace)
 
 
 def run_net_campaign(
@@ -869,17 +874,19 @@ def run_net_campaign(
     params: NetParams = NetParams(),
     workers: int = 1,
     pool=None,
+    trace: bool = False,
 ) -> CampaignReport:
     """Run ``schedules`` sampled workloads; stop at the first failure.
 
-    Sharding semantics are those of :func:`run_sim_campaign`: worker
-    count never changes the report, only ``shard_timing``.
+    Sharding and ``trace`` semantics are those of
+    :func:`run_sim_campaign`: worker count never changes the report,
+    only ``shard_timing``.
     """
     if workers != 1 or pool is not None:
         return _run_campaign_sharded(
-            campaign, schedules, _net_shard, (campaign, params),
+            campaign, schedules, _net_shard, (campaign, params, trace),
             workers=workers if pool is None else pool.workers, pool=pool,
         )
     return merge_campaign_runs(
-        campaign, [_net_runs(campaign, params, range(schedules))]
+        campaign, [_net_runs(campaign, params, range(schedules), trace)]
     )

@@ -19,8 +19,9 @@ substrate in both directions of the classic equivalence:
   requirement;
 * :mod:`repro.net.resilience` — the bridge mapping ``Δ`` to the
   delivery bound so the paper's experiments re-run networked;
-* :mod:`repro.net.fuzz` — fuzzed net schedules checked against the
-  linearizability spec (``python -m repro.verify.fuzz --substrate net``).
+* :mod:`repro.net.fuzz` — the ABD workload harness a net chaos run
+  checks against the linearizability spec
+  (``python -m repro.chaos run --substrate net``).
 """
 
 from .._exports import export_lazily
@@ -42,6 +43,4 @@ __all__ = export_lazily(globals(), {
         "bound_for_delta",
         "convergence_start",
     ),
-    # fuzzing
-    "fuzz": ("NetFuzzReport", "fuzz_quorum_register"),
 })

@@ -1,8 +1,9 @@
 """Seed-sharded worker fabric for the heavy campaign workloads.
 
-Every campaign in this repo (``repro.verify.fuzz``, ``repro.net.fuzz``,
-``repro.chaos``) is a loop over independently seeded work items.  This
-package turns that loop into a fabric:
+Every campaign in this repo (``python -m repro.chaos run`` on either
+substrate, and :func:`repro.verify.fuzz.fuzz`) is a loop over
+independently seeded work items.  This package turns that loop into a
+fabric:
 
 * :mod:`~repro.parallel.shard` — split the item range into contiguous
   shards with master-seed-derived, worker-count-independent sub-seeds;
@@ -15,9 +16,9 @@ package turns that loop into a fabric:
 
 The determinism contract (sharding may never change *what* a campaign
 finds, only how fast) is CI-gated: the ``parallel-determinism`` job
-byte-compares the fuzz summary JSON across worker counts, and any
-violation found in parallel replays through the unchanged single-process
-``repro.chaos`` pipeline.
+byte-compares ``chaos run`` summary JSON and traces across worker
+counts, and any violation found in parallel replays through the
+unchanged single-process ``repro.chaos`` pipeline.
 """
 
 from .._exports import export_lazily
@@ -29,7 +30,6 @@ __all__ = export_lazily(globals(), {
         "RunRecord",
         "merge_counters",
         "merge_fuzz_results",
-        "merge_net_reports",
         "merge_campaign_runs",
     ),
 })

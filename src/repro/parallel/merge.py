@@ -7,23 +7,23 @@ index (see :mod:`repro.parallel.shard`), so a shard's result is exactly
 the sequential run's slice — merging is sorting by global index, summing
 counters, and re-applying the sequential loop's stopping rule.
 
-Three stopping disciplines appear in this repo and each has a merge:
+Two stopping disciplines appear in this repo and each has a merge:
 
-* **collect-all** (``repro.verify.fuzz`` with
-  ``stop_at_first_violation=False``, ``repro.net.fuzz``): every item
-  runs; merge concatenates in global-index order and sums counters
-  (:func:`merge_fuzz_results`, :func:`merge_net_reports`).
-* **first-failure** (``repro.chaos`` campaigns): a campaign stops at
-  its first failing run.  A shard may stop at *its own* first failure;
-  the merge applies the rule over the sorted run records, truncating at
-  the globally-first failure — runs past it are discarded, so
-  ``schedules_run``/``total_steps`` do not depend on the sharding
-  (:func:`merge_campaign_runs`, which the sequential campaign goes
-  through as well: one part covering the whole range).
+* **collect-all** (:func:`repro.verify.fuzz.fuzz` with
+  ``stop_at_first_violation=False``): every item runs; merge
+  concatenates in global-index order and sums counters
+  (:func:`merge_fuzz_results`).
+* **first-failure** (``repro.chaos`` campaigns, sim and net): a
+  campaign stops at its first failing run.  A shard may stop at *its
+  own* first failure; the merge applies the rule over the sorted run
+  records, truncating at the globally-first failure — runs past it are
+  discarded, so ``schedules_run``/``total_steps`` do not depend on the
+  sharding (:func:`merge_campaign_runs`, which the sequential campaign
+  goes through as well: one part covering the whole range).
 
 Domain types are imported lazily so ``repro.parallel`` stays importable
-without the fuzz/net/chaos layers (and free of import cycles with the
-CLIs that call into it).
+without the fuzz/chaos layers (and free of import cycles with the CLI
+that calls into it).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "RunRecord",
     "merge_counters",
     "merge_fuzz_results",
-    "merge_net_reports",
     "merge_campaign_runs",
 ]
 
@@ -78,10 +77,7 @@ def merge_fuzz_results(parts: Sequence[Any]) -> Any:
     Failures are ordered by ``(run_index, within-run discovery order)``
     — the sort is stable and each shard already lists its failures in
     discovery order — and the work counters are summed, reproducing the
-    sequential collect-all run exactly.  Trace chunks (present when the
-    shards ran with ``trace=True``) are likewise reassembled in global
-    run-index order, so the concatenated JSONL is byte-identical to the
-    single-worker trace.
+    sequential collect-all run exactly.
     """
     from ..verify.fuzz import FuzzResult
 
@@ -91,27 +87,7 @@ def merge_fuzz_results(parts: Sequence[Any]) -> Any:
         merged.steps_taken += part.steps_taken
         merged.completed_runs += part.completed_runs
         merged.failures.extend(part.failures)
-        merged.trace_chunks.extend(part.trace_chunks)
     merged.failures.sort(key=lambda failure: failure.run_index)
-    merged.trace_chunks.sort(key=lambda chunk: chunk[0])
-    return merged
-
-
-def merge_net_reports(parts: Sequence[Any]) -> Any:
-    """Merge per-shard :class:`~repro.net.fuzz.NetFuzzReport` slices."""
-    from ..net.fuzz import NetFuzzReport
-
-    if not parts:
-        return NetFuzzReport(seed=None, schedules=0)
-    merged = NetFuzzReport(
-        seed=parts[0].seed,
-        schedules=sum(part.schedules for part in parts),
-    )
-    for part in parts:
-        merged.outcomes.extend(part.outcomes)
-        merged.trace_chunks.extend(part.trace_chunks)
-    merged.outcomes.sort(key=lambda outcome: outcome.index)
-    merged.trace_chunks.sort(key=lambda chunk: chunk[0])
     return merged
 
 

@@ -52,20 +52,48 @@ class TestRunCommand:
         assert code == 1
 
     @pytest.mark.parametrize("expect", ["clean", "violation", "recover", "any"])
-    @pytest.mark.parametrize("flag", ["--schedules", "--campaigns"])
+    @pytest.mark.parametrize(
+        "flag", ["--schedules", "--campaigns", "--max-steps"]
+    )
     def test_empty_run_is_a_usage_error_not_a_vacuous_pass(
         self, flag, expect, capsys
     ):
-        # Zero runs used to print "clean after 0 schedule(s)" /
-        # "converged: 0/0" and exit 0 under every expectation.
-        code = main([
-            "run", "--substrate", "sim", "--target", "dg_mutex_n3",
-            "--seed", "s", flag, "0", "--expect", expect,
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "an empty campaign explores nothing" in err
-        assert f"{flag} must be positive, got 0" in err
+        # Zero runs (or zero steps per run) used to print "clean after 3
+        # schedule(s)" / "converged: 0/0" and exit 0 under every
+        # expectation.
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "--substrate", "sim", "--target", "dg_mutex_n3",
+                "--seed", "s", flag, "0", "--expect", expect,
+            ])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be positive, got 0" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--max-steps", "-5", "positive"),
+        ("--windows", "-3", "non-negative"),
+        ("--severity", "-1", "positive and finite"),
+        ("--severity", "0", "positive and finite"),
+        ("--severity", "nan", "positive and finite"),
+        ("--severity", "inf", "positive and finite"),
+        ("--crash-prob", "2", "in [0, 1]"),
+        ("--crash-prob", "-0.5", "in [0, 1]"),
+        ("--crash-prob", "nan", "in [0, 1]"),
+    ], ids=lambda v: v)
+    def test_out_of_range_option_is_a_usage_error(
+        self, flag, value, rule, capsys
+    ):
+        # Each used to run vacuously or with no windows, or to escape as a
+        # ValueError traceback with exit 1 ("expectation violated").
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--target", "alg3_n4", flag, value,
+                  "--expect", "clean"])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be {rule}, got {value}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestShrinkCommand:
@@ -128,11 +156,16 @@ class TestRecoverExpectation:
             "--seed", "s", "--expect", "recover",
         ]) == 2
 
-    def test_trace_is_sim_only(self, tmp_path):
+    def test_net_trace_has_one_run_marker_per_run(self, tmp_path):
+        path = tmp_path / "t.jsonl"
         assert main([
-            "run", "--substrate", "net", "--seed", "s",
-            "--trace", str(tmp_path / "t.jsonl"),
-        ]) == 2
+            "run", "--substrate", "net", "--seed", "s", "--campaigns", "1",
+            "--schedules", "2", "--expect", "clean", "--trace", str(path),
+        ]) == 0
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        markers = [r for r in records if r["kind"] == "run"]
+        assert [m["run_seed"] for m in markers] == ["0", "1"]
+        assert {r["kind"] for r in records} >= {"op", "send"}
 
     def test_trace_and_summary_identical_across_worker_counts(self, tmp_path):
         # The restart-determinism gate: a sharded recover campaign must

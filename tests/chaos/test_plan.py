@@ -146,6 +146,13 @@ class TestGenerators:
         with pytest.raises(ValueError):
             sample_net_campaign("g", severity=-1.0)
 
+    @pytest.mark.parametrize("severity", [math.nan, math.inf])
+    def test_non_finite_severity_rejected(self, severity):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_sim_campaign("g", pids=(0,), severity=severity)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_net_campaign("g", severity=severity)
+
     def test_invalid_crash_prob_rejected(self):
         with pytest.raises(ValueError):
             sample_sim_campaign("g", pids=(0,), crash_prob=1.5)
@@ -155,6 +162,24 @@ class TestGenerators:
         assert c.substrate == "net"
         assert len(c.losses) == 2 and len(c.spikes) == 2
         assert len(c.partitions) == 2
+
+    def test_sampled_net_campaigns_draw_every_fault_kind(self):
+        # Clients are pids 0-1, replicas 2-4 (NetParams' shape).
+        kinds = set()
+        for index in range(16):
+            c = sample_net_campaign(f"kinds-{index}", clients=2, replicas=3)
+            kinds |= {"loss"} if c.losses else set()
+            kinds |= {"spike"} if c.spikes else set()
+            kinds |= {"partition"} if c.partitions else set()
+            crashed = [pid for pid, _ in c.crash_at]
+            replicas = [pid for pid in crashed if pid >= 2]
+            clients = [pid for pid in crashed if pid < 2]
+            assert len(replicas) in (0, 1) and len(clients) in (0, 1)
+            kinds |= {"replica-minority crash"} if replicas else set()
+            kinds |= {"client crash"} if clients else set()
+            assert crashed == sorted(crashed)
+        assert kinds == {"loss", "spike", "partition",
+                         "replica-minority crash", "client crash"}
 
     def test_net_campaign_deterministic(self):
         assert sample_net_campaign("n") == sample_net_campaign("n")

@@ -301,3 +301,25 @@ class TestRunNet:
         campaign = sample_net_campaign("net-2")
         report = run_net_campaign(campaign, schedules=2)
         assert report.ok and report.schedules_run == 2
+
+
+@pytest.mark.slow
+class TestNetAcceptance:
+    def test_thousand_plus_net_chaos_runs_stay_linearizable(self):
+        # The ABD emulation's acceptance bar: >= 1000 runs over sampled
+        # campaigns (loss, spikes, partitions, a crashed replica minority,
+        # a crashed client), every history linearizable, and the crashed
+        # clients really leave operations pending for the checker.
+        params = NetParams()
+        runs = pending = 0
+        for index in range(126):
+            campaign = sample_net_campaign(f"acceptance-{index}")
+            for run_seed in map(str, range(8)):
+                workload = sample_net_workload(campaign, run_seed, params)
+                outcome = run_net(campaign, workload, params=params,
+                                  run_seed=run_seed)
+                assert outcome.ok, (campaign, run_seed, outcome)
+                runs += 1
+                pending += outcome.pending > 0
+        assert runs == 1008
+        assert pending > 0

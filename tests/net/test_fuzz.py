@@ -1,84 +1,64 @@
-"""Fuzzed net schedules checked against the linearizability spec."""
+"""The ABD workload harness: random workloads judged for linearizability."""
 
-import pytest
+import random
 
-from repro.net import NetFuzzReport, fuzz_quorum_register
-from repro.net.fuzz import PLAN_KINDS, ScheduleOutcome
+from repro.chaos.plan import sample_net_campaign
+from repro.chaos.runner import run_net_campaign
+from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan, Partition
+from repro.net.fuzz import run_workload, sample_workload
+from repro.obs import Tracer, trace_scope
+from repro.sim.failures import CrashSchedule
+
+CLIENTS, REPLICAS, REGISTERS = 2, 3, 2
+
+
+def _workload(seed, ops_per_client=3):
+    return sample_workload(random.Random(seed), CLIENTS, ops_per_client, REGISTERS)
+
+
+def _run(workload, faults=NetFaultPlan.none(), crashes=None, seed="t"):
+    return run_workload(workload, REGISTERS, REPLICAS, 1.0, seed, faults, crashes)
 
 
 class TestCampaign:
     def test_two_rotations_are_linearizable(self):
-        report = fuzz_quorum_register(schedules=12, seed="tier1")
-        assert report.ok, report.summary()
-        assert len(report.outcomes) == 12
-        # The rotation covered every plan kind exactly twice.
-        assert [row[1] for row in report.by_plan()] == [2] * len(PLAN_KINDS)
-
-    def test_rotation_order_is_round_robin(self):
-        report = fuzz_quorum_register(schedules=len(PLAN_KINDS), seed=0)
-        assert tuple(o.plan for o in report.outcomes) == PLAN_KINDS
+        # Six faults rotate loss, spike, partition twice over.
+        campaign = sample_net_campaign("tier1", faults=6)
+        report = run_net_campaign(campaign, schedules=12)
+        assert report.ok, report.failing
+        assert report.schedules_run == 12
 
     def test_campaign_is_deterministic(self):
-        first = fuzz_quorum_register(schedules=6, seed=42)
-        second = fuzz_quorum_register(schedules=6, seed=42)
-        assert first.outcomes == second.outcomes
+        loss = NetFaultPlan(losses=(MessageLoss(rate=0.3, start=0.0, end=6.0),))
+        first = _run(_workload(42), faults=loss)
+        second = _run(_workload(42), faults=loss)
+        assert first == second
+        # The loss draws were taken, and replayed.
+        assert first.net_stats["messages_dropped"] > 0
 
     def test_different_seeds_draw_different_schedules(self):
-        a = fuzz_quorum_register(schedules=6, seed=1)
-        b = fuzz_quorum_register(schedules=6, seed=2)
-        assert a.outcomes != b.outcomes
+        a, b = _workload(1), _workload(2)
+        assert a != b
+        written = [value for client in a for kind, _reg, value in client
+                   if kind == "write"]
+        assert len(written) == len(set(written))  # written values are unique
 
     def test_schedules_exercise_real_operations(self):
-        report = fuzz_quorum_register(schedules=6, seed=7)
-        assert sum(o.operations for o in report.outcomes) > 0
-        # Client-crash schedules are the ones expected to leave pending
-        # invocations; the checker must have explained them (report.ok).
-        assert report.ok
-
-    def test_progress_callback_sees_every_outcome(self):
-        seen = []
-        report = fuzz_quorum_register(schedules=4, seed=0, progress=seen.append)
-        assert seen == report.outcomes
+        # A client crashed mid-workload leaves its invocation pending; the
+        # checker must explain the history either way.
+        run = _run(_workload(7, ops_per_client=6),
+                   crashes=CrashSchedule(at_time={0: 2.5}))
+        assert run.operations > 0 and run.pending > 0
+        assert run.failing == ()
 
     def test_traced_schedule_carries_one_window_record_per_fault(self):
-        report = fuzz_quorum_register(
-            schedules=len(PLAN_KINDS), seed=0, trace=True
+        faults = NetFaultPlan(
+            losses=(MessageLoss(rate=0.1, start=1.0, end=3.0),),
+            spikes=(DelaySpike(start=0.0, end=2.0, stretch=2.0),),
+            partitions=(Partition(start=2.0, end=4.0, groups=((0, 1, 2, 3), (4,))),),
         )
-        windows = {
-            outcome.plan: [r["fault"] for r in chunk if r["kind"] == "window"]
-            for outcome, (_index, chunk) in zip(
-                report.outcomes, report.trace_chunks)
-        }
-        assert windows == {
-            "clean": [], "crash-minority": [], "client-crash": [],
-            "delay-spike": ["spike"], "partition": ["partition"],
-            "loss": ["loss"],
-        }
-
-    def test_summary_reports_per_plan_rows(self):
-        report = fuzz_quorum_register(schedules=6, seed=0)
-        text = report.summary()
-        assert "0 linearizability violations" in text
-        for kind in PLAN_KINDS:
-            assert kind in text
-
-
-class TestReportShape:
-    def test_violations_filter(self):
-        good = ScheduleOutcome(0, "clean", True, 3, 0, "completed")
-        bad = ScheduleOutcome(1, "loss", False, 3, 0, "completed")
-        report = NetFuzzReport(seed=0, schedules=2, outcomes=[good, bad])
-        assert report.violations == [bad]
-        assert not report.ok
-
-
-@pytest.mark.slow
-class TestAcceptanceCampaign:
-    def test_thousand_plus_schedules_stay_linearizable(self):
-        # The subsystem's acceptance bar: >= 1000 fuzzed schedules,
-        # including the crash-minority and delay-spike rotations.
-        report = fuzz_quorum_register(schedules=1008, seed="acceptance")
-        assert report.ok, report.summary()
-        by_plan = dict((kind, ran) for kind, ran, _ in report.by_plan())
-        assert by_plan["crash-minority"] == 168
-        assert by_plan["delay-spike"] == 168
+        tracer = Tracer()
+        with trace_scope(tracer):
+            _run(_workload(0), faults=faults)
+        windows = [r["fault"] for r in tracer.take() if r["kind"] == "window"]
+        assert windows == ["loss", "spike", "partition"]

@@ -5,44 +5,53 @@ import json
 import pytest
 
 from repro.chaos.__main__ import main as chaos_main
-from repro.verify.fuzz import main as fuzz_main
+
+# The schedule fuzzer's campaign: a chaos run on the empty plan.
+FUZZ = ["run", "--windows", "0", "--seed", "42", "--campaigns", "1"]
 
 
 def _fuzz_summary(tmp_path, name, extra):
     path = tmp_path / name
-    code = fuzz_main(
-        ["--seed", "42", "--schedules", "24", "--json", str(path)] + extra
-    )
+    code = chaos_main(FUZZ + ["--schedules", "24", "--json", str(path)] + extra)
     return code, path.read_bytes()
 
 
 class TestFuzzCli:
+    """The fuzz campaigns, run through ``chaos run --windows 0``."""
+
     def test_workers_2_summary_is_byte_identical_to_workers_1(self, tmp_path):
-        code_1, doc_1 = _fuzz_summary(tmp_path, "w1.json", ["--workers", "1"])
-        code_2, doc_2 = _fuzz_summary(tmp_path, "w2.json", ["--workers", "2"])
+        extra = ["--target", "alg3_n4", "--expect", "clean", "--workers"]
+        code_1, doc_1 = _fuzz_summary(tmp_path, "w1.json", extra + ["1"])
+        code_2, doc_2 = _fuzz_summary(tmp_path, "w2.json", extra + ["2"])
         assert code_1 == code_2 == 0
         assert doc_1 == doc_2
+        (entry,) = json.loads(doc_1)["campaigns"]
+        assert entry["faults"] == 0 and entry["schedules_run"] == 24
 
     def test_summary_records_the_expected_fischer_find(self, tmp_path):
-        _, doc = _fuzz_summary(tmp_path, "w.json", ["--workers", "2"])
+        code, doc = _fuzz_summary(tmp_path, "w.json", [
+            "--target", "fischer_n3", "--expect", "violation", "--workers", "2",
+        ])
+        assert code == 0
         summary = json.loads(doc)
-        by_name = {c["name"]: c for c in summary["campaigns"]}
-        assert by_name["fischer_n3"]["failures"]  # violation expected & found
-        assert by_name["alg3_n4"]["ok"] and by_name["consensus_n4"]["ok"]
-        assert summary["ok"] is True
+        (entry,) = summary["campaigns"]
+        assert summary["hits"] == 1 and not entry["ok"]
+        assert entry["violation"]["monitor"] == "mutual_exclusion"
 
     def test_net_substrate_workers_2_matches_workers_1(self, tmp_path):
-        args = ["--substrate", "net", "--seed", "7", "--schedules", "12"]
+        args = ["run", "--substrate", "net", "--seed", "7", "--campaigns", "2",
+                "--schedules", "6", "--expect", "clean"]
         p1, p2 = tmp_path / "n1.json", tmp_path / "n2.json"
-        assert fuzz_main(args + ["--workers", "1", "--json", str(p1)]) == 0
-        assert fuzz_main(args + ["--workers", "2", "--json", str(p2)]) == 0
+        assert chaos_main(args + ["--workers", "1", "--json", str(p1)]) == 0
+        assert chaos_main(args + ["--workers", "2", "--json", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_timing_json_is_written_per_shard(self, tmp_path):
         timing_path = tmp_path / "timing.json"
-        code = fuzz_main([
-            "--seed", "1", "--schedules", "8", "--workers", "2",
-            "--timing-json", str(timing_path),
+        code = chaos_main([
+            "run", "--windows", "0", "--seed", "1", "--campaigns", "3",
+            "--target", "consensus_n4", "--schedules", "8", "--workers", "2",
+            "--expect", "clean", "--timing-json", str(timing_path),
         ])
         assert code == 0
         timing = json.loads(timing_path.read_text())
@@ -50,7 +59,7 @@ class TestFuzzCli:
         # 3 campaigns x 2 shards each
         assert len(timing["rows"]) == 6
         assert {row["campaign"] for row in timing["rows"]} == {
-            "fischer_n3", "alg3_n4", "consensus_n4",
+            "1-0", "1-1", "1-2",
         }
         assert all("wall_s" in row and "worker_pid" in row
                    for row in timing["rows"])
@@ -60,21 +69,23 @@ class TestUsageErrors:
     def test_empty_campaign_is_a_usage_error(self):
         """--schedules 0 must exit 2, not vacuously pass with exit 0."""
         with pytest.raises(SystemExit) as excinfo:
-            fuzz_main(["--schedules", "0"])
+            chaos_main(["run", "--schedules", "0"])
         assert excinfo.value.code == 2
 
     def test_negative_schedules_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
-            fuzz_main(["--schedules", "-5"])
+            chaos_main(["run", "--schedules", "-5"])
         assert excinfo.value.code == 2
 
     def test_zero_workers_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
-            fuzz_main(["--workers", "0", "--schedules", "10"])
+            chaos_main(["run", "--substrate", "net", "--workers", "-1"])
         assert excinfo.value.code == 2
 
     def test_chaos_zero_workers_is_a_usage_error(self):
-        assert chaos_main(["run", "--workers", "0"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            chaos_main(["run", "--workers", "0"])
+        assert excinfo.value.code == 2
 
 
 class TestChaosCli:

@@ -2,7 +2,6 @@
 
 from repro.chaos.plan import sample_net_campaign, sample_sim_campaign
 from repro.chaos.runner import run_net_campaign, run_sim_campaign, sim_target
-from repro.net.fuzz import fuzz_quorum_register
 from repro.parallel import (
     RunRecord,
     WorkerPool,
@@ -10,7 +9,6 @@ from repro.parallel import (
     merge_campaign_runs,
     merge_counters,
     merge_fuzz_results,
-    merge_net_reports,
 )
 from repro.sim import ops
 from repro.sim.registers import Register
@@ -77,25 +75,6 @@ class TestFuzzMerge:
         )
         assert all(f.seed_key == f"chaos:9:{f.run_index}" for f in part.failures)
         assert all(30 <= f.run_index < 40 for f in part.failures)
-
-
-class TestNetMerge:
-    def test_sharded_net_fuzz_merges_to_sequential(self):
-        sequential = fuzz_quorum_register(schedules=6, seed=5)
-        parts = [
-            fuzz_quorum_register(
-                schedules=shard.count, seed=5, first_index=shard.start
-            )
-            for shard in make_shards(6, 3)
-        ]
-        merged = merge_net_reports(parts)
-        assert merged.schedules == sequential.schedules
-        assert merged.outcomes == sequential.outcomes
-        assert merged.by_plan() == sequential.by_plan()
-
-    def test_empty_parts(self):
-        merged = merge_net_reports([])
-        assert merged.schedules == 0 and merged.outcomes == []
 
 
 class TestCampaignMerge:

@@ -1,5 +1,10 @@
 """Tests for the schedule fuzzer."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.algorithms import FischerLock, mutex_session
@@ -8,6 +13,7 @@ from repro.chaos.plan import Campaign
 from repro.chaos.runner import SimTarget, run_sim, run_sim_campaign
 from repro.core.consensus import TimeResilientConsensus, labeled_decision
 from repro.core.mutex import default_time_resilient_mutex
+from repro.obs import Tracer, trace_scope
 from repro.sim import ops
 from repro.sim.failures import failure_window
 from repro.sim.registers import Register
@@ -76,15 +82,18 @@ class TestEmptyPlanChaosRun:
     def test_a_fuzz_run_is_run_sim_on_the_empty_campaign(self):
         prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 4,
                                  name="x<4", message="x hit 4")
-        res = fuzz(self._factories(), [prop], schedules=1, first_index=5,
-                   seed=7, stop_at_first_violation=False, trace=True)
+        fuzzed, direct = Tracer(), Tracer()
+        with trace_scope(fuzzed):
+            res = fuzz(self._factories(), [prop], schedules=1, first_index=5,
+                       seed=7, stop_at_first_violation=False)
         target = SimTarget("fuzz", "", lambda: (self._factories(), [], {}),
                            max_ops=200, pids=(0, 1, 2), expect_violation=False)
-        outcome = run_sim(target, Campaign(substrate="sim", seed="7"),
-                          run_seed="5", max_steps=600,
-                          monitors=[SafetyMonitor(prop)])
-        ((index, records),) = res.trace_chunks
-        assert index == 5
+        with trace_scope(direct):
+            outcome = run_sim(target, Campaign(substrate="sim", seed="7"),
+                              run_seed="5", max_steps=600,
+                              monitors=[SafetyMonitor(prop)])
+        records = fuzzed.take()
+        assert records and records == direct.take()
         ops_seen = [r["pid"] for r in records if r["kind"] == "op"]
         assert ops_seen == list(outcome.schedule)
         assert res.steps_taken == outcome.steps == len(outcome.schedule)
@@ -205,8 +214,6 @@ class TestFailureCollection:
         assert not res.ok
         failure = res.failures[0]
         assert failure.seed_key == f"chaos:7:{failure.run_index}"
-        hint = failure.replay_hint()
-        assert failure.seed_key in hint and "schedule=[" in hint
         sb = replay_schedule({0: self._prog, 1: self._prog},
                              failure.violation.schedule, max_ops=200)
         assert sb.memory.peek(X) == 2
@@ -231,3 +238,19 @@ class TestFailureCollection:
         res = fuzz({0: self._prog, 1: self._prog}, [prop],
                    schedules=100, seed=0, stop_at_first_violation=False)
         assert [f.violation for f in res.failures] == res.violations
+
+
+def test_running_the_module_fails_and_names_the_chaos_command():
+    # The fuzz CLI is gone; a stale ``python -m repro.verify.fuzz`` must
+    # not exit 0 having run nothing.
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.verify.fuzz", "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert ("python -m repro.chaos run --target fischer_n3 --windows 0"
+            in done.stderr)
