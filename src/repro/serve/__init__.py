@@ -7,7 +7,9 @@ load — without changing a line of algorithm code:
 
 * :mod:`~repro.serve.substrate` — the :class:`Substrate` protocol (the
   message-fabric surface `repro.net.Transport` already satisfies) and
-  :class:`AsyncioSubstrate`, the loopback-TCP implementation;
+  :class:`AsyncioSubstrate`, the loopback-TCP implementation, which
+  applies a :class:`~repro.net.faults.NetFaultPlan` to its sends the way
+  the sim transport does — the chaos seam for the live service;
 * :mod:`~repro.serve.driver` — :class:`AsyncioDriver`, the interpreter
   that drives the repo's generator programs over a live substrate;
 * :mod:`~repro.serve.lease` — the asyncio-free core both substrates
@@ -17,9 +19,7 @@ load — without changing a line of algorithm code:
   door over the live substrate;
 * :mod:`~repro.serve.workload` — the same keeper workload under the
   deterministic sim engine;
-* :mod:`~repro.serve.loadgen` — seeded open-loop Poisson load;
-* :mod:`~repro.serve.chaosproxy` — :class:`FaultProxySubstrate`, the
-  chaos seam for the live service.
+* :mod:`~repro.serve.loadgen` — seeded open-loop Poisson load.
 
 CLI: ``python -m repro.serve demo|load|sim`` (see ``--help``).
 """
@@ -30,7 +30,6 @@ __all__ = export_lazily(globals(), {
     "driver": ("AsyncioDriver",),
     "substrate": ("AsyncioSubstrate", "Substrate", "SubstrateClock"),
     "workload": ("ChurnFeed", "lease_churn_sim"),
-    "chaosproxy": ("FaultProxySubstrate",),
     "lease": (
         "Lease",
         "LeaseCore",

@@ -165,7 +165,6 @@ def cmd_load(args: argparse.Namespace) -> int:
             ttl=args.ttl,
             hold=args.hold,
             timeout=args.timeout,
-            workers=args.workers,
             max_inflight=args.max_inflight,
         )
         report = await generator.run()
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--ttl", type=_seconds, default=None, help="lease ttl (s)")
     load.add_argument("--hold", type=_span, default=0.0, help="hold time (s)")
     load.add_argument("--timeout", type=_seconds, default=2.0, help="acquire timeout")
-    load.add_argument("--workers", type=_count, default=1, help="arrival pump shards")
     load.add_argument("--max-inflight", type=_count, default=50_000)
     load.add_argument("--json", default=None, help="also write the report here")
     load.add_argument(

@@ -3,8 +3,8 @@
 Everything here runs unchanged on both substrates: the simulated churn
 (:func:`repro.serve.workload.lease_churn_sim`, logical clock) and the
 live :class:`~repro.serve.service.LeaseService` (wall clock).  Nothing
-in this module imports asyncio, so the sim side loads no event loop,
-socket substrate or chaos proxy.
+in this module imports asyncio, so the sim side loads no event loop
+or socket substrate.
 
 * :func:`shard_for` — stable key-to-shard routing;
 * :class:`LeaseCore` — the per-shard lease table with fencing tokens,

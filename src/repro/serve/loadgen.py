@@ -16,16 +16,11 @@ for ``hold`` — continues in a Task from where it stopped.
 Determinism discipline, stated precisely: the *workload* is seeded and
 exactly reproducible — the arrival schedule (``expovariate`` draws from
 ``random.Random(seed)``) and each session's key (CRC-32 of the session
-index, never :func:`hash`) are identical across runs, workers, and
-machines.  The *measurements* (latencies, grant/timeout split under
-contention) are wall-clock facts of the run; safety properties are
-audited by :meth:`~repro.serve.service.LeaseService.verify`, not by
-expecting live timings to replay.
-
-``workers`` splits the schedule into interleaved slices (worker ``w``
-pumps sessions ``w::workers``) so the pump itself never bottlenecks on a
-single coroutine at high arrival rates; the union of slices is the same
-schedule regardless of worker count.
+index, never :func:`hash`) are identical across runs and machines.
+The *measurements* (latencies, grant/timeout split under contention)
+are wall-clock facts of the run; safety properties are audited by
+:meth:`~repro.serve.service.LeaseService.verify`, not by expecting live
+timings to replay.
 """
 
 from __future__ import annotations
@@ -119,7 +114,6 @@ class LoadGenerator:
         ttl: Optional[float] = None,
         hold: float = 0.0,
         timeout: float = 2.0,
-        workers: int = 1,
         max_inflight: int = 50_000,
     ) -> None:
         if clients < 1:
@@ -130,8 +124,6 @@ class LoadGenerator:
             raise ValueError(f"keyspace must be positive, got {keyspace}")
         if not 0 <= hold < math.inf:
             raise ValueError(f"hold must be non-negative and finite, got {hold}")
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
         self.service = service
         self.clients = clients
         self.duration = float(duration)
@@ -140,7 +132,6 @@ class LoadGenerator:
         self.ttl = ttl
         self.hold = hold
         self.timeout = timeout
-        self.workers = workers
         self.max_inflight = max_inflight
         # The entire arrival schedule is drawn up front: rate λ = N/D,
         # inter-arrival gaps ~ Exp(λ).  Reproducible by construction.
@@ -168,7 +159,7 @@ class LoadGenerator:
         return f"key{slot}"
 
     def _now(self) -> float:
-        return self.service.base.clock.now
+        return self.service.substrate.clock.now
 
     # -- sessions ------------------------------------------------------------
 
@@ -210,9 +201,9 @@ class LoadGenerator:
         if not task.cancelled():
             task.exception()  # counted in ``errors`` by the session itself
 
-    async def _pump(self, worker: int) -> None:
-        for index in range(worker, self.clients, self.workers):
-            target = self._origin + self.arrivals[index]
+    async def _pump(self) -> None:
+        for index, arrival in enumerate(self.arrivals):
+            target = self._origin + arrival
             delay = target - self._now()
             if delay > 0:
                 await asyncio.sleep(delay)
@@ -226,11 +217,7 @@ class LoadGenerator:
     async def run(self) -> Dict[str, Any]:
         """Pump the schedule, drain the tail, return the report dict."""
         self._origin = self._now()
-        pumps = [
-            asyncio.get_running_loop().create_task(self._pump(w))
-            for w in range(self.workers)
-        ]
-        await asyncio.gather(*pumps)
+        await self._pump()
         if self._tasks:
             await asyncio.wait(set(self._tasks), timeout=self.timeout + self.hold + 1.0)
         cancelled = 0
@@ -250,7 +237,6 @@ class LoadGenerator:
             "duration": self.duration,
             "seed": self.seed,
             "keyspace": self.keyspace,
-            "workers": self.workers,
             "elapsed": elapsed,
             "granted": self.granted,
             "timeouts": self.timeouts,

@@ -58,7 +58,6 @@ from repro.net.quorum import QuorumSystem
 from repro.obs.tracer import Tracer
 from repro.sim.registers import Register, RegisterNamespace
 
-from .chaosproxy import FaultProxySubstrate
 from .driver import AsyncioDriver
 from .lease import (
     Lease,
@@ -184,9 +183,8 @@ class _ShardState:
 class LeaseService:
     """The asyncio front door: sharded leases over the live substrate.
 
-    Construction wires the whole stack — ``AsyncioSubstrate`` (optionally
-    wrapped in a :class:`~repro.serve.chaosproxy.FaultProxySubstrate`),
-    a :class:`~repro.net.quorum.QuorumSystem` bound to it, one Algorithm
+    Construction wires the whole stack — an ``AsyncioSubstrate``, a
+    :class:`~repro.net.quorum.QuorumSystem` bound to it, one Algorithm
     3 mutex + ``hwm`` register + :class:`LeaseCore` per shard, and an
     :class:`~repro.serve.driver.AsyncioDriver` to run the keeper and
     replica generators.  Nothing runs until :meth:`start`.
@@ -240,9 +238,9 @@ class LeaseService:
         for the offered load (the load CLI does this automatically); an
         undersized block does not break safety, it just queues
         acquirers on the refill.
-    fault_plan:
-        A :class:`~repro.net.faults.NetFaultPlan` injected between the
-        service and the sockets — the chaos path.
+    fault_plan / fault_seed:
+        A :class:`~repro.net.faults.NetFaultPlan` the substrate applies
+        to every send, and the seed of its loss draws — the chaos path.
     """
 
     def __init__(
@@ -259,8 +257,6 @@ class LeaseService:
         fault_plan: Optional[NetFaultPlan] = None,
         fault_seed: Any = 0,
         tracer: Optional[Tracer] = None,
-        record_history: bool = True,
-        time_scale: float = 1.0,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
@@ -277,19 +273,15 @@ class LeaseService:
         self.default_ttl = default_ttl
         self.sweep_interval = sweep_interval
         clients = shards * keepers_per_shard
-        self.base = AsyncioSubstrate(clients + replicas, bound=bound, tracer=tracer)
-        if fault_plan is not None:
-            self.substrate: Any = FaultProxySubstrate(
-                self.base, fault_plan, seed=fault_seed
-            )
-        else:
-            self.substrate = self.base
+        self.substrate = AsyncioSubstrate(
+            clients + replicas, bound=bound, tracer=tracer,
+            faults=fault_plan, seed=fault_seed,
+        )
+        self.base = self.substrate  # the same object under its older name
         self.system = QuorumSystem(
             clients=clients, replicas=replicas, substrate=self.substrate, seed=seed
         )
-        self.driver = AsyncioDriver(
-            self.substrate, time_scale=time_scale, tracer=tracer
-        )
+        self.driver = AsyncioDriver(self.substrate, tracer=tracer)
         self.timeouts = 0
         self.handoffs = 0  # grants made to a parked waiter
         self.max_queue_depth = 0  # longest key or pool queue seen
@@ -304,11 +296,11 @@ class LeaseService:
                 clients, delta=self.system.delta, namespace=ns.child("lock")
             )
             hwm = ns.register("hwm", 0)
-            core = LeaseCore(shard, clock=self._now, record_history=record_history)
+            core = LeaseCore(shard, clock=self._now)
             self.states.append(_ShardState(core, lock, hwm))
 
     def _now(self) -> float:
-        return self.base.clock.now
+        return self.substrate.clock.now
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -323,7 +315,7 @@ class LeaseService:
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
-        await self.base.start()
+        await self.substrate.start()
         for rpid in self.system.replica_pids:
             self.driver.spawn(
                 self.system.replica(rpid), pid=rpid, name=f"replica{rpid}"
@@ -388,7 +380,7 @@ class LeaseService:
             await self._drain(drain_timeout)
         finally:
             await self.driver.cancel()
-            await self.base.close()
+            await self.substrate.close()
         for task in self.driver.tasks.values():
             error = None if task.cancelled() else task.exception()
             if error is not None:
@@ -629,7 +621,7 @@ class LeaseService:
             "shards": self.shards,
             "keepers_per_shard": self.keepers_per_shard,
             "replicas": self.system.replicas,
-            "bound": self.base.bound,
+            "bound": self.substrate.bound,
             "timeouts": self.timeouts,
             "counters": totals,
             "front_door": {
@@ -637,8 +629,8 @@ class LeaseService:
                 "max_queue_depth": self.max_queue_depth,
             },
             "net": self.substrate.stats.snapshot(),
-            "timing_failures": self.base.timing_failures.snapshot(),
-            "bad_frames": self.base.bad_frames,
+            "timing_failures": self.substrate.timing_failures.snapshot(),
+            "bad_frames": self.substrate.bad_frames,
         }
 
     def __repr__(self) -> str:

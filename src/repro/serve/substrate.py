@@ -1,4 +1,4 @@
-"""The substrate seam: one message-fabric interface, three backends.
+"""The substrate seam: one message-fabric interface, two backends.
 
 Every networked layer in this repo ultimately speaks to four verbs —
 how many endpoints exist, who a pid's peers are, ``send`` a payload at a
@@ -7,7 +7,7 @@ time, ``collect`` what has arrived by a time — plus a delivery ``bound``
 block, and an optional :class:`~repro.obs.tracer.Tracer`.  The
 :class:`Substrate` protocol names exactly that surface.
 
-Three implementations satisfy it:
+Two implementations satisfy it:
 
 * :class:`repro.net.Transport` — the deterministic in-simulation fabric
   (it predates the protocol and satisfies it structurally, which is the
@@ -15,11 +15,19 @@ Three implementations satisfy it:
 * :class:`AsyncioSubstrate` (here) — real asyncio TCP streams on
   loopback, one listening server per endpoint, used by
   :mod:`repro.serve` to run the very same generator programs against
-  actual sockets and wall-clock time;
-* :class:`repro.serve.chaosproxy.FaultProxySubstrate` — a proxy that
-  wraps either of the above and applies a
-  :class:`~repro.net.faults.NetFaultPlan` (drops, delay spikes,
-  partitions) on the way through.
+  actual sockets and wall-clock time.
+
+Both take a :class:`~repro.net.faults.NetFaultPlan` as their own input
+and consult it on each send, drawing from one ``random.Random(seed)``:
+a partition or loss drops the message (``messages_dropped`` and a
+tracer ``drop`` record), a delay spike stretches its delivery.  The sim
+transport adds the spike to the message's scheduled arrival; the live
+substrate holds the frame on a loop timer for the spike's extra delay,
+stamped with the instant it was sent, so the reader measures the spike
+as wire delay over the bound.  Window times are on the driving clock:
+virtual time on the sim, run-relative seconds live.  Live fault
+*decisions* are seeded and reproducible, but wall-clock arrival inside
+a window is not: live chaos runs observe resilience, the sim replays.
 
 What the protocol does **not** promise: that the bound holds.  On the
 sim substrate the bound is enforced by construction (faults aside); on
@@ -56,18 +64,14 @@ import asyncio
 import itertools
 import math
 import pickle
+import random
 import struct
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, Deque, Dict, List, Optional, Protocol, Set, Tuple, runtime_checkable,
+)
 
-try:  # pragma: no cover - version guard, exercised implicitly
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - Python < 3.8 has no Protocol
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
-
+from repro.net.faults import NetFaultPlan
 from repro.net.transport import NetStats
 from repro.obs.tracer import Tracer, active_tracer
 
@@ -259,6 +263,14 @@ class AsyncioSubstrate:
         it — loopback is far faster — but every derived cost (poll
         granularity, ``Δ_net``) scales from it, and the timeliness miner
         judges the run against it.
+    tracer:
+        Receives the message records; defaults to the ambient tracer.
+    faults:
+        Optional :class:`~repro.net.faults.NetFaultPlan`; defaults to a
+        fault-free network.  :attr:`dropped` and :attr:`delayed` count
+        the sends it dropped and held.
+    seed:
+        Seeds the loss RNG; same seed, same drop decisions.
     """
 
     def __init__(
@@ -266,6 +278,8 @@ class AsyncioSubstrate:
         n: int,
         bound: float = 0.02,
         tracer: Optional[Tracer] = None,
+        faults: Optional[NetFaultPlan] = None,
+        seed: Any = 0,
     ) -> None:
         if n < 1:
             raise ValueError(f"substrate needs at least one endpoint, got {n}")
@@ -277,7 +291,11 @@ class AsyncioSubstrate:
         self.timing_failures = TimingFailures()
         self.bad_frames = 0  # connections closed on a bad frame
         self.tracer = tracer if tracer is not None else active_tracer()
+        self.faults = faults if faults is not None else NetFaultPlan.none()
+        self.dropped = 0  # sends the plan dropped
+        self.delayed = 0  # sends the plan held back
         self.clock = SubstrateClock()
+        self._rng = random.Random(seed)
         # Each entry is (src, payload, seq, arrive-instant).
         self._inboxes: List[Deque[Tuple[int, Any, int, float]]] = [
             deque() for _ in range(n)
@@ -290,6 +308,9 @@ class AsyncioSubstrate:
         # Outgoing transports by (src, dst); incoming ones as accepted.
         self._links: Dict[Tuple[int, int], asyncio.Transport] = {}
         self._readers: Set[asyncio.BaseTransport] = set()
+        # Frames a delay spike holds back, by sequence number, until
+        # their timer writes them.
+        self._held: Dict[int, asyncio.TimerHandle] = {}
         self._seq = itertools.count()
         self._started = False
         self._closed = False
@@ -334,10 +355,14 @@ class AsyncioSubstrate:
         Both ends of every connection are this substrate's own, so it
         aborts them all — a frame still in flight has no reader left to
         want it — and gives the loop one turn to release their sockets.
+        Frames a delay spike still holds are cancelled, never written.
         """
         if self._closed:
             return
         self._closed = True
+        for timer in self._held.values():
+            timer.cancel()
+        self._held.clear()
         for transport in [*self._links.values(), *self._readers]:
             transport.abort()
         await asyncio.sleep(0)
@@ -373,9 +398,30 @@ class AsyncioSubstrate:
         if link is None:
             raise RuntimeError("substrate not started — call `await start()` first")
         self.stats.messages_sent += 1
+        faults = self.faults
+        if faults.drops(src, dst, now, self._rng):
+            self.dropped += 1
+            self.stats.messages_dropped += 1
+            if self.tracer is not None:
+                self.tracer.msg_drop(src, dst, now)
+            return
+        extra = faults.delivery_delay(src, dst, now, 0.0)
         seq = next(self._seq)
         body = pickle.dumps((src, seq, now, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        link.write(_LEN.pack(len(body)) + body)
+        frame = _LEN.pack(len(body)) + body
+        if extra > 0:
+            # The frame keeps its send instant, so the reader measures
+            # the hold as wire delay.
+            self.delayed += 1
+            self._held[seq] = asyncio.get_running_loop().call_later(
+                extra, self._release, seq, link, frame
+            )
+        else:
+            link.write(frame)
+
+    def _release(self, seq: int, link: asyncio.Transport, frame: bytes) -> None:
+        del self._held[seq]
+        link.write(frame)
 
     def collect(self, dst: int, now: float) -> List[Tuple[int, Any]]:
         inbox = self._inboxes[dst]

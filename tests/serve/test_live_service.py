@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import logging
 import math
 
 import pytest
@@ -161,8 +162,8 @@ def _count_acquires(monkeypatch):
 
 def test_open_loop_sessions_that_never_wait_run_without_a_task(monkeypatch):
     # A hold-0 session on a free key with tokens in the pool never
-    # suspends, so the pump runs it whole: the run's only Task is the
-    # pump.  Every session still goes through acquire.
+    # suspends, so the pump runs it whole: the run creates no Task.
+    # Every session still goes through acquire.
     calls = _count_acquires(monkeypatch)
 
     async def body():
@@ -185,7 +186,7 @@ def test_open_loop_sessions_that_never_wait_run_without_a_task(monkeypatch):
             await service.close()
         assert report["granted"] == report["released"] == 300
         assert len(calls) == 300
-        assert len(created) == load.workers
+        assert created == []
         assert service.verify() == []
 
     asyncio.run(body())
@@ -202,7 +203,7 @@ def test_session_cancelled_before_its_task_runs_leaves_no_waiter():
             load = LoadGenerator(service, clients=1, duration=1.0, timeout=5.0)
             key = load.key_for(0)
             held = await service.acquire(key, ttl=5.0)
-            load._spawn(0, service.base.clock.now)
+            load._spawn(0, service.substrate.clock.now)
             (task,) = load._tasks
             state = service.states[shard_for(key, service.shards)]
             assert len(state.queues[key]) == 1
@@ -294,11 +295,41 @@ def test_service_survives_chaos_plan():
             assert lease is not None
             assert service.release("chaotic", lease.token)
             assert service.verify() == []
-            assert service.summary()["net"]["messages_dropped"] >= 0
+            assert service.substrate.delayed > 0
+            net = service.summary()["net"]
+            assert net["messages_dropped"] == service.substrate.dropped
         finally:
             await service.close()
 
     asyncio.run(body())
+
+
+def test_close_cancels_the_sends_a_spike_still_holds(caplog):
+    # Every frame to or from replica 3 is held 0.3 s.  Those still held
+    # when close() returns are cancelled: nothing is counted or written
+    # into the aborted links afterwards.
+    async def body():
+        tracer = Tracer()
+        plan = NetFaultPlan(
+            spikes=(DelaySpike(start=0.0, end=math.inf, extra=0.3, pids=(3,)),))
+        service = _service(shards=1, block=16, fault_plan=plan, tracer=tracer)
+        await service.start()
+        try:
+            await _closed_loop(service, clients=4, seconds=0.3)
+        finally:
+            await service.close()
+        net = service.summary()["net"]
+        await asyncio.sleep(0.3)
+        assert service.summary()["net"] == net
+        landed = [r for r in tracer.records
+                  if r["kind"] == "send" and 3 in (r["src"], r["dst"])]
+        assert service.substrate.delayed > len(landed)  # some held at close
+        assert service.verify() == []
+        assert service.base is service.substrate  # one fabric, two names
+
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        asyncio.run(body())
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 def test_timing_failures_are_counted_as_they_land():
@@ -317,9 +348,10 @@ def test_timing_failures_are_counted_as_they_land():
             await service.close()
         late = service.summary()["timing_failures"]
         wire = [r["arrive"] - r["t"] for r in tracer.records if r["kind"] == "send"]
-        over = [delay for delay in wire if delay > service.base.bound]
+        bound = service.substrate.bound
+        over = [delay for delay in wire if delay > bound]
         assert late["count"] == len(over) > 0
-        assert late["worst_excess_s"] == pytest.approx(max(over) - service.base.bound)
+        assert late["worst_excess_s"] == pytest.approx(max(over) - bound)
         assert sum(late["by_link"].values()) == late["count"]
         assert late["by_link"].get("0->3", 0) > 0  # the keeper to replica 3
         assert service.summary()["bad_frames"] == 0
@@ -463,7 +495,7 @@ def test_standby_takes_over_from_a_dead_keeper():
             for i in range(3 * service.block):
                 if dry_at is None and (
                         state.core.tokens_available <= service.low_water):
-                    dry_at = service.base.clock.now
+                    dry_at = service.substrate.clock.now
                 lease = await service.acquire(f"k{i}", ttl=5.0, timeout=10.0)
                 assert lease is not None
                 assert service.release(f"k{i}", lease.token)
@@ -527,7 +559,7 @@ def test_close_after_a_keeper_died(death):
                 await asyncio.wait_for(service.close(), 5.0)
         else:
             await asyncio.wait_for(service.close(), 5.0)
-        assert service.base._closed
+        assert service.substrate._closed
         assert all(task.done() for task in service.driver.tasks.values())
 
     asyncio.run(body())

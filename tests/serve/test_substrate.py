@@ -3,13 +3,15 @@
 import asyncio
 import math
 import pickle
+import random
 import struct
 
 import pytest
 
+from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan, Partition
 from repro.net.transport import Transport
-from repro.serve import AsyncioSubstrate, FaultProxySubstrate, Substrate
-from repro.net.faults import NetFaultPlan
+from repro.obs.tracer import Tracer
+from repro.serve import AsyncioSubstrate, Substrate
 from repro.serve.substrate import MAX_FRAME_BYTES
 
 # A wait that leaks a task or a never-retrieved future says so in a
@@ -25,11 +27,6 @@ def test_transport_satisfies_substrate_protocol():
 
 def test_asyncio_substrate_satisfies_protocol():
     assert isinstance(AsyncioSubstrate(3), Substrate)
-
-
-def test_fault_proxy_satisfies_protocol():
-    inner = Transport(3, bound=1.0)
-    assert isinstance(FaultProxySubstrate(inner, NetFaultPlan.none()), Substrate)
 
 
 def test_substrate_validates_construction():
@@ -73,6 +70,54 @@ def test_live_round_trip_and_stats():
         finally:
             await substrate.close()
             await substrate.close()  # idempotent
+
+    asyncio.run(body())
+
+
+def test_fault_decisions_match_the_plan_draw_for_draw():
+    # The substrate consults its plan as the sim transport does: one
+    # Random(seed), drops first, then the spike's extra delay.  The
+    # sends pass their own instants, so every window is crossed.
+    plan = NetFaultPlan(
+        partitions=(Partition(1.0, 2.0, groups=((0,), (1, 2))),),
+        losses=(MessageLoss(rate=0.3, start=0.0, end=4.0),),
+        spikes=(DelaySpike(3.0, 6.0, extra=30.0, pids=(1,)),),
+    )
+    script = [(i % 3, (i + 1 + i // 3 % 2) % 3, 0.1 * i) for i in range(60)]
+    rng = random.Random(7)
+    fates = []
+    for src, dst, now in script:
+        if plan.drops(src, dst, now, rng):
+            fates.append("drop")
+        elif plan.delivery_delay(src, dst, now, 0.0) > 0:
+            fates.append("hold")
+        else:
+            fates.append("send")
+    assert set(fates) == {"drop", "hold", "send"}
+
+    def fated(fate):
+        return [i for i, f in enumerate(fates) if f == fate]
+
+    async def body():
+        tracer = Tracer()
+        substrate = AsyncioSubstrate(3, bound=0.05, tracer=tracer, faults=plan, seed=7)
+        await substrate.start()
+        try:
+            for i, (src, dst, now) in enumerate(script):
+                substrate.send(src, dst, i, now)
+            got = []
+            for dst in range(3):
+                due = [i for i in fated("send") if script[i][1] == dst]
+                got += [i for _, i in await _delivered(substrate, len(due), dst)]
+            assert sorted(got) == fated("send")
+            assert substrate.delayed == len(substrate._held) == len(fated("hold"))
+        finally:
+            await substrate.close()
+        assert substrate._held == {}
+        drops = [(r["src"], r["dst"], r["t"]) for r in tracer.records if r["kind"] == "drop"]
+        assert drops == [script[i] for i in fated("drop")]
+        assert substrate.dropped == substrate.stats.messages_dropped == len(drops)
+        assert substrate.stats.messages_sent == len(script)
 
     asyncio.run(body())
 
