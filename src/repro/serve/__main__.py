@@ -96,8 +96,10 @@ def _service_args(parser: argparse.ArgumentParser) -> None:
 
 def _auto_block(clients: int, duration: float, shards: int) -> int:
     # A shard refill takes ~0.16 s at the default bound (the supply math
-    # in LeaseService's docstring); a block worth ~0.7 s of this shard's
-    # share of the offered rate keeps supply several refills ahead.
+    # in LeaseService's docstring).  The keeper starts one when half a
+    # block is left, ~0.35 s of this shard's share of the offered rate at
+    # a block worth ~0.7 s: about two refill cycles of headroom.  The new
+    # block extends the pool, so every refill buys a whole block.
     rate = clients / duration
     return max(1024, int(0.7 * rate / shards) + 1)
 

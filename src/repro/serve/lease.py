@@ -134,8 +134,9 @@ class LeaseCore:
     churn workload (logical clock) and the live service (wall clock).
     All safety-relevant checks live here:
 
-    * fencing tokens are only ever handed out from blocks delivered by
-      :meth:`refill`; a block that *overlaps* already-reserved tokens is
+    * fencing tokens are only ever handed out, in ascending order, from
+      blocks delivered by :meth:`refill`; a block contiguous with the
+      pool extends it, and one that *overlaps* already-reserved tokens is
       recorded in :attr:`violations` (it would mean the shard mutex or
       the ``hwm`` register atomicity failed);
     * a grant whose token is not strictly above the key's previous token
@@ -189,6 +190,16 @@ class LeaseCore:
     def refill(self, base: int, limit: int) -> None:
         """Accept the token block ``[base, limit)`` reserved by a keeper.
 
+        A block that starts at the current limit (``base ==
+        tokens_reserved``) *extends* the pool: the tokens still unspent
+        below it stay grantable.  That is every block a single active
+        keeper reserves, because it advances ``hwm`` by its block size, so
+        a refill that lands before the pool runs dry wastes nothing.  A
+        block above the limit leaves a gap (another reserver took the
+        tokens between): the pool jumps to its base, and the unspent
+        tokens below are skipped.  Either way the pool still grants in
+        ascending order, so fencing stays monotonic per key.
+
         Blocks may arrive out of order when keepers hand off (reserver A
         can be slow delivering after reserver B): a block entirely below
         the current limit is *stale* — superseded, dropped, its tokens
@@ -207,7 +218,8 @@ class LeaseCore:
                 f"already-reserved tokens below {self._limit} — mutex or "
                 f"register atomicity failed"
             )
-        self._next_token = max(self._next_token, base)
+        if base != self._limit:
+            self._next_token = max(self._next_token, base)
         self._limit = limit
         self.refills += 1
 

@@ -220,6 +220,9 @@ class LeaseService:
     block / low_water:
         Fencing tokens reserved per quorum round trip, and the pool
         level that triggers a proactive refill (default ``block // 2``).
+        A block that lands while the pool still holds tokens extends it
+        (:meth:`LeaseCore.refill`), so an open loop that never empties
+        the pool pays one refill per ``block`` grants.
         Supply math worth doing out loud: one refill is one Algorithm 3
         acquisition around a read and a write of ``hwm`` — a single
         doorway ``delay(Δ_net)`` (112 ms at the default 20 ms bound with

@@ -46,16 +46,19 @@ and the metrics registry consume live traces unchanged.
 Payload framing is :mod:`pickle` over a length prefix.  The substrate
 only ever listens on the loopback interface and carries this process's
 own traffic between its own endpoints; frames never cross a machine
-boundary.  Frames are parsed in the connection's
-:meth:`asyncio.Protocol.data_received` callback, straight from a
-per-connection buffer: no stream reader and no task per connection, so
-a delivery costs the event loop nothing beyond the socket's own read
-callback.  A frame cut across reads waits in the buffer for its rest;
-EOF or a reset drops whatever part of a frame is buffered.  A reader
-refuses two bad frames: a length header above :data:`MAX_FRAME_BYTES`
-and a body that does not unpickle to a frame.  Either closes that one
-connection and counts into :attr:`AsyncioSubstrate.bad_frames`; every
-other link keeps delivering.
+boundary.  Each connection's reader is an
+:class:`asyncio.BufferedProtocol`: the socket is read straight into a
+small per-connection buffer (``recv_into``, no fresh 256 KiB ``recv``
+allocation per read), and the :meth:`~asyncio.BufferedProtocol.buffer_updated`
+callback decodes every whole frame in place through a
+:class:`memoryview` — no stream reader or task per connection and no
+copy per frame, so a delivery costs the event loop nothing beyond the
+socket's own read callback.  A frame cut across reads waits in the
+buffer for its rest; EOF or a reset drops whatever part of a frame is
+buffered.  A reader refuses two bad frames: a length header above
+:data:`MAX_FRAME_BYTES` and a body that does not decode to a frame.
+Either closes that one connection and counts into
+:attr:`AsyncioSubstrate.bad_frames`; every other link keeps delivering.
 """
 
 from __future__ import annotations
@@ -85,6 +88,9 @@ _LEN = struct.Struct("!I")
 # bytes; a header announcing more than this is a bad frame, refused
 # before its body is read (the prefix alone could ask for 4 GiB).
 MAX_FRAME_BYTES = 1 << 16
+# A reader's standing buffer: a read takes in many ABD frames at once,
+# and one connection holds this little whatever it has carried.
+READ_BUFFER_BYTES = 1 << 12
 
 
 @runtime_checkable
@@ -193,18 +199,43 @@ def _resolve(parked: Optional["asyncio.Future[bool]"], arrived: bool) -> None:
         parked.set_result(arrived)
 
 
-class _FrameReader(asyncio.Protocol):
-    """One accepted connection into endpoint ``dst``: frames parse as bytes land.
+def _decode(body: memoryview) -> Tuple[int, int, float, Any]:
+    """One frame body to ``(src, seq, sent_at, payload)``, or raise.
 
-    The buffer holds at most one incomplete frame between reads.  A frame
-    is unpickled from a slice, which is a copy, so nothing pins the buffer
-    while it compacts.
+    The reader's whole view of the codec: :meth:`AsyncioSubstrate.send`
+    encodes, this decodes, and nothing else looks inside a body.  Any
+    exception marks a bad frame.
+    """
+    src, seq, sent_at, payload = pickle.loads(body)
+    if type(src) is not int or type(seq) is not int or not isinstance(
+        sent_at, (int, float)
+    ):
+        raise ValueError("frame header fields have the wrong types")
+    return src, seq, sent_at, payload
+
+
+class _FrameReader(asyncio.BufferedProtocol):
+    """One accepted connection into endpoint ``dst``: frames parse where they land.
+
+    asyncio reads the socket into :meth:`get_buffer`'s view of this
+    reader's buffer, and :meth:`buffer_updated` decodes each whole frame
+    from a slice of that view, without a copy.  Bytes
+    ``[start, end)`` are received but unparsed: at most one cut frame,
+    moved to the buffer's front when its rest would not fit behind it.
+    A frame longer than the standing buffer gets a new buffer of its
+    exact size, never a resized one — asyncio still holds the exported
+    view during ``buffer_updated``, and a resize would raise
+    :exc:`BufferError` — and once that frame is parsed the reader goes
+    back to its standing :data:`READ_BUFFER_BYTES` buffer.
     """
 
     def __init__(self, substrate: "AsyncioSubstrate", dst: int) -> None:
         self.substrate = substrate
         self.dst = dst
-        self.buffer = bytearray()
+        self.standing = memoryview(bytearray(READ_BUFFER_BYTES))
+        self.view = self.standing  # the buffer asyncio reads into
+        self.start = 0  # the first unparsed byte
+        self.end = 0  # one past the last byte received
         self.transport: Optional[asyncio.Transport] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -215,30 +246,52 @@ class _FrameReader(asyncio.Protocol):
         # EOF or a reset: a partial frame left in the buffer is never read.
         self.substrate._readers.discard(self.transport)
 
-    def data_received(self, data: bytes) -> None:
-        buffer = self.buffer
-        buffer += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.view[self.end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        view = self.view
         deliver = self.substrate._deliver
-        start, end = 0, len(buffer)
+        start, end = self.start, self.end + nbytes
         while end - start >= _LEN.size:
-            (length,) = _LEN.unpack_from(buffer, start)
-            stop = start + _LEN.size + length
+            (length,) = _LEN.unpack_from(view, start)
             if length > MAX_FRAME_BYTES:
                 return self._refuse()
+            stop = start + _LEN.size + length
             if stop > end:
                 break
             try:
-                src, seq, sent_at, payload = pickle.loads(buffer[start + _LEN.size:stop])
+                src, seq, sent_at, payload = _decode(view[start + _LEN.size:stop])
             except Exception:  # any undecodable body is a bad frame
                 return self._refuse()
             deliver(src, self.dst, seq, sent_at, payload)
             start = stop
-        del buffer[:start]
+        if start == end:
+            self.view = self.standing
+            self.start = self.end = 0
+        else:
+            self._keep(start, end)
+
+    def _keep(self, start: int, end: int) -> None:
+        """Make room behind the cut frame at ``[start, end)`` for its rest."""
+        view = self.view
+        need = _LEN.size
+        if end - start >= need:
+            need += _LEN.unpack_from(view, start)[0]
+        if start + need <= len(view):
+            self.start, self.end = start, end
+            return
+        standing = self.standing
+        target = standing if need <= len(standing) else memoryview(bytearray(need))
+        # memoryview slice assignment moves overlapping bytes correctly.
+        target[:end - start] = view[start:end]
+        self.view = target
+        self.start, self.end = 0, end - start
 
     def _refuse(self) -> None:
         self.substrate.bad_frames += 1
         assert self.transport is not None
-        self.transport.close()  # no data_received follows
+        self.transport.close()  # no buffer_updated follows
 
 
 class AsyncioSubstrate:

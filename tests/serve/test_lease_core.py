@@ -78,6 +78,23 @@ def test_fencing_monotonic_across_refill_handoffs(clock):
     assert verify_lease_events(core.events) == []
 
 
+def test_contiguous_refill_extends_the_pool(clock):
+    # A proactive refill lands while the pool still has tokens: the
+    # unspent ones stay grantable, in order, and none is skipped.
+    core = LeaseCore(0, clock)
+    core.refill(0, 8)
+    for i in range(4):
+        core.release(f"k{i}", core.grant(f"k{i}", ttl=10.0).token)
+    core.refill(8, 16)
+    assert core.grant("next", ttl=10.0).token == 4
+    assert core.tokens_reserved - core.tokens_available == core.granted == 5
+    # A gap block still jumps: the tokens below it are skipped.
+    core.refill(24, 32)
+    assert core.grant("after-gap", ttl=10.0).token == 24
+    assert core.violations == []
+    assert verify_lease_events(core.events) == []
+
+
 def test_refill_gap_is_fine_overlap_is_violation(clock):
     core = LeaseCore(0, clock)
     core.refill(0, 8)

@@ -276,6 +276,33 @@ def test_every_session_is_accounted_for(shape):
     asyncio.run(body())
 
 
+def test_an_open_loop_pays_one_refill_per_block():
+    # A slow open loop never empties a pool, so every refill lands while
+    # the pool still has tokens: each block extends it, and no token is
+    # skipped.  Moving the pool to the new block's base dropped the
+    # unspent half and paid about one refill per block / 2 grants.
+    async def body():
+        service = _service(bound=0.01, block=64)
+        await service.start()
+        try:
+            load = LoadGenerator(service, clients=500, duration=1.5,
+                                 seed=0, timeout=5.0)
+            report = await load.run()
+        finally:
+            await service.close()
+        assert report["granted"] == 500
+        counters = service.summary()["counters"]
+        assert counters["granted"] >= 3 * service.block * service.shards
+        assert counters["refills"] <= (
+            math.ceil(counters["granted"] / service.block) + service.shards)
+        for state in service.states:
+            core = state.core
+            assert core.tokens_reserved - core.tokens_available == core.granted
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
 @pytest.mark.parametrize("hold", [-1.0, math.inf, math.nan])
 def test_load_generator_rejects_a_hold_that_never_ends(hold):
     with pytest.raises(ValueError, match="hold must be non-negative"):

@@ -1,18 +1,22 @@
 """The Substrate protocol and the live loopback implementation."""
 
 import asyncio
+import itertools
 import math
 import pickle
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan, Partition
 from repro.net.transport import Transport
 from repro.obs.tracer import Tracer
 from repro.serve import AsyncioSubstrate, Substrate
-from repro.serve.substrate import MAX_FRAME_BYTES
+from repro.serve.substrate import (
+    MAX_FRAME_BYTES, READ_BUFFER_BYTES, _decode, _FrameReader,
+)
 
 # A wait that leaks a task or a never-retrieved future says so in a
 # warning when the loop closes; make every one of those a failure.
@@ -247,6 +251,142 @@ def test_eof_inside_a_frame_is_dropped_silently(caplog):
 
     assert asyncio.run(_on_connection(test)) == []
     assert caplog.records == []
+
+
+def _padded_frame(size):
+    """A well-formed frame whose body is exactly ``size`` bytes."""
+    def body(pad):
+        return pickle.dumps((0, 0, 0.0, b"x" * pad))
+
+    pad = size - (len(body(1000)) - 1000)
+    assert len(body(pad)) == size
+    return struct.pack("!I", size) + body(pad), b"x" * pad
+
+
+@pytest.mark.parametrize("cuts", ["whole", "header", "random"])
+def test_a_large_frame_is_delivered_and_the_buffer_shrinks_back(cuts):
+    # A 60 KiB frame is far past the reader's standing buffer: it gets
+    # one of its own, and the reader goes back to the standing buffer
+    # once the frame is parsed.
+    frame, payload = _padded_frame(60 * 1024)
+    points = {
+        "whole": (),
+        "header": (1, 2, 3, 4),
+        "random": sorted(random.Random(0).sample(range(1, len(frame)), 8)),
+    }[cuts]
+
+    async def test(substrate, reader, writer):
+        start = 0
+        for cut in (*points, len(frame)):
+            writer.write(frame[start:cut])
+            await writer.drain()
+            await asyncio.sleep(0.001)  # let the reader see this piece alone
+            start = cut
+        writer.write(_frame(0, "after"))
+        assert await _delivered(substrate, 2) == [(0, payload), (0, "after")]
+        assert substrate.bad_frames == 0
+        sizes = [len(t.get_protocol().view) for t in substrate._readers]
+        assert sizes == [READ_BUFFER_BYTES] * len(sizes)
+
+    assert asyncio.run(_on_connection(test)) == []
+
+
+def test_a_header_at_the_limit_is_accepted_one_past_is_refused():
+    largest, payload = _padded_frame(MAX_FRAME_BYTES)
+    # The header alone: a body left unread would reset the connection.
+    too_large = struct.pack("!I", MAX_FRAME_BYTES + 1)
+
+    async def test(substrate, reader, writer):
+        writer.write(largest + too_large)
+        assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+        assert await _delivered(substrate, 1) == [(0, payload)]
+        assert substrate.bad_frames == 1
+
+    assert asyncio.run(_on_connection(test)) == []
+
+
+class _FakeTransport:
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def _feed(reader, data):
+    """Hand ``data`` to ``reader`` as asyncio's selector transport does:
+    read into :meth:`get_buffer`'s view, which stays exported while
+    :meth:`buffer_updated` runs."""
+    while data and not reader.transport.closed:
+        view = reader.get_buffer(-1)
+        assert len(view) > 0
+        count = min(len(view), len(data))
+        view[:count] = data[:count]
+        reader.buffer_updated(count)
+        data = data[count:]
+
+
+def _well_formed_prefix(data):
+    """The frames a reader must deliver from ``data``, and whether it
+    must then refuse the connection."""
+    frames, start = [], 0
+    while len(data) - start >= 4:
+        (length,) = struct.unpack_from("!I", data, start)
+        if length > MAX_FRAME_BYTES:
+            return frames, True
+        stop = start + 4 + length
+        if stop > len(data):
+            break
+        try:
+            src, _, _, payload = _decode(memoryview(data)[start + 4:stop])
+        except Exception:
+            return frames, True
+        frames.append((src, payload))
+        start = stop
+    return frames, False
+
+
+_payloads = st.one_of(
+    st.integers(), st.text(max_size=40), st.binary(max_size=3000),
+    st.binary(min_size=4000, max_size=6000),
+    st.tuples(st.sampled_from(["read", "write", "ack"]), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payloads=st.lists(_payloads, max_size=8),
+    garbage=st.lists(st.tuples(st.integers(0, 2**20), st.binary(min_size=1, max_size=8)),
+                     max_size=3),
+    tail=st.binary(max_size=16),
+    chunks=st.lists(st.integers(1, 9000), min_size=1, max_size=40),
+)
+def test_any_byte_stream_delivers_its_well_formed_prefix(payloads, garbage, tail, chunks):
+    # Good frames, then bytes overwritten at random offsets and random
+    # bytes appended, fed in random chunk sizes: the reader delivers
+    # exactly the frames a whole-stream parse finds before the first bad
+    # one, refuses iff that parse meets a bad one, and never raises.
+    data = bytearray(b"".join(
+        _frame(i % 3, payload, seq=i) for i, payload in enumerate(payloads)))
+    for offset, patch in garbage:
+        if data:
+            at = offset % len(data)
+            data[at:at + len(patch)] = patch
+    data = bytes(data + tail)
+    expected, refused = _well_formed_prefix(data)
+
+    substrate = AsyncioSubstrate(2)
+    reader = _FrameReader(substrate, dst=1)
+    reader.connection_made(_FakeTransport())
+    start = 0
+    for size in itertools.cycle(chunks):
+        if start >= len(data) or reader.transport.closed:
+            break
+        _feed(reader, data[start:start + size])
+        start += size
+    delivered = substrate.collect(1, 0.0)
+    assert repr(delivered) == repr(expected)
+    assert reader.transport.closed == refused
+    assert substrate.bad_frames == int(refused)
 
 
 def test_start_leaves_no_task_behind():
