@@ -385,9 +385,19 @@ def keeper_program(
 
     * ``finished()`` — stop serving and retire;
     * ``wants_refill()`` — does the shard need more tokens?
+    * ``idle_for(idle_poll)`` — asked only when ``wants_refill()`` said
+      no: how long to nap before asking again.  The live feed answers
+      ``math.inf`` while the pool is stocked (the front door rings the
+      keeper through :meth:`~repro.serve.substrate.AsyncioSubstrate.wake`
+      when it needs tokens), ``idle_poll`` to a standby watching the
+      keepers before it, and 0 when demand or closing came meanwhile.
+      The sim feed always wants a refill, so it never gets here;
     * ``deliver(base, limit)`` — hand a reserved block over (the live
       feed refills the shard's :class:`LeaseCore` and wakes waiters; the
       sim feed refills and immediately churns grants through the block).
+
+    An idle keeper first drains its inbox: all it can hold is late acks
+    of finished quorum phases, and a nap with mail waiting ends at once.
 
     Two keepers of one shard may both decide to refill and serialize on
     the mutex — the loser reserves a block that may arrive stale at the
@@ -403,7 +413,8 @@ def keeper_program(
     refills = 0
     while not feed.finished():
         if not feed.wants_refill():
-            yield ops.delay(idle_poll)
+            yield ops.recv()
+            yield ops.nap(feed.idle_for(idle_poll))
             continue
         yield from lock.entry(pid)
         yield ops.label(ops.CS_ENTER, shard)

@@ -48,6 +48,7 @@ Lease semantics, stated precisely:
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -97,6 +98,15 @@ class _LiveFeed:
     keeper has nothing to deliver.  A suspected peer's next delivery
     grows that peer's timeout.  A wrong suspicion is a timing failure:
     both keepers contend and Algorithm 3 serialises them.
+
+    An idle keeper takes no step while the pool is stocked: it naps
+    until the front door rings it (:meth:`LeaseService._ring`), which
+    happens when a grant leaves the pool at or below ``low_water`` or
+    finds it dry, and at ``close()``.  ``napping`` marks that nap, so a
+    ring never reaches a keeper inside a quorum phase, where an early
+    wake-up would count toward the phase's retransmit.  A standby that
+    sees demand but is not the leader still polls every ``idle_poll``,
+    so its suspicion timing does not depend on rings.
     """
 
     def __init__(
@@ -106,19 +116,46 @@ class _LiveFeed:
         self.state = state
         self.monitor = monitor
         self.behind = False
+        self.napping = False  # parked until rung, see idle_for
 
     def finished(self) -> bool:
         return self.service._closing
 
+    def _stocked(self) -> bool:
+        return (
+            not self.behind
+            and self.state.core.tokens_available > self.service.low_water
+        )
+
     def wants_refill(self) -> bool:
         monitor, service = self.monitor, self.service
         now = service._now()
-        if not self.behind and self.state.core.tokens_available > service.low_water:
+        if self.napping:
+            # Demand rings a napping keeper the moment it appears, so
+            # until now the peers had nothing to deliver: idle, not slow.
+            self.napping = False
+            monitor.excuse(now)
+        if self._stocked():
             monitor.excuse(now)
             return False
         self.behind = False
         monitor.update_suspicions(now)
         return monitor.leader() == monitor.pid
+
+    def idle_for(self, poll: float) -> float:
+        """How long a keeper that wants no refill naps before it looks again.
+
+        Until rung (``math.inf``) while the pool is stocked; ``poll`` for
+        a standby under demand; 0 if demand or closing came while the
+        keeper drained its inbox.
+        """
+        if self.finished():
+            return 0.0
+        if not self._stocked():
+            monitor = self.monitor
+            return 0.0 if monitor.leader() == monitor.pid else poll
+        self.napping = True
+        return math.inf
 
     def deliver(self, base: int, limit: int) -> None:
         state = self.state
@@ -130,9 +167,9 @@ class _LiveFeed:
         self.behind = state.core.tokens_available == 0 and bool(state.pool)
         state.core.refill(base, limit)
         pid, now = self.monitor.pid, self.service._now()
-        for monitor in state.monitors:
-            if pid in monitor.timeout:
-                monitor.observe_heartbeat(pid, now)
+        for feed in state.feeds:
+            if pid in feed.monitor.timeout:
+                feed.monitor.observe_heartbeat(pid, now)
         self.service._serve_pool(state)
 
 
@@ -164,7 +201,7 @@ def _head(queue: Deque[_Waiter]) -> Optional[_Waiter]:
 
 
 class _ShardState:
-    __slots__ = ("core", "lock", "hwm", "queues", "pool", "timers", "monitors")
+    __slots__ = ("core", "lock", "hwm", "queues", "pool", "timers", "feeds")
 
     def __init__(self, core: LeaseCore, lock: Any, hwm: Register) -> None:
         self.core = core
@@ -177,7 +214,7 @@ class _ShardState:
         # Per queued key: (instant, timer) armed at or before its lease's
         # expiry, so the queue's head gets the key when the TTL frees it.
         self.timers: Dict[Hashable, Tuple[float, asyncio.TimerHandle]] = {}
-        self.monitors: List[HeartbeatMonitor] = []  # one per keeper, by rank
+        self.feeds: List[_LiveFeed] = []  # one per keeper, by rank
 
 
 class LeaseService:
@@ -331,13 +368,14 @@ class LeaseService:
             pids = range(first, first + self.keepers_per_shard)
             for k, pid in enumerate(pids):
                 monitor = HeartbeatMonitor(pid, set(pids[:k]), initial_timeout=timeout)
-                state.monitors.append(monitor)
+                feed = _LiveFeed(self, state, monitor)
+                state.feeds.append(feed)
                 program = keeper_program(
                     state.lock,
                     state.hwm,
                     pid,
                     shard,
-                    _LiveFeed(self, state, monitor),
+                    feed,
                     self.block,
                     self.system.poll,
                 )
@@ -359,8 +397,8 @@ class LeaseService:
     async def close(self, drain_timeout: float = 10.0) -> None:
         """Retire keepers (and with them the replicas), close the sockets.
 
-        Keepers observe the closing flag at their next loop turn, return,
-        and their register facades broadcast goodbyes; replicas retire
+        Keepers are rung out of their idle naps, observe the closing flag,
+        return, and their register facades broadcast goodbyes; replicas retire
         once every client has said goodbye.  Whatever still runs after
         ``drain_timeout`` (a wedged program — not expected) is cancelled
         rather than waited on.  A keeper that died (cancelled, or raised)
@@ -373,6 +411,8 @@ class LeaseService:
             return
         self._closed = True
         self._closing = True
+        for state in self.states:
+            self._ring(state)
         try:
             if self._sweeper is not None:
                 self._sweeper.cancel()
@@ -413,6 +453,12 @@ class LeaseService:
 
     # -- the front door: FIFO handoff ----------------------------------------
 
+    def _ring(self, state: _ShardState) -> None:
+        """Wake the shard's keepers that nap until the pool needs them."""
+        for feed in state.feeds:
+            if feed.napping:
+                self.substrate.wake(feed.monitor.pid)
+
     def _grant(
         self, state: _ShardState, key: Hashable, ttl: float, holder: Optional[str]
     ) -> Optional[Lease]:
@@ -421,15 +467,21 @@ class LeaseService:
         A grant on an expired lease ends that lease before it finds the
         pool empty, and a grant for the head of a freed key's queue finds
         no token: either way nobody holds the key, and its waiters now
-        wait for a token.
+        wait for a token.  A grant that leaves the pool at or below
+        ``low_water``, or finds it dry, rings the shard's idle keepers.
         """
+        core = state.core
         try:
-            return state.core.grant(key, ttl, holder)
+            lease = core.grant(key, ttl, holder)
         except TokensExhausted:
+            self._ring(state)
             stranded = state.queues.pop(key, None)
             if stranded:
                 self._park(state.pool, stranded)
             raise
+        if core.tokens_available <= self.low_water:
+            self._ring(state)
+        return lease
 
     def _park(self, queue: Deque[_Waiter], waiters: Iterable[_Waiter]) -> None:
         for waiter in waiters:

@@ -495,10 +495,11 @@ class AsyncioSubstrate:
 
         This is what the live driver turns a :class:`~repro.sim.ops.Nap`
         into, so every quorum phase passes through here: the wait is one
-        future per endpoint, resolved by the reader on arrival or by a
-        timer that is cancelled on wake-up — no task, no event.  An
-        infinite ``timeout`` arms no timer: the wait ends only when a
-        message arrives (or the waiting task is cancelled).  A
+        future per endpoint, resolved by the reader on arrival, by
+        :meth:`wake`, or by a timer that is cancelled on wake-up — no
+        task, no event.  An infinite ``timeout`` arms no timer: the wait
+        ends only when a message arrives, :meth:`wake` rings, or the
+        waiting task is cancelled.  A
         wake-up guarantees nothing beyond "collect may now return
         something".  With a message already waiting the call returns at
         once, without suspending: the caller's next ``collect`` is due,
@@ -523,6 +524,15 @@ class AsyncioSubstrate:
             if timer is not None:
                 timer.cancel()
             self._parked[dst] = None
+
+    def wake(self, dst: int) -> None:
+        """End ``dst``'s parked :meth:`wait_for_message` now, with nothing arrived.
+
+        The front door's doorbell: a keeper napping until the token pool
+        needs it is woken this way, and the wait returns ``False`` as a
+        timeout would.  A ``dst`` that is not parked is left alone.
+        """
+        _resolve(self._parked[dst], False)
 
     def __repr__(self) -> str:
         return f"AsyncioSubstrate(n={self.n}, bound={self.bound})"

@@ -304,3 +304,89 @@ def test_time_scale_shrinks_model_delays():
             await substrate.close()
 
     asyncio.run(body())
+
+
+def _turns(*programs):
+    """Event-loop turns from spawning each program as pid 0 to its return.
+
+    pid 1 first leaves three messages in pid 0's inbox, so a program can
+    find mail there; the programs run one after another, in order.
+    """
+
+    def mailer():
+        for i in range(3):
+            yield ops.send(0, i)
+
+    async def body():
+        substrate = AsyncioSubstrate(2, bound=0.05)
+        await substrate.start()
+        loop = asyncio.get_running_loop()
+        run_once = loop._run_once
+        turns = [0]
+
+        def counted():
+            turns[0] += 1
+            run_once()
+
+        try:
+            driver = AsyncioDriver(substrate)
+            driver.spawn(mailer(), pid=1)
+            await driver.wait()
+            while len(substrate._inboxes[0]) < 3:
+                await asyncio.sleep(0.001)
+            loop._run_once = counted
+            counts = []
+            for program in programs:
+                turns[0] = 0
+                driver = AsyncioDriver(substrate)
+                driver.spawn(program(), pid=0)
+                await driver.wait()
+                counts.append(turns[0])
+            return counts
+        finally:
+            del loop._run_once
+            await substrate.close()
+
+    return asyncio.run(body())
+
+
+def test_broadcasts_and_a_recv_with_mail_take_no_extra_loop_turn():
+    def no_op():
+        return
+        yield
+
+    def broadcasts():
+        for i in range(5):
+            yield ops.broadcast(i)
+
+    def receive():
+        assert len((yield ops.recv())) == 3
+
+    def empty_poll():  # the inbox is drained by now
+        assert (yield ops.recv()) == []
+
+    def sends():
+        for i in range(3):
+            yield ops.send(1, i)
+
+    base, broadcast, received, polled, sent = _turns(
+        no_op, broadcasts, receive, empty_poll, sends)
+    assert broadcast == received == base
+    # An empty poll yields: that turn reads the sockets.  A send yields
+    # too, so a replica answers a batch one ack per turn.
+    assert polled == base + 1
+    assert sent == base + 3
+
+
+def test_a_program_spinning_on_an_empty_recv_still_receives():
+    def spinner(clock):
+        for _ in range(100_000):
+            mail = yield ops.recv()
+            if mail:
+                return mail
+        return None
+
+    def sender():
+        yield ops.send(0, "hi")
+
+    assert _run_pair(spinner, sender) == [(1, "hi")]

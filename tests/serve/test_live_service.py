@@ -10,7 +10,7 @@ import pytest
 from repro.net.faults import DelaySpike, MessageLoss, NetFaultPlan
 from repro.net.omega import HeartbeatMonitor
 from repro.obs.tracer import Tracer
-from repro.serve import LeaseService, LoadGenerator, percentile
+from repro.serve import AsyncioSubstrate, LeaseService, LoadGenerator, percentile
 from repro.serve.lease import shard_for
 from repro.serve.service import _LiveFeed
 
@@ -220,32 +220,172 @@ def test_session_cancelled_before_its_task_runs_leaves_no_waiter():
     asyncio.run(body())
 
 
+def _count_calls(monkeypatch, owner, name, who):
+    """Wrap ``owner.name``; record ``who(self, *args)`` for every call."""
+    seen = []
+    original = getattr(owner, name)
+
+    def wrapper(self, *args):
+        seen.append(who(self, *args))
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
+async def _idle_window(service, seen):
+    """Start ``service``, let it settle, count ``seen`` over 0.3 s of no load."""
+    await service.start()
+    try:
+        await asyncio.sleep(0.2)  # the keepers leave the warm-up's mutex
+        del seen[:]
+        await asyncio.sleep(0.3)
+        return list(seen)
+    finally:
+        await service.close()
+
+
 def test_idle_service_does_not_wake_its_replicas(monkeypatch):
     # A live replica's lifetime is unbounded, so it naps until a message
     # arrives: with no load it takes no step.  A replica polling every
     # 5 ms enters about 60 naps in the window.
-    from repro.serve import AsyncioSubstrate
+    entered = _count_calls(monkeypatch, AsyncioSubstrate, "wait_for_message",
+                           lambda substrate, dst, timeout: dst)
+    service = _service(bound=0.02)
+    entered = asyncio.run(_idle_window(service, entered))
+    for rpid in service.system.replica_pids:
+        assert entered.count(rpid) <= 1, (rpid, entered.count(rpid))
 
-    entered = []
-    original = AsyncioSubstrate.wait_for_message
 
-    def wait_for_message(self, dst, timeout):
-        entered.append(dst)
-        return original(self, dst, timeout)
+@pytest.mark.parametrize("keepers", [1, 2])
+def test_idle_service_does_not_wake_its_keepers(monkeypatch, keepers):
+    # A keeper whose pool is stocked naps until the front door rings it,
+    # standbys included: with no load each looks at the pool at most
+    # once.  A keeper polling every 5 ms looked about 60 times.
+    looked = _count_calls(monkeypatch, _LiveFeed, "wants_refill",
+                          lambda feed: feed.monitor.pid)
+    service = _service(bound=0.02, keepers_per_shard=keepers)
+    looked = asyncio.run(_idle_window(service, looked))
+    for pid in service.system.client_pids:
+        assert looked.count(pid) <= 1, (pid, looked.count(pid))
 
-    monkeypatch.setattr(AsyncioSubstrate, "wait_for_message", wait_for_message)
 
+async def _until(condition, timeout=5.0):
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+def test_a_grant_that_crosses_low_water_starts_a_refill():
     async def body():
-        service = _service(bound=0.02)
+        service = _service(shards=1, bound=0.01, block=16)  # low_water 8
         await service.start()
+        state = service.states[0]
+        (feed,) = state.feeds
         try:
-            await asyncio.sleep(0.2)  # the keepers leave the warm-up's mutex
-            del entered[:]
-            await asyncio.sleep(0.3)
+            await _until(lambda: feed.napping)
+            for i in range(7):  # 16 -> 9 tokens, still above low_water
+                assert await service.acquire(f"k{i}", ttl=5.0) is not None
+            await asyncio.sleep(0.1)
+            assert state.core.refills == 1 and feed.napping
+            assert await service.acquire("k7", ttl=5.0) is not None
+            await _until(lambda: state.core.refills == 2)
         finally:
             await service.close()
-        for rpid in service.system.replica_pids:
-            assert entered.count(rpid) <= 1, (rpid, entered.count(rpid))
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
+def test_ring_never_wakes_a_keeper_inside_a_quorum_phase(monkeypatch):
+    # A wake-up inside a quorum phase ends a polling nap early, and ten
+    # such polls make the phase retransmit.  Ring the shard on every
+    # loop turn through a few refills: every wait a ring ends must be a
+    # keeper's idle nap, the only one without a timeout.
+    timeouts = {}  # pid -> timeout of the wait it is parked in
+    woken = []  # the timeout of every wait a ring ended
+    wait = AsyncioSubstrate.wait_for_message
+    wake = AsyncioSubstrate.wake
+
+    async def wait_for_message(self, dst, timeout):
+        timeouts[dst] = timeout
+        try:
+            return await wait(self, dst, timeout)
+        finally:
+            del timeouts[dst]
+
+    def ring(self, dst):
+        parked = self._parked[dst]
+        if parked is not None and not parked.done():
+            woken.append(timeouts[dst])
+        wake(self, dst)
+
+    monkeypatch.setattr(AsyncioSubstrate, "wait_for_message", wait_for_message)
+    monkeypatch.setattr(AsyncioSubstrate, "wake", ring)
+
+    async def body():
+        service = _service(shards=1, bound=0.01, block=16)
+        await service.start()
+        state = service.states[0]
+        stop = False
+
+        async def hammer():
+            while not stop:
+                service._ring(state)
+                await asyncio.sleep(0)
+
+        ringer = asyncio.ensure_future(hammer())
+        try:
+            for i in range(40):
+                lease = await service.acquire(f"k{i}", ttl=5.0, timeout=10.0)
+                assert lease is not None
+                assert service.release(f"k{i}", lease.token)
+            await _until(lambda: state.feeds[0].napping)
+        finally:
+            stop = True
+            await ringer
+            await service.close()
+        assert state.core.refills >= 3
+        assert woken and all(timeout == math.inf for timeout in woken), woken
+        assert service.verify() == []
+
+    asyncio.run(body())
+
+
+def test_cancelling_the_load_generator_cancels_its_pump():
+    # The pump is a chain of loop timers: cancelling the run must
+    # cancel the armed one, or sessions keep starting after it.
+    async def body():
+        service = _service(block=256)
+        await service.start()
+        try:
+            load = LoadGenerator(service, clients=200, duration=1.0, seed=0,
+                                 timeout=5.0)
+            started = []
+            spawn = load._spawn
+
+            def counted(index, scheduled):
+                started.append(index)
+                spawn(index, scheduled)
+
+            load._spawn = counted
+            run = asyncio.ensure_future(load.run())
+            await asyncio.sleep(0.2)
+            timer = load._timer
+            run.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await run
+            assert timer is not None and timer.cancelled()
+            before = len(started)
+            assert 0 < before < load.clients
+            await asyncio.sleep(1.0)  # past the schedule's last arrival
+            assert len(started) == before
+            assert started == list(range(before))
+        finally:
+            await service.close()
+        assert service.verify() == []
 
     asyncio.run(body())
 
@@ -435,8 +575,8 @@ def _fake_clock_feeds(service, now):
     feeds = []
     for pid in range(service.keepers_per_shard):
         monitor = HeartbeatMonitor(pid, set(range(pid)), initial_timeout=1.0)
-        state.monitors.append(monitor)
         feeds.append(_LiveFeed(service, state, monitor))
+    state.feeds.extend(feeds)
     return state, feeds
 
 
@@ -461,6 +601,31 @@ def test_standby_suspects_only_a_keeper_silent_under_demand():
         assert standby.monitor.suspected == set()
         assert standby.monitor.timeout[0] == 1.5
         assert not standby.wants_refill()
+
+    asyncio.run(body())
+
+
+def test_a_standby_rung_after_a_long_nap_suspects_only_after_its_timeout():
+    # A stocked pool puts the standby to sleep until rung.  However long
+    # it slept, the active keeper's silence counts from the ring, when
+    # demand began, not from when the nap started.
+    async def body():
+        service = _service(shards=1, keepers_per_shard=2, block=64)
+        now = [0.0]
+        state, (active, standby) = _fake_clock_feeds(service, now)
+        active.deliver(0, 64)
+        assert not standby.wants_refill()
+        assert standby.idle_for(0.005) == math.inf and standby.napping
+        now[0] = 50.0  # rung 50 s later: 40 grants leave 24 tokens
+        for i in range(40):
+            state.core.grant(f"k{i}", ttl=100.0)
+        assert not standby.wants_refill() and not standby.napping
+        assert standby.idle_for(0.005) == 0.005  # polls while under demand
+        now[0] = 50.9
+        assert not standby.wants_refill()
+        now[0] = 51.1
+        assert standby.wants_refill()
+        assert standby.monitor.suspected == {0}
 
     asyncio.run(body())
 
@@ -513,7 +678,7 @@ def test_standby_takes_over_from_a_dead_keeper():
         await service.start()
         try:
             state = service.states[0]
-            standby = state.monitors[1]
+            standby = state.feeds[1].monitor
             # The active keeper idles in its demand poll, holding no lock.
             assert state.core.tokens_available > service.low_water
             service.driver.tasks[0].cancel()
@@ -551,7 +716,7 @@ def test_delay_spike_on_the_active_keeper_is_a_false_suspicion():
         service = _service(shards=1, keepers_per_shard=2, bound=0.005,
                            block=16, fault_plan=plan)
         await service.start()
-        standby = service.states[0].monitors[1]
+        standby = service.states[0].feeds[1].monitor
         initial = standby.timeout[0]
         try:
             await _closed_loop(service, clients=8, seconds=2.0)
@@ -578,7 +743,10 @@ def test_close_after_a_keeper_died(death):
                 raise RuntimeError("keeper broke")
 
             service.states[0].core.refill = broken
-            service.low_water = service.block  # demand a refill now
+            # Demand a refill now: the grant leaves the pool at or below
+            # low_water, which rings the idle keeper.
+            service.low_water = service.block
+            assert await service.acquire("k", ttl=5.0) is not None
         while not keeper.done():
             await asyncio.sleep(0.01)
         if death == "raised":
