@@ -23,7 +23,10 @@ Suppressions (see :mod:`repro.lint.context` for the full syntax)::
     # repro-lint: disable-file=TMF005
 
 The rule set lives in :mod:`repro.lint.rules`; codes are stable
-(``TMF001``…).  ``docs/TESTING.md`` documents every rule.
+(``TMF001``…).  Every run applies every rule: the syntactic checks
+TMF001–TMF007 and the flow rules TMF101–TMF104, which read the per-module
+fact base of :mod:`repro.lint.flow`.  ``select``/``ignore`` narrow the
+set.  ``docs/TESTING.md`` documents every rule.
 """
 
 from __future__ import annotations
@@ -58,17 +61,12 @@ _SKIP_DIRS = {
 
 
 def _selected_rules(
-    select: Optional[Sequence[str]],
-    ignore: Optional[Sequence[str]],
-    flow: bool = False,
+    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
 ) -> List[Rule]:
     rules = all_rules()
     if select:
         wanted = set(select)
         rules = [r for r in rules if r.code in wanted]
-    elif not flow:
-        # Flow rules are opt-in (--flow) unless named explicitly.
-        rules = [r for r in rules if not r.requires_flow]
     if ignore:
         unwanted = set(ignore)
         rules = [r for r in rules if r.code not in unwanted]
@@ -96,7 +94,6 @@ def lint_source(
     path: str = "<string>",
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> List[Finding]:
     """Lint one module given as text; returns sorted findings.
 
@@ -119,7 +116,7 @@ def lint_source(
             )
         ]
     findings: List[Finding] = []
-    for rule in _selected_rules(select, ignore, flow=flow):
+    for rule in _selected_rules(select, ignore):
         findings.extend(rule.check(ctx))
     return sorted(_apply_suppressions(ctx, findings), key=lambda f: f.sort_key)
 
@@ -128,12 +125,11 @@ def lint_file(
     path: str,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> List[Finding]:
     """Lint one file on disk."""
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    return lint_source(source, path=path, select=select, ignore=ignore, flow=flow)
+    return lint_source(source, path=path, select=select, ignore=ignore)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
@@ -164,12 +160,9 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; the main programmatic API."""
     findings: List[Finding] = []
     for filename in iter_python_files(paths):
-        findings.extend(
-            lint_file(filename, select=select, ignore=ignore, flow=flow)
-        )
+        findings.extend(lint_file(filename, select=select, ignore=ignore))
     return sorted(findings, key=lambda f: f.sort_key)

@@ -1,15 +1,17 @@
 """Command-line front end: ``python -m repro.lint <paths>``.
 
-Exit codes: 0 clean, 1 findings reported, 2 usage error.  ``--format
-json`` emits a machine-readable document for CI annotation; ``--select``
-and ``--ignore`` narrow the rule set by code; ``--flow`` enables the
-CFG-based flow rules (TMF101...); ``--output`` writes the report to a
-file so CI can upload it as an artifact.
+Every rule runs, the flow rules (TMF101...) included.  Exit codes: 0
+clean, 1 findings reported, 2 usage error (a path that does not exist
+is one).  ``--format json`` emits a machine-readable document for CI
+annotation; ``--select`` and ``--ignore`` narrow the rule set by code;
+``--output`` writes the report to a file so CI can upload it as an
+artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -60,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "enable the CFG-based flow rules (TMF101...); they build "
-            "interprocedural facts per module and are opt-in for speed"
-        ),
-    )
-    parser.add_argument(
         "--output",
         metavar="FILE",
         help="write the report to FILE instead of stdout (CI artifacts)",
@@ -98,6 +92,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         print("error: no paths given", file=sys.stderr)
         return 2
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
     try:
         select = resolve_codes(args.select) if args.select else None
         ignore = resolve_codes(args.ignore) if args.ignore else None
@@ -109,11 +107,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for filename in iter_python_files(args.paths):
         files_checked += 1
         try:
-            findings.extend(
-                lint_file(
-                    filename, select=select, ignore=ignore, flow=args.flow
-                )
-            )
+            findings.extend(lint_file(filename, select=select, ignore=ignore))
         except OSError as exc:
             print(f"error: cannot read {filename}: {exc}", file=sys.stderr)
             return 2

@@ -1,15 +1,16 @@
 """``repro.lint.flow`` — CFG-based semantic analysis of algorithm programs.
 
-The base analyzer (:mod:`repro.lint.rules`) is purely syntactic: each
-rule pattern-matches AST shapes in isolation.  This subpackage adds a
+The syntactic rules of :mod:`repro.lint.rules` (TMF001–TMF007)
+pattern-match AST shapes in isolation.  This subpackage adds a
 *semantic* layer: every program is compiled to a control-flow graph over
 the yield-op DSL (:mod:`repro.lint.flow.cfg`), and a small abstract-
 interpretation pass (:mod:`repro.lint.flow.facts`) derives op-level
 facts from it —
 
+* the **register table** (creation sites, their runtime leaf names and
+  ``single-writer`` annotations — TMF006 and TMF104 both read it),
 * per-program **access sets** (which registers each program may read or
   write, with array-index classification),
-* **reachable op kinds** (can this program ever delay? send? RMW?),
 * **loop structure** (which loops contain yields, how they exit, which
   read-bound values their exits test),
 * a **Δ-taint lattice** tracking which locals/branches/delays derive
@@ -20,8 +21,8 @@ facts from it —
   creation-site names).
 
 On top of the facts live the flow rules TMF101–TMF104 (in
-:mod:`repro.lint.rules`; enabled with ``python -m repro.lint --flow``)
-and the static↔dynamic cross-validation harness
+:mod:`repro.lint.rules`; every lint run applies them) and the
+static↔dynamic cross-validation harness
 (:mod:`repro.lint.flow.xcheck`), which replays every registered
 algorithm on the simulation engine and fails on any contradiction
 between the static claims and the observed trace.

@@ -311,9 +311,6 @@ class Cfg:
                 out.extend(node.ops)
         return out
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def build_cfg(program: ProgramInfo) -> Cfg:
     """Compile one program body to its control-flow graph."""

@@ -126,7 +126,6 @@ class ProgramFacts:
     params: Tuple[str, ...] = ()
     accesses: List[Tuple[OpSite, AccessTarget]] = field(default_factory=list)
     delegations: List[OpSite] = field(default_factory=list)
-    reachable_kinds: Set[str] = field(default_factory=set)
     loops: List[LoopFacts] = field(default_factory=list)
     taint_sites: List[TaintSite] = field(default_factory=list)
     tainted_locals: Set[str] = field(default_factory=set)
@@ -150,18 +149,6 @@ class ProgramFacts:
     def name(self) -> str:
         return self.program.name
 
-    @property
-    def fact_count(self) -> int:
-        """Deterministic size of this program's fact base."""
-        return (
-            len(self.accesses)
-            + len(self.delegations)
-            + len(self.reachable_kinds)
-            + len(self.loops)
-            + len(self.taint_sites)
-            + len(self.pid_indexed_writes)
-        )
-
 
 class ModuleFlow:
     """The per-module fact base, with interprocedural closure on top."""
@@ -182,7 +169,6 @@ class ModuleFlow:
                 program, self.registers
             )
         self._closure_cache: Dict[str, Tuple[FrozenSet[AccessTarget], bool]] = {}
-        self._kind_cache: Dict[str, Tuple[FrozenSet[str], bool]] = {}
 
     # -- lookup -------------------------------------------------------------
 
@@ -285,37 +271,6 @@ class ModuleFlow:
             self._closure_cache[qualname] = result
         return result
 
-    def closure_kinds(
-        self, qualname: str, _stack: Optional[Set[str]] = None
-    ) -> Tuple[FrozenSet[str], bool]:
-        """All op kinds reachable from ``qualname`` (transitively)."""
-        if _stack is None:
-            if qualname in self._kind_cache:
-                return self._kind_cache[qualname]
-            _stack = set()
-        if qualname in _stack:
-            return frozenset(), True
-        facts = self.programs.get(qualname)
-        if facts is None:
-            return frozenset(), False
-        _stack = _stack | {qualname}
-        kinds: Set[str] = set(facts.reachable_kinds)
-        complete = True
-        for site in facts.delegations:
-            resolved = self.resolve_callee(facts, site)
-            if resolved is None:
-                complete = False
-                continue
-            flow, callee = resolved
-            sub, sub_complete = flow.closure_kinds(callee.qualname, _stack)
-            kinds |= sub
-            complete = complete and sub_complete
-        kinds.discard(cfg_mod.OP_DELEGATE)
-        result = (frozenset(kinds), complete)
-        if len(_stack) == 1:
-            self._kind_cache[qualname] = result
-        return result
-
     # -- module-wide aggregates --------------------------------------------
 
     def module_accesses(self) -> Tuple[FrozenSet[AccessTarget], bool]:
@@ -345,18 +300,6 @@ class ModuleFlow:
             else:
                 complete = False
         return leafs, complete
-
-    # -- sizes --------------------------------------------------------------
-
-    @property
-    def cfg_node_count(self) -> int:
-        return sum(len(f.cfg) for f in self.programs.values())
-
-    @property
-    def fact_count(self) -> int:
-        return len(self.registers) + sum(
-            f.fact_count for f in self.programs.values()
-        )
 
 
 def module_flow(ctx: ModuleContext) -> ModuleFlow:
@@ -419,7 +362,6 @@ def _analyze_program(
     facts.aliases = _alias_map(program, set(params), registers)
     reachable_sites = cfg.op_sites(reachable_only=True)
     for site in reachable_sites:
-        facts.reachable_kinds.add(site.kind)
         if site.kind == cfg_mod.OP_DELEGATE:
             facts.delegations.append(site)
         elif site.kind in _SHARED_KINDS:

@@ -177,12 +177,26 @@ class ProgramInfo:
 
         Programs in this repo pass the process id as a parameter literally
         named ``pid`` (``entry(self, pid)``, ``propose(self, pid, value)``);
-        the single-writer rule keys on it.
+        the single-writer rules key on it.
         """
         for arg in self.node.args.args:
             if arg.arg == "pid":
                 return arg.arg
         return None
+
+    def is_own_pid(self, expr: ast.expr) -> bool:
+        """True when ``expr`` is this program's own process id.
+
+        That is its ``pid`` parameter or the conventional ``self.pid``.
+        """
+        if isinstance(expr, ast.Name):
+            return expr.id == self.pid_param
+        return (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+            and expr.attr == "pid"
+        )
 
     def own_statements(self) -> List[ast.stmt]:
         """Every statement in this function, excluding nested scopes."""

@@ -37,9 +37,6 @@ class Rule:
     name: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
-    #: Flow rules (TMF1xx) build CFGs and interprocedural facts; they run
-    #: only under ``--flow`` or when named explicitly via ``--select``.
-    requires_flow: bool = False
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         raise NotImplementedError

@@ -25,8 +25,8 @@ Anything the analysis cannot prove stays silent: unresolved handles,
 incomplete writer sets, exits through locally-mutated counters, and
 ``for`` loops (their iterator exhausts) all disqualify the loop.
 
-Requires ``--flow``.  Suppress with ``# repro-lint: disable=TMF101`` on
-the loop's header line.
+Suppress with ``# repro-lint: disable=TMF101`` on the loop's header
+line.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class BusyWaitRule(Rule):
     code = "TMF101"
     name = "unbounded-busy-wait"
     severity = Severity.ERROR
-    requires_flow = True
     description = (
         "A yield-bearing read loop must have an exit some process can "
         "trigger: either a register-independent escape, or an exit "

@@ -17,9 +17,9 @@ tests (``if``/``while``) and ``delay`` durations.  A tainted sink in a
 failure-tolerant module means the tolerance claim silently depends on
 Δ after all — exactly the dependency the annotation promises away.
 
-Requires ``--flow``.  Suppress with ``# repro-lint: disable=TMF102`` on
-the sink's line (e.g. a delay that is a pure performance hint, not a
-correctness condition).
+Suppress with ``# repro-lint: disable=TMF102`` on the sink's line
+(e.g. a delay that is a pure performance hint, not a correctness
+condition).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class DeltaTaintRule(Rule):
     code = "TMF102"
     name = "delta-taint-leak"
     severity = Severity.ERROR
-    requires_flow = True
     description = (
         "In a `# repro-lint: failure-tolerant` module, no branch test or "
         "delay duration may derive from a timing parameter (Δ): the "

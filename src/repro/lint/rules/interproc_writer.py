@@ -23,8 +23,7 @@ graph:
    the delegation sites that smuggle in the extra writers — the
    configurations TMF006's per-body count cannot see.
 
-Requires ``--flow``.  Suppress with ``# repro-lint: disable=TMF104`` on
-the delegation line.
+Suppress with ``# repro-lint: disable=TMF104`` on the delegation line.
 """
 
 from __future__ import annotations
@@ -49,22 +48,11 @@ from ..flow.facts import (
 __all__ = ["InterprocSingleWriterRule"]
 
 
-def _own_pid_arg(arg: ast.expr, caller: ProgramFacts) -> bool:
-    """True when ``arg`` is the caller's own process id."""
-    pid_param = caller.program.pid_param
-    if isinstance(arg, ast.Name):
-        return pid_param is not None and arg.id == pid_param
-    if isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name):
-        return arg.value.id == "self" and arg.attr == "pid"
-    return False
-
-
 @register
 class InterprocSingleWriterRule(Rule):
     code = "TMF104"
     name = "interprocedural-single-writer"
     severity = Severity.ERROR
-    requires_flow = True
     description = (
         "Single-writer discipline must survive `yield from`: delegation "
         "sites must bind pid-sensitive helper parameters to the caller's "
@@ -188,7 +176,7 @@ class InterprocSingleWriterRule(Rule):
                     arg = _argument_for(site.call, callee, param)
                     if arg is None:
                         continue
-                    if _own_pid_arg(arg, facts):
+                    if facts.program.is_own_pid(arg):
                         continue
                     if isinstance(arg, ast.Name) and arg.id in facts.params:
                         continue  # obligation propagated to our callers
@@ -209,7 +197,7 @@ class InterprocSingleWriterRule(Rule):
                         continue
                     if not self._annotated_array_arg(flow, facts, arg_a):
                         continue
-                    if _own_pid_arg(arg_i, facts):
+                    if facts.program.is_own_pid(arg_i):
                         continue
                     if isinstance(arg_i, ast.Name) and arg_i.id in facts.params:
                         continue  # propagated via the sensitivity fixpoint

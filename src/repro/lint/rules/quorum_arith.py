@@ -18,9 +18,9 @@ In ``# repro-lint: messages-only`` modules this rule flags:
 3. with a declared replica count (``# repro-lint: quorum-n=K``), waits
    whose constant threshold is below ``K // 2 + 1``.
 
-Requires ``--flow``.  Suppress with ``# repro-lint: disable=TMF103``
-(e.g. a deliberate sub-majority read in a protocol that compensates
-elsewhere), keeping the deviation greppable.
+Suppress with ``# repro-lint: disable=TMF103`` (e.g. a deliberate
+sub-majority read in a protocol that compensates elsewhere), keeping
+the deviation greppable.
 """
 
 from __future__ import annotations
@@ -54,24 +54,11 @@ def _is_floor_half(expr: ast.expr) -> bool:
     )
 
 
-def _is_majority(expr: ast.expr) -> bool:
-    """``E // 2 + 1`` in either operand order."""
-    if not isinstance(expr, ast.BinOp) or not isinstance(expr.op, ast.Add):
-        return False
-    left, right = expr.left, expr.right
-    if isinstance(right, ast.Constant) and right.value == 1:
-        return _is_floor_half(left)
-    if isinstance(left, ast.Constant) and left.value == 1:
-        return _is_floor_half(right)
-    return False
-
-
 @register
 class QuorumArithmeticRule(Rule):
     code = "TMF103"
     name = "quorum-arithmetic"
     severity = Severity.ERROR
-    requires_flow = True
     description = (
         "In messages-only modules, quorum thresholds must be proper "
         "majorities: `n // 2` waits miss quorum intersection for even n. "

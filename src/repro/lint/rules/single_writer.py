@@ -23,7 +23,9 @@ the directive's line.
 
 The analysis is per-module: register names are namespaced per algorithm
 instance (:class:`~repro.sim.registers.RegisterNamespace`), so cross-
-module aliasing cannot occur without also being visible here.
+module aliasing cannot occur without also being visible here.  The
+annotated registers are read from the flow fact base's register table
+(:class:`~repro.lint.flow.facts.RegisterDecl`), which TMF104 reads too.
 """
 
 from __future__ import annotations
@@ -33,48 +35,25 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..context import ModuleContext
 from ..findings import Finding, Severity
+from ..flow.facts import RegisterDecl, module_flow
 from ..programs import ProgramInfo, terminal_name
 from ..registry import Rule, register
 
 __all__ = ["SingleWriterRule"]
 
-_CREATOR_NAMES = {"register", "array", "Register", "Array"}
 
+def _annotated_decl(
+    target: ast.expr, registers: Dict[str, RegisterDecl]
+) -> Optional[RegisterDecl]:
+    """The annotated register a written handle names, if any.
 
-def _annotated_registers(ctx: ModuleContext) -> Dict[str, str]:
-    """Map attribute/variable name -> 'array' | 'register'.
-
-    A register is annotated when its creation assignment starts on a line
-    carrying the ``single-writer`` directive.  Creation sites look like
-    ``self.b = ns.array(...)`` or ``turn = ns.register(...)``.
+    ``self.b[pid].write`` -> handle ``self.b[pid]``, matched by the
+    subscripted value's terminal name ``b``; ``self.turn.write`` ->
+    matched by ``turn`` directly.
     """
-    lines = ctx.single_writer_lines
-    if not lines:
-        return {}
-    out: Dict[str, str] = {}
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Assign) or node.lineno not in lines:
-            continue
-        if not isinstance(node.value, ast.Call):
-            continue
-        creator = terminal_name(node.value.func)
-        if creator not in _CREATOR_NAMES:
-            continue
-        kind = "array" if creator.lower() == "array" else "register"
-        for target in node.targets:
-            name = terminal_name(target)
-            if name is not None:
-                out[name] = kind
-    return out
-
-
-def _own_pid_expr(node: ast.expr, pid_param: Optional[str]) -> bool:
-    """True when ``node`` is the writing process's own id (``pid``/``self.pid``)."""
-    if isinstance(node, ast.Name):
-        return pid_param is not None and node.id == pid_param
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        return node.value.id == "self" and node.attr == "pid"
-    return False
+    base = target.value if isinstance(target, ast.Subscript) else target
+    decl = registers.get(terminal_name(base))
+    return decl if decl is not None and decl.annotated else None
 
 
 def _write_calls(
@@ -113,40 +92,38 @@ class SingleWriterRule(Rule):
                     "is nothing for the annotation to protect",
                 )
             return
-        annotated = _annotated_registers(ctx)
-        if not annotated:
+        registers = module_flow(ctx).registers
+        if not any(decl.annotated for decl in registers.values()):
             return
         scalar_writers: Dict[str, Set[str]] = {}
-        ordered: List[Tuple[ProgramInfo, ast.Call, str, str]] = []
+        ordered: List[Tuple[ProgramInfo, ast.Call, str]] = []
         for program in ctx.programs:
             if not program.is_program:
                 continue
             for call in _write_calls(program):
                 target = call.func.value  # the handle expression
-                reg_name, kind = self._match(target, annotated)
-                if reg_name is None:
+                decl = _annotated_decl(target, registers)
+                if decl is None:
                     continue
-                if kind == "array":
+                if decl.kind == "array":
                     index = target.slice if isinstance(target, ast.Subscript) else None
-                    if index is None or not _own_pid_expr(
-                        index, program.pid_param
-                    ):
+                    if index is None or not program.is_own_pid(index):
                         yield self.finding(
                             ctx,
                             call.lineno,
                             call.col_offset,
-                            f"single-writer array {reg_name!r} written at "
+                            f"single-writer array {decl.attr!r} written at "
                             f"index `{ast.unparse(index) if index else '?'}` "
                             f"in {program.qualname!r}; only the owning "
                             "process may write its own cell (index by pid)",
                         )
                 else:
-                    scalar_writers.setdefault(reg_name, set()).add(
+                    scalar_writers.setdefault(decl.attr, set()).add(
                         program.qualname
                     )
-                    ordered.append((program, call, reg_name, kind))
-        for program, call, reg_name, _ in ordered:
-            writers = scalar_writers.get(reg_name, set())
+                    ordered.append((program, call, decl.attr))
+        for program, call, reg_name in ordered:
+            writers = scalar_writers[reg_name]
             if len(writers) > 1:
                 others = sorted(writers - {program.qualname})
                 yield self.finding(
@@ -157,19 +134,3 @@ class SingleWriterRule(Rule):
                     f"multiple program bodies ({program.qualname!r} and "
                     f"{', '.join(repr(o) for o in others)})",
                 )
-
-    @staticmethod
-    def _match(
-        target: ast.expr, annotated: Dict[str, str]
-    ) -> Tuple[Optional[str], str]:
-        """Resolve the written handle to an annotated register, if any.
-
-        ``self.b[pid].write`` -> handle ``self.b[pid]``, matched by the
-        subscripted value's terminal name ``b``; ``self.turn.write`` ->
-        matched by ``turn`` directly.
-        """
-        base = target.value if isinstance(target, ast.Subscript) else target
-        name = terminal_name(base)
-        if name is not None and name in annotated:
-            return name, annotated[name]
-        return None, ""

@@ -82,11 +82,18 @@ def test_output_to_unwritable_path_exits_two(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_flow_flag_enables_flow_rules(capsys):
-    assert main([fixture("tmf101_bad.py")]) == 0  # off by default
-    capsys.readouterr()
-    assert main(["--flow", fixture("tmf101_bad.py")]) == 1
+def test_flow_rules_run_without_a_flag(capsys):
+    assert main([fixture("tmf101_bad.py")]) == 1
     assert "TMF101" in capsys.readouterr().out
+
+
+def test_missing_path_exits_two(tmp_path, capsys):
+    # An existing file next to a typo must not lint half the tree and pass.
+    missing = str(tmp_path / "no_such_dir")
+    assert main([fixture("clean.py"), missing]) == 2
+    captured = capsys.readouterr()
+    assert missing in captured.err
+    assert captured.out == ""
 
 
 def test_help_documents_exit_codes(capsys):

@@ -144,18 +144,14 @@ def test_taint_propagates_through_assignments():
     }
 
 
-def test_reachable_kinds_closure():
-    flow = flow_for(DELEGATING)
-    kinds, complete = flow.closure_kinds("Lock.entry")
-    assert complete
-    assert kinds == frozenset({"write"})
-
-
 def test_fact_counts_are_positive_and_stable():
     flow_a = flow_for(LOCK)
     flow_b = flow_for(LOCK)
-    assert flow_a.cfg_node_count == flow_b.cfg_node_count > 0
-    assert flow_a.fact_count == flow_b.fact_count > 0
+    nodes_a, nodes_b = (
+        sum(len(f.cfg.nodes) for f in flow.programs.values())
+        for flow in (flow_a, flow_b)
+    )
+    assert nodes_a == nodes_b > 0
 
 
 def test_module_flow_is_cached_per_context():

@@ -1,4 +1,4 @@
-"""Flow rules TMF101-104: fixtures, suppression, and the --flow gate."""
+"""Flow rules TMF101-104: fixtures, suppression, and always-on selection."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.lint import all_rules, lint_file, lint_source
+from repro.lint import lint_file, lint_source
+from repro.lint.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -19,7 +20,7 @@ def codes_and_lines(findings):
     return [(f.code, f.line) for f in findings]
 
 
-#: fixture file -> exact (code, line) expectations under --flow.
+#: fixture file -> exact (code, line) expectations.
 FLOW_EXPECTED = {
     "tmf101_bad.py": [
         ("TMF101", 10),  # while True, no exit at all
@@ -44,7 +45,8 @@ FLOW_EXPECTED = {
 
 @pytest.mark.parametrize("name", sorted(FLOW_EXPECTED))
 def test_flow_rule_fires_at_seeded_lines(name):
-    findings = lint_file(fixture(name), flow=True)
+    # No option enables the flow rules: a plain lint_file applies them.
+    findings = lint_file(fixture(name))
     assert codes_and_lines(findings) == FLOW_EXPECTED[name]
 
 
@@ -53,22 +55,14 @@ def test_flow_rule_fires_at_seeded_lines(name):
     [bad.replace("_bad", "_suppressed") for bad in sorted(FLOW_EXPECTED)],
 )
 def test_flow_suppression_comment_silences(name):
-    assert lint_file(fixture(name), flow=True) == []
-
-
-@pytest.mark.parametrize("name", sorted(FLOW_EXPECTED))
-def test_flow_rules_are_off_by_default(name):
     assert lint_file(fixture(name)) == []
 
 
-def test_explicit_select_enables_a_flow_rule_without_flow():
-    findings = lint_file(fixture("tmf101_bad.py"), select=["TMF101"])
-    assert {f.code for f in findings} == {"TMF101"}
-
-
-def test_flow_rules_marked_requires_flow():
-    flow_codes = {r.code for r in all_rules() if r.requires_flow}
-    assert flow_codes == {"TMF101", "TMF102", "TMF103", "TMF104"}
+def test_flow_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--flow", fixture("tmf101_bad.py")])
+    assert exc.value.code == 2
+    assert "--flow" in capsys.readouterr().err
 
 
 def test_spin_on_written_register_is_clean():
@@ -87,7 +81,7 @@ def test_spin_on_written_register_is_clean():
         "    def exit(self, pid) -> 'Program':\n"
         "        yield self.x.write(0)\n"
     )
-    assert lint_source(source, flow=True) == []
+    assert lint_source(source) == []
 
 
 def test_counter_bounded_spin_is_clean():
@@ -104,7 +98,7 @@ def test_counter_bounded_spin_is_clean():
         "            if value == 1 or polls > 10:\n"
         "                break\n"
     )
-    assert lint_source(source, flow=True) == []
+    assert lint_source(source) == []
 
 
 def test_delta_taint_silent_without_declaration():
@@ -114,7 +108,7 @@ def test_delta_taint_silent_without_declaration():
         "    if DELTA > 1:\n"
         "        yield ops.delay(DELTA)\n"
     )
-    assert lint_source(source, flow=True) == []
+    assert lint_source(source) == []
 
 
 def test_proper_majority_is_clean():
@@ -129,7 +123,7 @@ def test_proper_majority_is_clean():
         "            src, message = yield ops.recv()\n"
         "            acks[src] = message\n"
     )
-    assert lint_source(source, flow=True) == []
+    assert lint_source(source) == []
 
 
 def test_own_pid_delegation_is_clean():
@@ -142,7 +136,7 @@ def test_own_pid_delegation_is_clean():
         "    def entry(self, pid) -> 'Program':\n"
         "        yield from mark(self.flags, pid)\n"
     )
-    assert lint_source(source, flow=True) == []
+    assert lint_source(source) == []
 
 
 def test_pid_sensitivity_propagates_through_chains():
@@ -158,7 +152,7 @@ def test_pid_sensitivity_propagates_through_chains():
         "    def entry(self, pid) -> 'Program':\n"
         "        yield from outer(self.flags, pid + 1)\n"
     )
-    findings = lint_source(source, flow=True)
+    findings = lint_source(source)
     assert [(f.code, f.line) for f in findings] == [("TMF104", 9)]
 
 
@@ -166,7 +160,5 @@ def test_shipped_tree_is_flow_clean():
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from repro.lint import lint_paths
 
-    findings = lint_paths(
-        [os.path.join(root, "src"), os.path.join(root, "examples")], flow=True
-    )
+    findings = lint_paths([os.path.join(root, "src"), os.path.join(root, "examples")])
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
