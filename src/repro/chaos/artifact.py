@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from .monitors import ChaosViolation
 from .plan import Campaign, campaign_from_dict, campaign_to_dict
@@ -199,16 +199,13 @@ def artifact_from_sim(
     )
 
 
-def artifact_from_sim_verdict(
-    target_name: str,
-    outcome: SimOutcome,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> Artifact:
+def artifact_from_sim_verdict(target_name: str, outcome: SimOutcome) -> Artifact:
     """Package a *converged* recover run as a stabilization artifact.
 
     The archived evidence is the stabilization verdict: replay re-runs
-    the schedule and demands zero violations plus the byte-identical
-    verdict — same tolerated count, same settle time.
+    the schedule (within the default ``max_steps``) and demands zero
+    violations plus the byte-identical verdict — same tolerated count,
+    same settle time.
     """
     if outcome.violations:
         raise ValueError("a stabilization artifact needs a violation-free run")
@@ -225,7 +222,6 @@ def artifact_from_sim_verdict(
         kind="stabilization",
         target=target_name,
         run_seed=outcome.run_seed,
-        max_steps=max_steps,
     )
 
 

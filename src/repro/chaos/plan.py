@@ -345,16 +345,21 @@ def _campaign_rng(seed: Any) -> random.Random:
     return random.Random(f"chaos:{seed}")
 
 
+# The logical-clock span sim and recover faults are drawn over, and the
+# time span (in delivery bounds of 1) net faults are drawn over.
+_SIM_HORIZON = 120.0
+_NET_HORIZON = 20.0
+
+
 def sample_sim_campaign(
     seed: Any,
     pids: Sequence[int],
-    horizon: float = 120.0,
     windows: int = 6,
     severity: float = 1.0,
     crash_prob: float = 0.0,
     corruption_registers: Sequence[str] = (),
 ) -> Campaign:
-    """A random shared-memory campaign over the logical-clock horizon.
+    """A random shared-memory campaign over a logical-clock horizon of 120.
 
     ``severity`` scales window width and stretch; ``crash_prob`` is the
     per-process probability of a scheduled crash; ``corruption_registers``
@@ -368,8 +373,8 @@ def sample_sim_campaign(
     pid_list = list(pids)
     drawn: List[TimingFailureWindow] = []
     for _ in range(windows):
-        start = rng.uniform(0.0, horizon)
-        width = rng.uniform(0.05, 0.25) * horizon * severity
+        start = rng.uniform(0.0, _SIM_HORIZON)
+        width = rng.uniform(0.05, 0.25) * _SIM_HORIZON * severity
         affected: Optional[frozenset] = None
         if rng.random() >= 0.3:  # 70%: a random nonempty subset
             k = rng.randint(1, max(1, len(pid_list) - 1))
@@ -387,11 +392,11 @@ def sample_sim_campaign(
     for pid in pid_list:
         if rng.random() < crash_prob:
             if rng.random() < 0.5:
-                crash_at.append((pid, rng.uniform(0.0, horizon)))
+                crash_at.append((pid, rng.uniform(0.0, _SIM_HORIZON)))
             else:
-                crash_after.append((pid, rng.randint(0, int(horizon) // 4)))
+                crash_after.append((pid, rng.randint(0, int(_SIM_HORIZON) // 4)))
     corruptions = tuple(
-        MemCorruption(at=rng.uniform(0.0, horizon), register=name,
+        MemCorruption(at=rng.uniform(0.0, _SIM_HORIZON), register=name,
                       value=rng.randint(0, len(pid_list)))
         for name in corruption_registers
         if rng.random() < crash_prob
@@ -410,20 +415,19 @@ def sample_net_campaign(
     seed: Any,
     clients: int = 2,
     replicas: int = 3,
-    bound: float = 1.0,
-    horizon: float = 20.0,
     faults: int = 4,
     severity: float = 1.0,
-    crash_minority: bool = True,
 ) -> Campaign:
     """A random networked campaign: loss, spikes, partitions, crashes.
 
-    Fault kinds rotate through the draw so every campaign mixes them;
-    ``crash_minority`` additionally crashes a random minority of the
-    replicas (the ABD emulation must not notice).  Half the campaigns
-    also crash one client mid-workload, leaving its invocation pending:
-    a crashed write may or may not have taken effect, and the
-    linearizability check must explain either.  That draw comes last, so
+    Fault times are drawn for a delivery bound of 1 (the default
+    ``NetParams.bound``) over a horizon of 20 bounds.  Fault kinds
+    rotate through the draw so every campaign mixes them; half the
+    campaigns also crash a random minority of the replicas (the ABD
+    emulation must not notice).  Half the campaigns also crash one
+    client mid-workload, leaving its invocation pending: a crashed write
+    may or may not have taken effect, and the linearizability check
+    must explain either.  That draw comes last, so
     it changes none of the faults drawn before it.
     """
     if not (0 < severity < math.inf):  # also rejects NaN
@@ -436,8 +440,8 @@ def sample_net_campaign(
     partitions: List[Partition] = []
     for i in range(faults):
         kind = ("loss", "spike", "partition")[i % 3]
-        start = rng.uniform(0.0, horizon)
-        width = rng.uniform(1.0, 4.0) * bound * severity
+        start = rng.uniform(0.0, _NET_HORIZON)
+        width = rng.uniform(1.0, 4.0) * severity
         if kind == "loss":
             losses.append(
                 MessageLoss(
@@ -452,7 +456,7 @@ def sample_net_campaign(
                     start=start,
                     end=start + width,
                     stretch=1.0 + rng.uniform(1.0, 4.0) * severity,
-                    extra=rng.uniform(0.0, 2.0) * bound,
+                    extra=rng.uniform(0.0, 2.0),
                 )
             )
         else:
@@ -462,12 +466,12 @@ def sample_net_campaign(
                 Partition(start=start, end=start + width, groups=(rest, isolated))
             )
     crash_at: List[Tuple[int, float]] = []
-    if crash_minority and replicas // 2 > 0 and rng.random() < 0.5:
+    if replicas // 2 > 0 and rng.random() < 0.5:
         victims = rng.sample(replica_pids, replicas // 2)
-        crash_at = [(pid, rng.uniform(0.0, horizon)) for pid in sorted(victims)]
+        crash_at = [(pid, rng.uniform(0.0, _NET_HORIZON)) for pid in sorted(victims)]
     if clients and rng.random() < 0.5:
         victim = rng.randrange(clients)
-        crash_at.insert(0, (victim, rng.uniform(bound, 8.0 * bound)))
+        crash_at.insert(0, (victim, rng.uniform(1.0, 8.0)))
     return Campaign(
         substrate="net",
         seed=str(seed),
@@ -481,19 +485,17 @@ def sample_net_campaign(
 def sample_recover_campaign(
     seed: Any,
     pids: Sequence[int],
-    horizon: float = 120.0,
     corruption_registers: Sequence[str] = (),
     corruptions: int = 2,
     crash_prob: float = 0.5,
-    recover_delay: Tuple[float, float] = (5.0, 20.0),
 ) -> Campaign:
     """A recover campaign: corruption bursts plus crash/restart pairs.
 
     Built for *stabilizing/recoverable* targets, so every fault is
     transient by construction — corruptions are instants, and each drawn
-    crash comes with a restart ``recover_delay`` later.  All fault times
-    land in the first half of the horizon, leaving a declared
-    failure-free suffix for the
+    crash comes with a restart 5 to 20 logical time units later.  All
+    fault times land in the first half of the 120-unit horizon, leaving
+    a declared failure-free suffix for the
     :class:`~repro.chaos.monitors.StabilizationMonitor` to judge
     convergence in.  No timing windows: delay provides no guarantee under
     the sandbox semantics anyway, and these targets are asynchronous.
@@ -509,7 +511,7 @@ def sample_recover_campaign(
     for _ in range(corruptions if names else 0):
         drawn.append(
             MemCorruption(
-                at=rng.uniform(0.0, horizon * 0.5),
+                at=rng.uniform(0.0, _SIM_HORIZON * 0.5),
                 register=rng.choice(names),
                 value=rng.randint(0, len(pid_list)),
             )
@@ -518,9 +520,9 @@ def sample_recover_campaign(
     recover_at: List[Tuple[int, float]] = []
     for pid in pid_list:
         if rng.random() < crash_prob:
-            crashed = rng.uniform(0.0, horizon * 0.3)
+            crashed = rng.uniform(0.0, _SIM_HORIZON * 0.3)
             crash_at.append((pid, crashed))
-            recover_at.append((pid, crashed + rng.uniform(*recover_delay)))
+            recover_at.append((pid, crashed + rng.uniform(5.0, 20.0)))
     return Campaign(
         substrate="sim",
         seed=str(seed),

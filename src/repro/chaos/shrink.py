@@ -231,12 +231,10 @@ def _shrink_loop(
     payload: Any,
     fault_fields: Tuple[str, ...],
     shrink_payload: Callable[[_Session, Campaign, Any], Any],
-    max_rounds: int,
 ) -> Tuple[Campaign, Any, int]:
-    """Alternate fault-plan and payload passes until a fixpoint."""
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
+    """Alternate fault-plan and payload passes until a fixpoint, at most
+    three rounds."""
+    for rounds in range(1, 4):
         before = (campaign, payload)
         for field_name in fault_fields:
             campaign = _ddmin_field(session, campaign, payload, field_name)
@@ -258,7 +256,6 @@ def shrink_sim(
     schedule: Sequence[int],
     monitor: str,
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_rounds: int = 3,
 ) -> Optional[ShrinkResult]:
     """Minimize a failing sim triple; ``None`` if it does not reproduce.
 
@@ -298,7 +295,7 @@ def shrink_sim(
         )
 
     campaign, payload, rounds = _shrink_loop(
-        session, campaign, payload, _SIM_FAULT_FIELDS, shrink_payload, max_rounds
+        session, campaign, payload, _SIM_FAULT_FIELDS, shrink_payload
     )
     final = session.run(campaign, payload)
     assert final is not None  # every accepted reduction re-verified this
@@ -324,7 +321,6 @@ def shrink_net(
     monitor: str = "linearizability",
     params: NetParams = NetParams(),
     run_seed: Optional[str] = None,
-    max_rounds: int = 3,
 ) -> Optional[ShrinkResult]:
     """Minimize a failing net triple; ``None`` if it does not reproduce."""
 
@@ -359,7 +355,7 @@ def shrink_net(
         return rebuild(kept)
 
     campaign, workload, rounds = _shrink_loop(
-        session, campaign, workload, _NET_FAULT_FIELDS, shrink_payload, max_rounds
+        session, campaign, workload, _NET_FAULT_FIELDS, shrink_payload
     )
     final = session.run(campaign, workload)
     assert final is not None

@@ -69,7 +69,6 @@ def check_resilience(
     trace: Trace,
     psi_deltas: float,
     last_failure: Optional[float] = None,
-    settle: float = 0.0,
 ) -> ResilienceReport:
     """Evaluate a mutual-exclusion trace against the resilience definition.
 
@@ -82,9 +81,6 @@ def check_resilience(
     last_failure:
         When timing failures stopped.  Defaults to the completion time of
         the last step that exceeded ``Δ`` in the trace.
-    settle:
-        Extra slack subtracted from nothing but granted to the efficiency
-        measurement of the *pre-failure* period (0 is strict).
 
     Convergence time is measured as the paper defines it: the time after
     ``last_failure`` until the execution reaches a configuration from
@@ -111,7 +107,7 @@ def check_resilience(
     failures = trace.timing_failures()
     if failures:
         first_failure = min(e.issued for e in failures)
-        efficiency_value = time_complexity(trace, until=max(first_failure - settle, 0.0))
+        efficiency_value = time_complexity(trace, until=first_failure)
     else:
         efficiency_value = time_complexity(trace)
     efficiency_ok = efficiency_value <= psi + 1e-9
@@ -179,20 +175,18 @@ def check_consensus_resilience(
     trace: Trace,
     psi_deltas: float,
     decided_pids: Optional[List[int]] = None,
-    last_failure: Optional[float] = None,
 ) -> ResilienceReport:
     """Evaluate a consensus run: all decisions within ψ of failures ending.
 
     Safety (validity/agreement) is checked separately by
     :func:`repro.spec.consensus_spec.check_consensus`; this report focuses
     on the timing half: in a failure-free run every decision must land
-    within ψ of the start; otherwise within ψ of ``last_failure``.
+    within ψ of the start; otherwise within ψ of the trace's
+    ``last_failure_time``.
     """
     psi = psi_deltas * trace.delta
     violations: List[str] = []
-    failure_end = (
-        last_failure if last_failure is not None else trace.last_failure_time
-    )
+    failure_end = trace.last_failure_time
     decisions = trace.decisions()
     pids = decided_pids if decided_pids is not None else sorted(decisions)
 
@@ -226,7 +220,6 @@ def check_consensus_resilience(
                 f"without timing failures"
             )
 
-    ok_convergence = convergence_time is not None and convergence_time <= psi + 1e-9
     return ResilienceReport(
         psi=psi,
         delta=trace.delta,
@@ -234,6 +227,6 @@ def check_consensus_resilience(
         efficiency_value=efficiency_value,
         efficiency_ok=efficiency_ok,
         last_failure=failure_end,
-        convergence_time=convergence_time if ok_convergence or convergence_time is None else convergence_time,
+        convergence_time=convergence_time,
         violations=violations,
     )

@@ -156,13 +156,10 @@ def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
                     yield full
 
 
-def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; the main programmatic API."""
+def lint_paths(paths: Sequence[str]) -> List[Finding]:
+    """Lint every ``.py`` file under ``paths`` with every rule; the main
+    programmatic API (:func:`lint_file` takes ``select``/``ignore``)."""
     findings: List[Finding] = []
     for filename in iter_python_files(paths):
-        findings.extend(lint_file(filename, select=select, ignore=ignore))
+        findings.extend(lint_file(filename))
     return sorted(findings, key=lambda f: f.sort_key)

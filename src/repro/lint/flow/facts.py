@@ -122,7 +122,6 @@ class ProgramFacts:
     """Everything the flow rules know about one program body."""
 
     program: ProgramInfo
-    cfg: Cfg
     params: Tuple[str, ...] = ()
     accesses: List[Tuple[OpSite, AccessTarget]] = field(default_factory=list)
     delegations: List[OpSite] = field(default_factory=list)
@@ -153,15 +152,14 @@ class ProgramFacts:
 class ModuleFlow:
     """The per-module fact base, with interprocedural closure on top."""
 
-    def __init__(
-        self,
-        ctx: ModuleContext,
-        external_resolver: Optional[
-            Callable[[str], Optional[Tuple["ModuleFlow", str]]]
-        ] = None,
-    ) -> None:
+    def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.external_resolver = external_resolver
+        #: Cross-module resolution for ``resolve_callee``: a callee name to
+        #: its defining module's flow and qualname.  Set by
+        #: :func:`repro.lint.flow.xcheck.project_flows`.
+        self.external_resolver: Optional[
+            Callable[[str], Optional[Tuple["ModuleFlow", str]]]
+        ] = None
         self.registers: Dict[str, RegisterDecl] = _register_table(ctx)
         self.programs: Dict[str, ProgramFacts] = {}
         for program in ctx.programs:
@@ -358,7 +356,7 @@ def _analyze_program(
     params = tuple(
         a.arg for a in program.node.args.args if a.arg not in ("self", "cls")
     )
-    facts = ProgramFacts(program=program, cfg=cfg, params=params)
+    facts = ProgramFacts(program=program, params=params)
     facts.aliases = _alias_map(program, set(params), registers)
     reachable_sites = cfg.op_sites(reachable_only=True)
     for site in reachable_sites:

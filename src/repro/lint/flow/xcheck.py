@@ -412,22 +412,20 @@ def default_targets() -> List[XCheckTarget]:
 
 def run_xcheck(
     targets: Optional[Iterable[XCheckTarget]] = None,
-    flows: Optional[Dict[str, ModuleFlow]] = None,
 ) -> List[Contradiction]:
     """Cross-validate all targets; the programmatic entry point."""
     targets = list(targets) if targets is not None else default_targets()
-    if flows is None:
-        modules = sorted({t.module for t in targets})
-        # Resolve within each module's own directory, so cross-module
-        # delegation between siblings (tournament -> peterson) works.
-        dirs = sorted({os.path.dirname(m) for m in modules})
-        paths = [
-            os.path.join(d, f)
-            for d in dirs
-            for f in sorted(os.listdir(d))
-            if f.endswith(".py")
-        ]
-        flows = project_flows(paths)
+    modules = sorted({t.module for t in targets})
+    # Resolve within each module's own directory, so cross-module
+    # delegation between siblings (tournament -> peterson) works.
+    dirs = sorted({os.path.dirname(m) for m in modules})
+    paths = [
+        os.path.join(d, f)
+        for d in dirs
+        for f in sorted(os.listdir(d))
+        if f.endswith(".py")
+    ]
+    flows = project_flows(paths)
     out: List[Contradiction] = []
     for target in targets:
         out.extend(run_target(target, flows))

@@ -42,8 +42,7 @@ from ..sim import ops
 from ..sim.engine import Engine, RunResult
 from ..sim.failures import CrashSchedule
 from ..sim.process import Program
-from ..sim.scheduler import TieBreak
-from ..sim.timing import ConstantTiming, TimingModel
+from ..sim.timing import ConstantTiming
 from . import resilience
 from .faults import NetFaultPlan
 from .transport import Transport
@@ -63,6 +62,8 @@ _QUERY_ACK = "qr-ack"
 _UPDATE = "qw"
 _UPDATE_ACK = "qw-ack"
 _BYE = "bye"
+# Request kind -> (tracer phase name, ack kind).
+_PHASES = {_QUERY: ("query", _QUERY_ACK), _UPDATE: ("update", _UPDATE_ACK)}
 
 
 class QuorumSystem:
@@ -87,14 +88,14 @@ class QuorumSystem:
         for the crash-minority experiments, client pids to exercise
         pending operations).
     max_time:
-        Engine run limit; also the replicas' default service lifetime —
+        Engine run limit; also the replicas' service :attr:`lifetime` —
         replicas retire early once every client has said goodbye, so
         well-behaved runs end long before this.  A replica measures its
         lifetime by adding up the model cost of the ops it issues, which
         is a clock only under the engine: on a live ``substrate`` a nap
         ends when a request arrives, a busy replica books minutes of
-        model time per real second, and the default lifetime is
-        unbounded — live replicas retire on goodbyes or cancellation.
+        model time per real second, and the lifetime is unbounded —
+        live replicas retire on goodbyes or cancellation.
     fault_tolerance:
         The number of replica crashes the deployment is declared to
         survive.  Validated at construction: ``replicas >= 2*f + 1``
@@ -108,6 +109,11 @@ class QuorumSystem:
         real sockets.  A system built on a live substrate cannot
         :meth:`build_engine`; its programs are driven by
         :class:`repro.serve.driver.AsyncioDriver` instead.
+
+    The engine that :meth:`build_engine` makes charges ``send_cost`` per
+    shared step (``ConstantTiming``), breaks ties FIFO, and runs at
+    :attr:`delta`, the emulated register operation's bound
+    :func:`repro.net.resilience.delta_net`.
     """
 
     def __init__(
@@ -118,11 +124,7 @@ class QuorumSystem:
         seed: Any = 0,
         faults: Optional[NetFaultPlan] = None,
         crashes: Optional[CrashSchedule] = None,
-        timing: Optional[TimingModel] = None,
-        delta: Optional[float] = None,
         max_time: float = 2_000.0,
-        lifetime: Optional[float] = None,
-        tie_break: Optional[TieBreak] = None,
         fault_tolerance: Optional[int] = None,
         substrate: Optional[Any] = None,
     ) -> None:
@@ -186,13 +188,9 @@ class QuorumSystem:
             self.transport = Transport(
                 clients + replicas, bound=self.bound, seed=seed, faults=self.faults
             )
-        self.timing = timing if timing is not None else ConstantTiming(self.send_cost)
-        self.delta = delta if delta is not None else resilience.delta_net(self)
+        self.delta = resilience.delta_net(self)
         self.max_time = max_time
-        if lifetime is None:
-            lifetime = max_time if isinstance(self.transport, Transport) else math.inf
-        self.lifetime = lifetime
-        self.tie_break = tie_break
+        self.lifetime = max_time if isinstance(self.transport, Transport) else math.inf
         self._req_ids = itertools.count(1)
         self._ran = False
         # Final replica stores, recorded as each replica retires (absent for
@@ -203,30 +201,40 @@ class QuorumSystem:
 
     def read(self, pid: int, register: "Register") -> Program:
         """Emulated atomic read: query a majority, repair, return the max."""
-        ts, value = yield from self._query(pid, register.name, register.initial)
-        yield from self._update(pid, register.name, ts, value)  # read-repair
+        acks = yield from self._phase(pid, _QUERY, register.name, register.initial)
+        ts, value = max(acks.values(), key=lambda pair: pair[0])
+        yield from self._phase(pid, _UPDATE, register.name, ts, value)  # read-repair
         return value
 
     def write(self, pid: int, register: "Register", value: Any) -> Program:
         """Emulated atomic write: outdo the majority-max timestamp."""
-        (number, _), _ = yield from self._query(pid, register.name, register.initial)
-        yield from self._update(pid, register.name, (number + 1, pid), value)
+        acks = yield from self._phase(pid, _QUERY, register.name, register.initial)
+        (number, _), _ = max(acks.values(), key=lambda pair: pair[0])
+        yield from self._phase(pid, _UPDATE, register.name, (number + 1, pid), value)
         return None
 
-    def _query(self, pid: int, name: Hashable, initial: Any) -> Program:
-        """Phase 1: collect (timestamp, value) from a majority of replicas."""
+    def _phase(self, pid: int, kind: str, name: Hashable, *body: Any) -> Program:
+        """One quorum phase: returns ``{replica: ack body}`` from a majority.
+
+        Broadcasts ``(kind, req, name, *body)`` under a fresh request id
+        — a query (``body`` is the register's initial value; each ack
+        body is the replica's ``(timestamp, value)``) or an update
+        (``body`` is ``(timestamp, value)``; ack bodies are empty) — then
+        polls until a majority of replicas acked this request.
+        """
+        label, ack_kind = _PHASES[kind]
         req = next(self._req_ids)
-        request = (_QUERY, req, name, initial)
-        acks: Dict[int, Tuple[Tuple[int, int], Any]] = {}
+        request = (kind, req, name) + body
+        acks: Dict[int, Tuple[Any, ...]] = {}
         tracer = self.transport.tracer
         if tracer is not None:
-            tracer.phase(pid, "query", name, "start")
+            tracer.phase(pid, label, name, "start")
         yield ops.broadcast(request, dests=self.replica_pids)
         polls = 0
         while len(acks) < self.majority:
             for src, message in (yield ops.recv()):
-                if message[0] == _QUERY_ACK and message[1] == req:
-                    acks[src] = (message[2], message[3])
+                if message[0] == ack_kind and message[1] == req:
+                    acks[src] = message[2:]
             if len(acks) < self.majority:
                 yield ops.nap(self.poll)
                 polls += 1
@@ -236,31 +244,8 @@ class QuorumSystem:
                     yield ops.broadcast(request, dests=self.replica_pids)
         self.transport.stats.quorum_rtts += 1
         if tracer is not None:
-            tracer.phase(pid, "query", name, "end")
-        return max(acks.values(), key=lambda pair: pair[0])
-
-    def _update(self, pid: int, name: Hashable, ts: Tuple[int, int], value: Any) -> Program:
-        """Phase 2: store (ts, value) at a majority of replicas."""
-        req = next(self._req_ids)
-        request = (_UPDATE, req, name, ts, value)
-        acked: set = set()
-        tracer = self.transport.tracer
-        if tracer is not None:
-            tracer.phase(pid, "update", name, "start")
-        yield ops.broadcast(request, dests=self.replica_pids)
-        polls = 0
-        while len(acked) < self.majority:
-            for src, message in (yield ops.recv()):
-                if message[0] == _UPDATE_ACK and message[1] == req:
-                    acked.add(src)
-            if len(acked) < self.majority:
-                yield ops.nap(self.poll)
-                polls += 1
-                if polls % self.retry_polls == 0:
-                    yield ops.broadcast(request, dests=self.replica_pids)
-        self.transport.stats.quorum_rtts += 1
-        if tracer is not None:
-            tracer.phase(pid, "update", name, "end")
+            tracer.phase(pid, label, name, "end")
+        return acks
 
     # -- the RegisterNamespace-compatible facade ----------------------------
 
@@ -371,11 +356,10 @@ class QuorumSystem:
         self._ran = True
         engine = Engine(
             delta=self.delta,
-            timing=self.timing,
+            timing=ConstantTiming(self.send_cost),
             transport=self.transport,
             send_cost=self.send_cost,
             recv_cost=self.recv_cost,
-            tie_break=self.tie_break,
             crashes=self.crashes,
             max_time=self.max_time,
         )

@@ -180,10 +180,8 @@ def to_chrome_trace(records: Iterable[Dict[str, Any]], name: str = "repro") -> D
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    records: Iterable[Dict[str, Any]], path: str, name: str = "repro"
-) -> int:
-    document = to_chrome_trace(records, name=name)
+def write_chrome_trace(records: Iterable[Dict[str, Any]], path: str) -> int:
+    document = to_chrome_trace(records)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(document, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")

@@ -287,15 +287,14 @@ class LeaseCore:
             self.events.append(LeaseHistory.RELEASE, key, token, now, lease.expires_at)
         return True
 
-    def sweep(self, now: Optional[float] = None) -> int:
+    def sweep(self) -> int:
         """Expire every lease past its TTL; return how many died.
 
         Grants already expire lazily per key; the sweep exists so leases
         on *quiet* keys do not linger in memory, and so waiters parked on
         a stalled client's key wake at the TTL, not at the next grant.
         """
-        if now is None:
-            now = self._clock()
+        now = self._clock()
         doomed = [lease for lease in self.leases.values() if lease.expires_at <= now]
         for lease in doomed:
             self._expire(lease, now)

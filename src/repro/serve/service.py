@@ -344,13 +344,14 @@ class LeaseService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self, warmup: bool = True, warmup_timeout: float = 30.0) -> None:
+    async def start(self) -> None:
         """Open the sockets, spawn replicas and keepers, fill the pools.
 
-        With ``warmup`` (default) this returns only once every shard has
-        tokens to grant — the keepers' first mutex acquisition and
-        quorum round trip are real work, and an un-warmed service would
-        charge that startup cost to the first clients' latency.
+        Returns only once every shard has tokens to grant — the keepers'
+        first mutex acquisition and quorum round trip are real work, and
+        an un-warmed service would charge that startup cost to the first
+        clients' latency.  Raises ``RuntimeError`` if the pools are still
+        empty after 30 s.
         """
         if self._started:
             raise RuntimeError("service already started")
@@ -385,14 +386,13 @@ class LeaseService:
                     name=f"keeper{shard}.{k}",
                 )
         self._sweeper = asyncio.get_running_loop().create_task(self._sweep_loop())
-        if warmup:
-            deadline = self._now() + warmup_timeout
-            while any(state.core.tokens_available == 0 for state in self.states):
-                if self._now() > deadline:
-                    raise RuntimeError(
-                        "warmup timed out: keepers never filled the token pools"
-                    )
-                await asyncio.sleep(0.005)
+        deadline = self._now() + 30.0
+        while any(state.core.tokens_available == 0 for state in self.states):
+            if self._now() > deadline:
+                raise RuntimeError(
+                    "warmup timed out: keepers never filled the token pools"
+                )
+            await asyncio.sleep(0.005)
 
     async def close(self, drain_timeout: float = 10.0) -> None:
         """Retire keepers (and with them the replicas), close the sockets.

@@ -56,8 +56,9 @@ copy per frame, so a delivery costs the event loop nothing beyond the
 socket's own read callback.  A frame cut across reads waits in the
 buffer for its rest; EOF or a reset drops whatever part of a frame is
 buffered.  A reader refuses two bad frames: a length header above
-:data:`MAX_FRAME_BYTES` and a body that does not decode to a frame.
-Either closes that one connection and counts into
+:data:`MAX_FRAME_BYTES` and a body that does not decode to a frame
+from another endpoint with a finite send instant.  Either closes that
+one connection and counts into
 :attr:`AsyncioSubstrate.bad_frames`; every other link keeps delivering.
 """
 
@@ -199,18 +200,26 @@ def _resolve(parked: Optional["asyncio.Future[bool]"], arrived: bool) -> None:
         parked.set_result(arrived)
 
 
-def _decode(body: memoryview) -> Tuple[int, int, float, Any]:
+def _decode(body: memoryview, n: int, dst: int) -> Tuple[int, int, float, Any]:
     """One frame body to ``(src, seq, sent_at, payload)``, or raise.
 
     The reader's whole view of the codec: :meth:`AsyncioSubstrate.send`
     encodes, this decodes, and nothing else looks inside a body.  Any
-    exception marks a bad frame.
+    exception marks a bad frame: a header of the wrong types, a sender
+    that is not one of the ``n`` endpoints or is the receiving ``dst``
+    itself (a forged ack from it would count as one more replica toward
+    a majority), or a send instant that is not finite (``-inf`` would
+    make the worst excess infinite, ``NaN`` would hide a late delivery).
     """
     src, seq, sent_at, payload = pickle.loads(body)
     if type(src) is not int or type(seq) is not int or not isinstance(
         sent_at, (int, float)
     ):
         raise ValueError("frame header fields have the wrong types")
+    if not 0 <= src < n or src == dst:
+        raise ValueError(f"endpoint {dst} cannot receive a frame from {src}")
+    if not math.isfinite(sent_at):
+        raise ValueError(f"frame send instant {sent_at!r} is not finite")
     return src, seq, sent_at, payload
 
 
@@ -252,6 +261,7 @@ class _FrameReader(asyncio.BufferedProtocol):
     def buffer_updated(self, nbytes: int) -> None:
         view = self.view
         deliver = self.substrate._deliver
+        n, dst = self.substrate.n, self.dst
         start, end = self.start, self.end + nbytes
         while end - start >= _LEN.size:
             (length,) = _LEN.unpack_from(view, start)
@@ -261,10 +271,12 @@ class _FrameReader(asyncio.BufferedProtocol):
             if stop > end:
                 break
             try:
-                src, seq, sent_at, payload = _decode(view[start + _LEN.size:stop])
+                src, seq, sent_at, payload = _decode(
+                    view[start + _LEN.size:stop], n, dst
+                )
             except Exception:  # any undecodable body is a bad frame
                 return self._refuse()
-            deliver(src, self.dst, seq, sent_at, payload)
+            deliver(src, dst, seq, sent_at, payload)
             start = stop
         if start == end:
             self.view = self.standing

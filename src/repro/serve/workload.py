@@ -99,17 +99,25 @@ def lease_churn_sim(
     replicas: int = 3,
     cycles: int = 2,
     grants_per_cycle: int = 4,
-    keys_per_shard: int = 3,
-    block: int = 0,
-    bound: float = 1.0,
     seed: Any = 0,
-    max_time: float = 20_000.0,
 ) -> Dict[str, int]:
     """Run the keeper churn on the sim substrate; return integer counters.
 
-    ``block=0`` (the default) sizes token blocks so the pool can never
-    run dry even in the worst reordering case where every block but the
-    last is dropped as stale.
+    Parameters
+    ----------
+    shards, keepers_per_shard, replicas:
+        The deployment: ``shards`` lease cores, each fed by
+        ``keepers_per_shard`` keepers contending on one mutex, over one
+        quorum of ``replicas`` (bound ``Δ = 1``, run limit 20 000).
+    cycles, grants_per_cycle:
+        Each keeper refills ``cycles`` times, and each refill is spent
+        by ``grants_per_cycle`` grants over 3 keys per shard.  Token
+        blocks are ``keepers_per_shard · cycles · grants_per_cycle``
+        wide, so the pool can never run dry even in the worst
+        reordering case where every block but the last is dropped as
+        stale.
+    seed:
+        Seeds the transport.
 
     Raises ``AssertionError`` if the run fails to complete, any keeper
     mutual exclusion is violated within a shard, or the fencing-token
@@ -117,14 +125,9 @@ def lease_churn_sim(
     not just a benchmark body.
     """
     clients = shards * keepers_per_shard
-    if block <= 0:
-        block = keepers_per_shard * cycles * grants_per_cycle
+    block = keepers_per_shard * cycles * grants_per_cycle
     system = QuorumSystem(
-        clients=clients,
-        replicas=replicas,
-        bound=bound,
-        seed=seed,
-        max_time=max_time,
+        clients=clients, replicas=replicas, bound=1.0, seed=seed, max_time=20_000.0
     )
     cores: List[LeaseCore] = []
     programs = []
@@ -136,7 +139,7 @@ def lease_churn_sim(
         hwm = ns.register("hwm", 0)
         core = LeaseCore(shard, clock=lambda: 0.0)
         cores.append(core)
-        keys = [f"shard{shard}-key{i}" for i in range(keys_per_shard)]
+        keys = [f"shard{shard}-key{i}" for i in range(3)]
         for k in range(keepers_per_shard):
             pid = shard * keepers_per_shard + k
             feed = ChurnFeed(core, keys, cycles, grants_per_cycle)

@@ -200,16 +200,16 @@ class AsynchronousTiming(TimingModel):
     """Unbounded step durations: the fully asynchronous regime.
 
     Durations are ``base`` time units most of the time, but with
-    probability ``tail_prob`` a step is stretched by a Pareto-distributed
-    factor — so *no* finite ``Δ`` bounds all steps, which is exactly an
-    environment where timing failures never provably stop.
+    probability ``tail_prob`` a step is stretched by ``tail_scale`` times
+    a Pareto(α = 1.2) factor — so *no* finite ``Δ`` bounds all steps,
+    which is exactly an environment where timing failures never provably
+    stop.
     """
 
     def __init__(
         self,
         base: float,
         tail_prob: float = 0.1,
-        tail_alpha: float = 1.2,
         tail_scale: float = 4.0,
         seed: int = 0,
     ) -> None:
@@ -217,18 +217,15 @@ class AsynchronousTiming(TimingModel):
             raise ValueError(f"base step duration must be positive, got {base}")
         if not (0.0 <= tail_prob <= 1.0):
             raise ValueError(f"tail_prob must be in [0, 1], got {tail_prob}")
-        if tail_alpha <= 0:
-            raise ValueError(f"tail_alpha must be positive, got {tail_alpha}")
         self.base = float(base)
         self.tail_prob = tail_prob
-        self.tail_alpha = tail_alpha
         self.tail_scale = tail_scale
         self.seed = seed
         self._rng = random.Random(seed)
 
     def shared_step_duration(self, ctx: StepContext) -> float:
         if self._rng.random() < self.tail_prob:
-            factor = self.tail_scale * self._rng.paretovariate(self.tail_alpha)
+            factor = self.tail_scale * self._rng.paretovariate(1.2)
             return self.base * max(1.0, factor)
         return self.base
 

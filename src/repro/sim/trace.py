@@ -17,7 +17,6 @@ from typing import (
     Any,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -174,15 +173,11 @@ class Trace:
     def shared_step_count(self, pid: Optional[int] = None) -> int:
         return len(self.shared_events(pid))
 
-    def labels(
-        self, kind: Optional[str] = None, pid: Optional[int] = None
-    ) -> List[TraceEvent]:
+    def labels(self, kind: Optional[str] = None) -> List[TraceEvent]:
         return [
             e
             for e in self._events
-            if e.kind == EventKind.LABEL
-            and (kind is None or e.label == kind)
-            and (pid is None or e.pid == pid)
+            if e.kind == EventKind.LABEL and (kind is None or e.label == kind)
         ]
 
     def registers_touched(self) -> Set[Hashable]:

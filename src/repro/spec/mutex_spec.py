@@ -218,12 +218,10 @@ def time_complexity(
     return max((hi - lo for lo, hi in intervals), default=0.0)
 
 
-def check_mutex(
-    trace: Trace,
-    bypass_bound: Optional[int] = None,
-    since: float = 0.0,
-) -> MutexVerdict:
-    """Full mutual-exclusion verdict for one execution."""
+def check_mutex(trace: Trace) -> MutexVerdict:
+    """Full mutual-exclusion verdict for one execution: exclusion,
+    starvation with no bypass bound, and time complexity over the whole
+    trace."""
     violations: List[str] = []
     overlaps = check_mutual_exclusion(trace)
     if overlaps:
@@ -234,7 +232,7 @@ def check_mutex(
             )
         if len(overlaps) > 5:
             violations.append(f"... and {len(overlaps) - 5} more overlaps")
-    starved, worst = check_starvation(trace, bypass_bound)
+    starved, worst = check_starvation(trace)
     if starved:
         violations.append(f"starvation: pids {starved} stuck in entry code")
     return MutexVerdict(
@@ -243,6 +241,6 @@ def check_mutex(
         overlaps=overlaps,
         starved_pids=starved,
         max_bypass=worst,
-        time_complexity=time_complexity(trace, since=since),
+        time_complexity=time_complexity(trace),
         violations=violations,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.lint.context import build_context
+from repro.lint.flow.cfg import build_cfg
 from repro.lint.flow.facts import LEAF, OPAQUE, PARAM, ModuleFlow, module_flow
 
 
@@ -148,7 +149,7 @@ def test_fact_counts_are_positive_and_stable():
     flow_a = flow_for(LOCK)
     flow_b = flow_for(LOCK)
     nodes_a, nodes_b = (
-        sum(len(f.cfg.nodes) for f in flow.programs.values())
+        sum(len(build_cfg(f.program).nodes) for f in flow.programs.values())
         for flow in (flow_a, flow_b)
     )
     assert nodes_a == nodes_b > 0

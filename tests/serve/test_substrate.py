@@ -2,6 +2,7 @@
 
 import asyncio
 import itertools
+import json
 import math
 import pickle
 import random
@@ -163,9 +164,9 @@ def test_bad_frames_close_their_connection_only():
     asyncio.run(body())
 
 
-def _frame(src, payload, seq=0):
+def _frame(src, payload, seq=0, sent_at=0.0):
     """A frame as :meth:`AsyncioSubstrate.send` writes it."""
-    body = pickle.dumps((src, seq, 0.0, payload))
+    body = pickle.dumps((src, seq, sent_at, payload))
     return struct.pack("!I", len(body)) + body
 
 
@@ -253,6 +254,35 @@ def test_eof_inside_a_frame_is_dropped_silently(caplog):
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("src", [1, 2, -1], ids=["self", "past-n", "negative"])
+def test_a_frame_from_no_other_endpoint_closes_the_connection(src):
+    # Endpoint 1 of two hears only from endpoint 0: a frame claiming to
+    # come from itself or from a pid outside 0..n-1 is forged, and a
+    # forged ack would count as one more replica toward a majority.
+    async def test(substrate, reader, writer):
+        writer.write(_frame(0, "good") + _frame(src, ("qr-ack", 1)))
+        assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+        assert await _delivered(substrate, 1) == [(0, "good")]
+        assert substrate.bad_frames == 1
+
+    assert asyncio.run(_on_connection(test)) == []
+
+
+@pytest.mark.parametrize("sent_at", [-math.inf, math.nan, math.inf])
+def test_a_frame_with_a_non_finite_send_instant_closes_the_connection(sent_at):
+    # -inf would make the worst excess infinite (strict JSON has no
+    # Infinity), NaN would hide a late delivery and land in the trace.
+    async def test(substrate, reader, writer):
+        now = substrate.clock.now
+        writer.write(_frame(0, "good", sent_at=now) + _frame(0, "bad", sent_at=sent_at))
+        assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+        assert await _delivered(substrate, 1) == [(0, "good")]
+        assert substrate.bad_frames == 1
+        json.dumps(substrate.timing_failures.snapshot(), allow_nan=False)
+
+    assert asyncio.run(_on_connection(test)) == []
+
+
 def _padded_frame(size):
     """A well-formed frame whose body is exactly ``size`` bytes."""
     def body(pad):
@@ -326,8 +356,10 @@ def _feed(reader, data):
 
 
 def _well_formed_prefix(data):
-    """The frames a reader must deliver from ``data``, and whether it
-    must then refuse the connection."""
+    """The frames endpoint 1 of 2 must deliver from ``data``, and whether
+    it must then refuse the connection.  The generator's senders cycle
+    through 0, 1, 2, so a frame from endpoint 1 itself or from the
+    non-existent 2 is the first bad one whenever the stream has one."""
     frames, start = [], 0
     while len(data) - start >= 4:
         (length,) = struct.unpack_from("!I", data, start)
@@ -337,7 +369,7 @@ def _well_formed_prefix(data):
         if stop > len(data):
             break
         try:
-            src, _, _, payload = _decode(memoryview(data)[start + 4:stop])
+            src, _, _, payload = _decode(memoryview(data)[start + 4:stop], n=2, dst=1)
         except Exception:
             return frames, True
         frames.append((src, payload))
