@@ -14,8 +14,6 @@ __all__ = export_lazily(globals(), {
         "throughput",
         "handover_times",
         "registers_touched_under",
-        "ConvergencePoint",
-        "convergence_point",
     ),
     "stats": ("Summary", "summarize", "percentile", "geometric_mean", "speedup"),
     "tables": ("ExperimentTable", "format_cell"),

@@ -8,7 +8,6 @@ normalize by ``Δ`` so results read like the paper's bounds (e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
 from ..sim.engine import RunResult
@@ -23,8 +22,6 @@ __all__ = [
     "throughput",
     "handover_times",
     "registers_touched_under",
-    "ConvergencePoint",
-    "convergence_point",
     "rmr_count",
     "rmr_per_cs_entry",
 ]
@@ -149,35 +146,3 @@ def rmr_per_cs_entry(trace: Trace) -> Optional[float]:
     if entries == 0:
         return None
     return rmr_count(trace) / entries
-
-
-@dataclass(frozen=True)
-class ConvergencePoint:
-    """Where an execution's metric settled back under the budget."""
-
-    last_failure: float
-    converged_at: Optional[float]  # None = not within the trace
-
-    @property
-    def convergence_time(self) -> Optional[float]:
-        if self.converged_at is None:
-            return None
-        return max(0.0, self.converged_at - self.last_failure)
-
-
-def convergence_point(trace: Trace, psi: float) -> ConvergencePoint:
-    """End of the last unserved interval exceeding ``psi`` post-failures."""
-    from ..spec.mutex_spec import unserved_intervals
-
-    last_failure = trace.last_failure_time
-    bad = [
-        (lo, hi)
-        for lo, hi in unserved_intervals(trace, since=last_failure)
-        if hi - lo > psi
-    ]
-    if not bad:
-        return ConvergencePoint(last_failure, last_failure)
-    last_bad_end = max(hi for _, hi in bad)
-    if last_bad_end >= trace.end_time - 1e-9:
-        return ConvergencePoint(last_failure, None)
-    return ConvergencePoint(last_failure, last_bad_end)

@@ -3,11 +3,17 @@
 An artifact captures everything needed to reproduce a violation on any
 machine: the campaign (pure data), the payload (pid schedule or client
 workload), the run seed, and the violation that is *expected* back —
-monitor, message, and firing step.  :func:`replay` re-executes the run
-and verifies the violation reproduces **identically**; any drift (a
-different message, a different step) is reported as a mismatch rather
-than papered over, because an artifact whose replay drifts is a
-determinism bug in the substrate and we want CI to catch exactly that.
+monitor, message, and firing step.  A stabilization artifact archives a
+converged recover run instead, with its verdict as the expected
+evidence.  :func:`replay` re-executes the run and verifies the evidence
+reproduces **identically**; any drift (a different message, a
+different step) is reported as a mismatch rather than papered over,
+because an artifact whose replay drifts is a determinism bug in the
+substrate and we want CI to catch exactly that.
+
+One re-run, :func:`_rerun`, serves both :func:`replay` and
+:func:`attach_observability` (which runs it under a tracer), so the
+embedded observability sidecars always describe the replayed execution.
 
 The JSON is written with sorted keys and a fixed schema version so
 artifacts diff cleanly in review and survive being archived by CI.
@@ -253,6 +259,31 @@ def artifact_from_net(
     )
 
 
+def _rerun(artifact: Artifact) -> Union[SimOutcome, NetOutcome]:
+    """Re-execute the artifact's archived triple.
+
+    A stabilization artifact runs to completion (its verdict comes from
+    ``finalize``); a violation artifact stops where the archived monitor
+    fires.  Net runs have no stop rule.
+    """
+    if artifact.substrate == "net":
+        return run_net(
+            artifact.campaign,
+            artifact.payload,
+            params=artifact.net_params or NetParams(),
+            run_seed=artifact.run_seed,
+        )
+    return run_sim(
+        sim_target(artifact.target),
+        artifact.campaign,
+        schedule=list(artifact.payload),
+        max_steps=artifact.max_steps,
+        stop_monitor=(
+            None if artifact.kind == "stabilization" else artifact.violation.monitor
+        ),
+    )
+
+
 def attach_observability(artifact: Artifact) -> Artifact:
     """Re-run the artifact's triple under a local tracer and embed the
     mined timeliness graph (plus, for net, the transport counters).
@@ -266,31 +297,9 @@ def attach_observability(artifact: Artifact) -> Artifact:
     from repro.obs.timeliness import mine_timeliness
 
     tracer = Tracer()
-    net_stats = artifact.net_stats
     with trace_scope(tracer):
-        if artifact.substrate == "sim":
-            run_sim(
-                sim_target(artifact.target),
-                artifact.campaign,
-                schedule=list(artifact.payload),
-                max_steps=artifact.max_steps,
-                # A stabilization artifact's replay runs to completion
-                # (the verdict lives in finalize); a violation artifact
-                # stops where the archived monitor fires.
-                stop_monitor=(
-                    None
-                    if artifact.kind == "stabilization"
-                    else artifact.violation.monitor
-                ),
-            )
-        else:
-            outcome = run_net(
-                artifact.campaign,
-                artifact.payload,
-                params=artifact.net_params or NetParams(),
-                run_seed=artifact.run_seed,
-            )
-            net_stats = outcome.net_stats
+        outcome = _rerun(artifact)
+    net_stats = outcome.net_stats if artifact.substrate == "net" else artifact.net_stats
     report = mine_timeliness(tracer.take())
     return dataclass_replace(artifact, net_stats=net_stats, timeliness=report)
 
@@ -323,17 +332,18 @@ class ReplayReport:
         return f"ReplayReport({status}: {self.detail})"
 
 
-def _replay_stabilization(artifact: Artifact) -> ReplayReport:
-    """Stabilization artifacts replay to *convergence*, not to a failure:
-    the run must stay violation-free and re-derive the identical verdict."""
+def replay(artifact: Artifact) -> ReplayReport:
+    """Re-execute the artifact's run and compare its evidence exactly.
+
+    A violation artifact looks for its monitor among the run's
+    violations.  A stabilization artifact replays to *convergence*, not
+    to a failure: the run must stay violation-free, then re-derive the
+    identical verdict.
+    """
     expected = artifact.violation
-    outcome = run_sim(
-        sim_target(artifact.target),
-        artifact.campaign,
-        schedule=list(artifact.payload),
-        max_steps=artifact.max_steps,
-    )
-    if outcome.violations:
+    outcome = _rerun(artifact)
+    stabilization = artifact.kind == "stabilization"
+    if stabilization and outcome.violations:
         actual = outcome.violations[0]
         return ReplayReport(
             ok=False,
@@ -341,79 +351,24 @@ def _replay_stabilization(artifact: Artifact) -> ReplayReport:
             actual=actual,
             detail=f"replay did not converge: {actual!r}",
         )
-    actual = next(
-        (v for v in outcome.verdicts if v.monitor == expected.monitor), None
-    )
+    evidence = outcome.verdicts if stabilization else outcome.violations
+    actual = next((v for v in evidence if v.monitor == expected.monitor), None)
     if actual is None:
-        return ReplayReport(
-            ok=False,
-            expected=expected,
-            actual=None,
-            detail=f"replay produced no {expected.monitor!r} verdict",
+        detail = (
+            f"replay produced no {expected.monitor!r} verdict"
+            if stabilization
+            else f"monitor {expected.monitor!r} did not fire on replay"
         )
-    if actual != expected:
-        return ReplayReport(
-            ok=False,
-            expected=expected,
-            actual=actual,
-            detail=f"verdict drifted: expected {expected!r}, got {actual!r}",
-        )
-    return ReplayReport(
-        ok=True,
-        expected=expected,
-        actual=actual,
-        detail=(
+    elif actual != expected:
+        what = "verdict" if stabilization else "violation"
+        detail = f"{what} drifted: expected {expected!r}, got {actual!r}"
+    elif stabilization:
+        detail = (
             f"{expected.monitor} verdict @step {expected.step} reproduced; "
             f"zero violations"
-        ),
-    )
-
-
-def replay(artifact: Artifact) -> ReplayReport:
-    """Re-execute the artifact's run and compare violations exactly."""
-    if artifact.kind == "stabilization":
-        return _replay_stabilization(artifact)
-    expected = artifact.violation
-    if artifact.substrate == "sim":
-        outcome = run_sim(
-            sim_target(artifact.target),
-            artifact.campaign,
-            schedule=list(artifact.payload),
-            max_steps=artifact.max_steps,
-            stop_monitor=expected.monitor,
         )
-        actual = outcome.find(expected.monitor)
     else:
-        net_outcome = run_net(
-            artifact.campaign,
-            artifact.payload,
-            params=artifact.net_params or NetParams(),
-            run_seed=artifact.run_seed,
-        )
-        actual = None
-        for candidate in net_outcome.violations:
-            if candidate.monitor == expected.monitor:
-                actual = candidate
-                break
-    if actual is None:
-        return ReplayReport(
-            ok=False,
-            expected=expected,
-            actual=None,
-            detail=f"monitor {expected.monitor!r} did not fire on replay",
-        )
-    if actual != expected:
-        return ReplayReport(
-            ok=False,
-            expected=expected,
-            actual=actual,
-            detail=(
-                f"violation drifted: expected {expected!r}, got {actual!r}"
-            ),
-        )
+        detail = f"{expected.monitor} @step {expected.step} reproduced"
     return ReplayReport(
-        ok=True,
-        expected=expected,
-        actual=actual,
-        detail=f"{expected.monitor} @step {expected.step} reproduced",
+        ok=actual == expected, expected=expected, actual=actual, detail=detail
     )

@@ -36,11 +36,16 @@ atomic-register linearizability spec — through
 :func:`repro.net.fuzz.run_workload`, with the explicit (campaign,
 workload, seed) triple the shrinker and the artifacts need.
 
-**Campaigns.**  On either substrate a campaign is one loop
-(:func:`_sim_runs` / :func:`_net_runs`) over a range of global run
-indices, run in-process over the whole range or sliced over shard
-workers, and folded into a :class:`CampaignReport` by
-:func:`repro.parallel.merge.merge_campaign_runs` either way.
+**Campaigns.**  Both substrates share one campaign loop,
+:func:`_campaign_runs`, over a range of global run indices; a substrate
+supplies only how one run seed executes (:func:`_sim_run` generates a
+schedule, :func:`_net_run` samples and runs a workload).  One dispatch,
+:func:`_run_campaign`, runs the loop in-process over the whole range or
+slices it over shard workers, and
+:func:`repro.parallel.merge.merge_campaign_runs` folds the records into
+a :class:`CampaignReport` either way.  :class:`SimOutcome` and
+:class:`NetOutcome` answer the loop the same questions: ``ok``,
+``steps``, ``verdicts`` and ``find(monitor)``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ClassVar,
     Dict,
     FrozenSet,
     List,
@@ -592,29 +598,24 @@ class CampaignReport:
         )
 
 
-def _sim_runs(
-    target: SimTarget,
-    campaign: Campaign,
-    indices: Sequence[int],
-    max_steps: int,
-    trace: bool,
+def _campaign_runs(
+    run: Callable[[str], Any], indices: Sequence[int], trace: bool
 ) -> List[RunRecord]:
-    """The sim campaign loop: generated runs up to the first failure.
+    """The campaign loop, either substrate: runs up to the first failure.
 
-    Each run is seeded by its global index, so a slice of the index
-    range is exactly that slice of the whole campaign; runs past the
-    globally-first failure are discarded by the merge, so stopping at
-    the slice's own first failure only saves work.  ``trace`` records
-    each run under a private tracer (otherwise an ambient one, if any,
-    sees the runs unchunked).
+    ``run(run_seed)`` executes one run (:func:`_sim_run`, :func:`_net_run`)
+    and returns its outcome.  Each run is seeded by its global index, so
+    a slice of the index range is exactly that slice of the whole
+    campaign; runs past the globally-first failure are discarded by the
+    merge, so stopping at the slice's own first failure only saves work.
+    ``trace`` records each run under a private tracer (otherwise an
+    ambient one, if any, sees the runs unchunked).
     """
     tracer = Tracer() if trace else active_tracer()
     records: List[RunRecord] = []
     for index in indices:
         with trace_scope(tracer):
-            outcome = run_sim(
-                target, campaign, run_seed=str(index), max_steps=max_steps
-            )
+            outcome = run(str(index))
         records.append(
             RunRecord(
                 index=index,
@@ -629,6 +630,15 @@ def _sim_runs(
     return records
 
 
+def _sim_run(
+    target: SimTarget, campaign: Campaign, max_steps: int
+) -> Callable[[str], SimOutcome]:
+    """One generated sim run per run seed."""
+    return lambda run_seed: run_sim(
+        target, campaign, run_seed=run_seed, max_steps=max_steps
+    )
+
+
 def _sim_shard(shard, payload) -> List[RunRecord]:
     """Shard worker (module-level for the spawn pool).
 
@@ -636,25 +646,38 @@ def _sim_shard(shard, payload) -> List[RunRecord]:
     process boundary — while the frozen campaign pickles as-is.
     """
     target_name, campaign, max_steps, trace = payload
-    return _sim_runs(
-        sim_target(target_name), campaign,
-        range(shard.start, shard.stop), max_steps, trace,
+    return _campaign_runs(
+        _sim_run(sim_target(target_name), campaign, max_steps),
+        range(shard.start, shard.stop), trace,
     )
 
 
-def _run_campaign_sharded(
+def _run_campaign(
     campaign: Campaign,
     schedules: int,
+    run: Callable[[str], Any],
+    trace: bool,
     worker,
     payload,
     workers: int,
     pool,
 ) -> CampaignReport:
-    """Common sharded path for both substrates' campaigns."""
-    shards = make_shards(schedules, workers, master_seed=str(campaign.seed))
+    """Both substrates' campaign dispatch.
+
+    The sequential campaign is :func:`_campaign_runs` over the whole
+    range in-process; ``workers > 1`` or a ``pool`` maps ``worker`` (the
+    same loop over one shard's range, rebuilt from the picklable
+    ``payload``) over shards.  One merge folds either, so only
+    ``shard_timing`` depends on the worker count.
+    """
+    if workers == 1 and pool is None:
+        return merge_campaign_runs(
+            campaign, [_campaign_runs(run, range(schedules), trace)]
+        )
     own_pool = pool is None
     if own_pool:
         pool = WorkerPool(workers)
+    shards = make_shards(schedules, pool.workers, master_seed=str(campaign.seed))
     try:
         results = pool.run(worker, shards, payload)
     finally:
@@ -685,15 +708,9 @@ def run_sim_campaign(
     ``trace=True`` records each run under a private ``repro.obs`` tracer
     and collects the chunks on the report in run-index order.
     """
-    if workers != 1 or pool is not None:
-        return _run_campaign_sharded(
-            campaign, schedules, _sim_shard,
-            (target.name, campaign, max_steps, trace),
-            workers=workers if pool is None else pool.workers, pool=pool,
-        )
-    return merge_campaign_runs(
-        campaign,
-        [_sim_runs(target, campaign, range(schedules), max_steps, trace)],
+    return _run_campaign(
+        campaign, schedules, _sim_run(target, campaign, max_steps), trace,
+        _sim_shard, (target.name, campaign, max_steps, trace), workers, pool,
     )
 
 
@@ -745,10 +762,17 @@ class NetOutcome:
     # Transport telemetry (NetStats.snapshot()); serialized into repro
     # artifacts so a counterexample ships with its wire-level counters.
     net_stats: Optional[Dict[str, int]] = None
+    # The linearizability check only rejects: a net run has no verdicts.
+    verdicts: ClassVar[Tuple[ChaosViolation, ...]] = ()
+
+    # The campaign loop and the artifact replay ask both outcomes alike.
+    ok = SimOutcome.ok
+    find = SimOutcome.find
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def steps(self) -> int:
+        """What a campaign counts per net run: completed operations."""
+        return self.operations
 
     def __repr__(self) -> str:
         status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
@@ -831,41 +855,23 @@ def run_net(
     return outcome
 
 
-def _net_runs(
-    campaign: Campaign, params: NetParams, indices: Sequence[int], trace: bool
-) -> List[RunRecord]:
-    """The net campaign loop: sampled workloads up to the first failure.
+def _net_run(campaign: Campaign, params: NetParams) -> Callable[[str], NetOutcome]:
+    """One sampled net run per run seed: the workload is drawn from the
+    campaign seed and the run seed, then executed."""
 
-    Workloads are drawn from the campaign seed and the global run index,
-    so slices compose exactly as in :func:`_sim_runs`, and ``trace``
-    chunks the records the same way.
-    """
-    tracer = Tracer() if trace else active_tracer()
-    records: List[RunRecord] = []
-    for index in indices:
-        run_seed = str(index)
+    def run(run_seed: str) -> NetOutcome:
         workload = sample_net_workload(campaign, run_seed, params)
-        with trace_scope(tracer):
-            outcome = run_net(
-                campaign, workload, params=params, run_seed=run_seed
-            )
-        records.append(
-            RunRecord(
-                index=index,
-                steps=outcome.operations,
-                outcome=None if outcome.ok else outcome,
-                trace=tracer.take() if trace else None,
-            )
-        )
-        if not outcome.ok:
-            break
-    return records
+        return run_net(campaign, workload, params=params, run_seed=run_seed)
+
+    return run
 
 
 def _net_shard(shard, payload) -> List[RunRecord]:
     """Shard worker (module-level for the spawn pool)."""
     campaign, params, trace = payload
-    return _net_runs(campaign, params, range(shard.start, shard.stop), trace)
+    return _campaign_runs(
+        _net_run(campaign, params), range(shard.start, shard.stop), trace
+    )
 
 
 def run_net_campaign(
@@ -882,11 +888,7 @@ def run_net_campaign(
     :func:`run_sim_campaign`: worker count never changes the report,
     only ``shard_timing``.
     """
-    if workers != 1 or pool is not None:
-        return _run_campaign_sharded(
-            campaign, schedules, _net_shard, (campaign, params, trace),
-            workers=workers if pool is None else pool.workers, pool=pool,
-        )
-    return merge_campaign_runs(
-        campaign, [_net_runs(campaign, params, range(schedules), trace)]
+    return _run_campaign(
+        campaign, schedules, _net_run(campaign, params), trace,
+        _net_shard, (campaign, params, trace), workers, pool,
     )

@@ -30,6 +30,12 @@ Candidates are accepted when the *same monitor* fires again; the exact
 message may legitimately change as context shrinks (an operation count,
 a step number).  Every execution is counted and memoized, so a
 :class:`ShrinkResult` reports how much work minimization took.
+
+One driver, :func:`_shrink`, runs these passes for both substrates.
+:func:`shrink_sim` and :func:`shrink_net` supply only what differs: how
+a candidate executes, which campaign fields hold its faults, and its
+payload pass (:func:`_shrink_schedule`, :func:`_shrink_workload`); the
+truncate pass is sim's alone.
 """
 
 from __future__ import annotations
@@ -225,15 +231,32 @@ _SIM_FAULT_FIELDS = (
 _NET_FAULT_FIELDS = ("losses", "spikes", "partitions", "crash_at", "crash_after")
 
 
-def _shrink_loop(
-    session: _Session,
+def _shrink(
+    reproduce: Reproduce,
+    monitor: str,
     campaign: Campaign,
     payload: Any,
     fault_fields: Tuple[str, ...],
     shrink_payload: Callable[[_Session, Campaign, Any], Any],
-) -> Tuple[Campaign, Any, int]:
-    """Alternate fault-plan and payload passes until a fixpoint, at most
-    three rounds."""
+    truncate: bool,
+) -> Optional[ShrinkResult]:
+    """The shrink driver, either substrate; ``None`` if the triple does
+    not reproduce.
+
+    After the first reproduction, ``truncate`` cuts the payload right
+    after the firing step (sim: later schedule steps are noise).  Then
+    fault-plan and payload passes alternate until a fixpoint, at most
+    three rounds, and a final run re-derives the violation.
+    """
+    session = _Session(reproduce, monitor)
+    violation = session.run(campaign, payload)
+    if violation is None:
+        return None
+    original_campaign, original_payload = campaign, payload
+    if truncate and violation.step < len(payload):
+        truncated = payload[: violation.step]
+        if session.fails(campaign, truncated):
+            payload = truncated
     for rounds in range(1, 4):
         before = (campaign, payload)
         for field_name in fault_fields:
@@ -242,12 +265,48 @@ def _shrink_loop(
         payload = shrink_payload(session, campaign, payload)
         if (campaign, payload) == before:
             break
-    return campaign, payload, rounds
+    final = session.run(campaign, payload)
+    assert final is not None  # every accepted reduction re-verified this
+    return ShrinkResult(
+        campaign=campaign,
+        payload=payload,
+        violation=final,
+        original_campaign=original_campaign,
+        original_payload=original_payload,
+        executions=session.executions,
+        rounds=rounds,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Sim substrate.
-# ---------------------------------------------------------------------------
+def _shrink_schedule(
+    session: _Session, campaign: Campaign, payload: Tuple[int, ...]
+) -> Tuple[int, ...]:
+    """Sim payload pass: ddmin over the schedule's steps."""
+    return tuple(
+        ddmin(list(payload), lambda cand: session.fails(campaign, tuple(cand)))
+    )
+
+
+def _shrink_workload(session: _Session, campaign: Campaign, payload: Any) -> Any:
+    """Net payload pass: ddmin over the workload's (client, op) pairs.
+
+    Flattening lets ddmin drop ops anywhere; each candidate is rebuilt
+    into the fixed-width per-client tuple shape.
+    """
+    flat = [
+        (client, op)
+        for client, client_ops in enumerate(payload)
+        for op in client_ops
+    ]
+
+    def rebuild(pairs: List[Tuple[int, Any]]) -> Any:
+        clients: List[List[Any]] = [[] for _ in range(len(payload))]
+        for client, op in pairs:
+            clients[client].append(op)
+        return tuple(tuple(client_ops) for client_ops in clients)
+
+    kept = ddmin(flat, lambda cand: session.fails(campaign, rebuild(cand)))
+    return rebuild(kept)
 
 
 def shrink_sim(
@@ -265,54 +324,15 @@ def shrink_sim(
     """
 
     def reproduce(candidate: Campaign, payload: Any) -> Optional[ChaosViolation]:
-        outcome = run_sim(
-            target,
-            candidate,
-            schedule=list(payload),
-            max_steps=max_steps,
+        return run_sim(
+            target, candidate, schedule=list(payload), max_steps=max_steps,
             stop_monitor=monitor,
-        )
-        return outcome.find(monitor)
+        ).find(monitor)
 
-    session = _Session(reproduce, monitor)
-    payload: Tuple[int, ...] = tuple(schedule)
-    violation = session.run(campaign, payload)
-    if violation is None:
-        return None
-    original_campaign, original_payload = campaign, payload
-
-    # Pass 1: truncate right after the firing step — later steps are noise.
-    if violation.step < len(payload):
-        truncated = payload[: violation.step]
-        if session.fails(campaign, truncated):
-            payload = truncated
-
-    def shrink_payload(
-        session: _Session, campaign: Campaign, payload: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        return tuple(
-            ddmin(list(payload), lambda cand: session.fails(campaign, tuple(cand)))
-        )
-
-    campaign, payload, rounds = _shrink_loop(
-        session, campaign, payload, _SIM_FAULT_FIELDS, shrink_payload
+    return _shrink(
+        reproduce, monitor, campaign, tuple(schedule),
+        _SIM_FAULT_FIELDS, _shrink_schedule, truncate=True,
     )
-    final = session.run(campaign, payload)
-    assert final is not None  # every accepted reduction re-verified this
-    return ShrinkResult(
-        campaign=campaign,
-        payload=payload,
-        violation=final,
-        original_campaign=original_campaign,
-        original_payload=original_payload,
-        executions=session.executions,
-        rounds=rounds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Net substrate.
-# ---------------------------------------------------------------------------
 
 
 def shrink_net(
@@ -325,46 +345,11 @@ def shrink_net(
     """Minimize a failing net triple; ``None`` if it does not reproduce."""
 
     def reproduce(candidate: Campaign, payload: Any) -> Optional[ChaosViolation]:
-        outcome = run_net(candidate, payload, params=params, run_seed=run_seed)
-        for violation in outcome.violations:
-            if violation.monitor == monitor:
-                return violation
-        return None
+        return run_net(
+            candidate, payload, params=params, run_seed=run_seed
+        ).find(monitor)
 
-    session = _Session(reproduce, monitor)
-    if session.run(campaign, workload) is None:
-        return None
-    original_campaign, original_workload = campaign, workload
-
-    def shrink_payload(session: _Session, campaign: Campaign, payload: Any) -> Any:
-        # Flatten to (client, op) pairs so ddmin can drop ops anywhere,
-        # then rebuild the fixed-width per-client tuple shape.
-        flat = [
-            (client, op)
-            for client, client_ops in enumerate(payload)
-            for op in client_ops
-        ]
-
-        def rebuild(pairs: List[Tuple[int, Any]]) -> Any:
-            clients: List[List[Any]] = [[] for _ in range(len(payload))]
-            for client, op in pairs:
-                clients[client].append(op)
-            return tuple(tuple(client_ops) for client_ops in clients)
-
-        kept = ddmin(flat, lambda cand: session.fails(campaign, rebuild(cand)))
-        return rebuild(kept)
-
-    campaign, workload, rounds = _shrink_loop(
-        session, campaign, workload, _NET_FAULT_FIELDS, shrink_payload
-    )
-    final = session.run(campaign, workload)
-    assert final is not None
-    return ShrinkResult(
-        campaign=campaign,
-        payload=workload,
-        violation=final,
-        original_campaign=original_campaign,
-        original_payload=original_workload,
-        executions=session.executions,
-        rounds=rounds,
+    return _shrink(
+        reproduce, monitor, campaign, workload,
+        _NET_FAULT_FIELDS, _shrink_workload, truncate=False,
     )

@@ -75,11 +75,12 @@ def _tid_label(pid: int) -> str:
     return "faults" if pid < 0 else f"p{pid}"
 
 
-def to_chrome_trace(records: Iterable[Dict[str, Any]], name: str = "repro") -> Dict[str, Any]:
+def to_chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Convert a record stream to a Chrome trace-event JSON document.
 
     One Chrome ``pid`` per traced run (each ``run``/``engine`` marker
-    starts a new one), one ``tid`` per process; messages are drawn as
+    starts a new one; records before any marker form one run named
+    "repro"), one ``tid`` per process; messages are drawn as
     flow ("s"/"f") arrow pairs keyed by transport sequence id.
     """
     events: List[Dict[str, Any]] = []
@@ -119,7 +120,7 @@ def to_chrome_trace(records: Iterable[Dict[str, Any]], name: str = "repro") -> D
             run_id = 1
             events.append(
                 {"ph": "M", "name": "process_name", "pid": run_id, "tid": 0,
-                 "args": {"name": name}}
+                 "args": {"name": "repro"}}
             )
         if kind == "op":
             t0, t1 = record["t0"], record["t1"]

@@ -25,7 +25,10 @@ Commands
 
 ``sim``
     The identical keeper workload on the simulated substrate —
-    deterministic counters, byte-equal across runs with one seed.
+    deterministic counters, byte-equal across runs with one seed.  It
+    takes the topology flags and ``--seed`` only: the sim sizes its own
+    block and delivery bound, so ``--bound`` and ``--block`` are usage
+    errors there.
 
 Results flow through :mod:`repro.obs`: the whole run executes inside a
 ``trace_scope``, and the report embeds ``compute_metrics`` over the live
@@ -72,7 +75,8 @@ _amount = _in_range(int, zero=True)
 _span = _in_range(float, zero=True)
 
 
-def _service_args(parser: argparse.ArgumentParser) -> None:
+def _topology_args(parser: argparse.ArgumentParser) -> None:
+    """The flags both substrates read: the service's shape and seed."""
     parser.add_argument("--shards", type=_count, default=4, help="lease namespaces")
     parser.add_argument(
         "--keepers",
@@ -82,10 +86,15 @@ def _service_args(parser: argparse.ArgumentParser) -> None:
         "standbys that send nothing until they suspect it",
     )
     parser.add_argument("--replicas", type=_count, default=3, help="register replicas")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+
+
+def _service_args(parser: argparse.ArgumentParser) -> None:
+    """The live service's flags: its topology, delivery bound and block."""
+    _topology_args(parser)
     parser.add_argument(
         "--bound", type=_seconds, default=0.02, help="assumed delivery bound (s)"
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--block",
         type=_amount,
@@ -299,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(fn=cmd_demo)
 
     sim = sub.add_parser("sim", help="same keeper workload, sim substrate")
-    _service_args(sim)
+    _topology_args(sim)
     sim.add_argument("--cycles", type=_count, default=2)
     sim.add_argument("--grants", type=_count, default=4)
     sim.add_argument("--json", default=None)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.metrics import (
-    convergence_point,
     decision_times_in_deltas,
     delay_count,
     handover_times,
@@ -14,6 +13,7 @@ from repro.analysis.metrics import (
     throughput,
 )
 from repro.core.consensus import run_consensus
+from repro.core.resilience import check_resilience
 from repro.sim import ConstantTiming, ops
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
@@ -73,8 +73,8 @@ class TestMutexMetrics:
 
     def test_convergence_point_no_failures(self):
         tr = self._trace()
-        cp = convergence_point(tr, psi=5.0)
-        assert cp.convergence_time == 0.0
+        report = check_resilience(tr, psi_deltas=5.0)
+        assert report.convergence_time == 0.0
 
 
 class TestRegisterAudit:

@@ -268,6 +268,19 @@ class TestStabilizationArtifact:
         report = replay(tampered)
         assert not report.ok and "drift" in report.detail
 
+    def test_replay_of_a_violating_run_does_not_converge(self, verdict_outcome):
+        # A stabilization replay runs to completion, so a schedule that
+        # breaks safety is reported as a violation, never as a verdict.
+        fischer = load_artifact("tests/chaos/artifacts/fischer_n3_violation.json")
+        artifact = dataclasses.replace(
+            fischer, kind="stabilization",
+            violation=artifact_from_sim_verdict(
+                "dg_mutex_n3", verdict_outcome).violation,
+        )
+        report = replay(artifact)
+        assert not report.ok and report.actual.monitor == "mutual_exclusion"
+        assert report.detail == f"replay did not converge: {report.actual!r}"
+
     def test_requires_a_verdict(self):
         target = sim_target("dg_mutex_n3")
         clean = run_sim(target, Campaign(substrate="sim", seed="calm"),

@@ -2,15 +2,23 @@
 
 import pytest
 
+from repro.chaos.artifact import artifact_from_net, attach_observability, replay
 from repro.chaos.monitors import ChaosViolation
-from repro.chaos.plan import Campaign, sample_sim_campaign
-from repro.chaos.runner import run_sim, run_sim_campaign, sim_target
+from repro.chaos.plan import Campaign, sample_net_campaign, sample_sim_campaign
+from repro.chaos.runner import (
+    NetParams,
+    run_sim,
+    run_sim_campaign,
+    sample_net_workload,
+    sim_target,
+)
 from repro.chaos.shrink import (
     ShrinkResult,
     _ddmin_field,
     _narrow_windows,
     _Session,
     ddmin,
+    shrink_net,
     shrink_sim,
 )
 from repro.sim.failures import failure_window
@@ -174,3 +182,50 @@ class TestShrinkSim:
         assert shrunk.original_payload == outcome.schedule
         assert shrunk.executions > 0 and shrunk.rounds >= 1
         assert "executions" in shrunk.summary()
+
+
+class TestShrinkNet:
+    """ABD yields no natural violation, so the net driver is exercised
+    through a ``run_net`` that adds one: a write by client 0 under any
+    loss or delay spike."""
+
+    @pytest.fixture
+    def failing_run_net(self, monkeypatch):
+        from repro.chaos import artifact, runner, shrink
+
+        def run_net(campaign, workload, params=NetParams(), run_seed=None):
+            outcome = runner.run_net(campaign, workload, params, run_seed)
+            if any(op[0] == "write" for op in workload[0]) and (
+                campaign.losses or campaign.spikes
+            ):
+                outcome.violations.append(ChaosViolation(
+                    "linearizability", "synthetic", outcome.operations
+                ))
+            return outcome
+
+        monkeypatch.setattr(shrink, "run_net", run_net)
+        monkeypatch.setattr(artifact, "run_net", run_net)
+        return run_net
+
+    def test_shrinks_to_one_write_and_one_spike(self, failing_run_net):
+        campaign = sample_net_campaign("2")
+        workload = sample_net_workload(campaign, "0", NetParams())
+        shrunk = shrink_net(campaign, workload, run_seed="0")
+        assert shrunk.payload == ((("write", 1, 1),), ())
+        assert shrunk.campaign.fault_count == 1 and len(shrunk.campaign.spikes) == 1
+        # The execution count is written into artifact provenance.
+        assert (shrunk.executions, shrunk.rounds) == (13, 2)
+        assert shrink_net(campaign, ((("read", 0, None),), ()), run_seed="0") is None
+
+    def test_shrunk_net_artifact_replays(self, failing_run_net):
+        params = NetParams()
+        campaign = sample_net_campaign("2")
+        workload = sample_net_workload(campaign, "0", params)
+        outcome = failing_run_net(campaign, workload, params, "0")
+        shrunk = shrink_net(campaign, workload, run_seed="0")
+        art = attach_observability(artifact_from_net(outcome, params, shrunk=shrunk))
+        assert art.provenance["shrink_executions"] == 13
+        assert art.net_stats is not None and art.timeliness is not None
+        report = replay(art)
+        assert report.ok, report.detail
+        assert report.detail == "linearizability @step 1 reproduced"

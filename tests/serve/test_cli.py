@@ -62,3 +62,13 @@ def test_out_of_range_argument_is_a_usage_error(argv, problem, capsys):
         build_parser().parse_args(argv)
     assert exit_info.value.code == 2
     assert f"argument {argv[1]}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--bound", "99"), ("--block", "7")])
+def test_sim_rejects_the_live_only_flags(flag, value, capsys):
+    # The sim sizes its own block and bound; a flag it would ignore must
+    # not parse, or `sim --bound 99` would print what `sim` prints.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["sim", flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
