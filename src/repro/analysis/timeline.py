@@ -89,7 +89,7 @@ def lane_for(trace: Trace, pid: int, width: int = 72) -> str:
 
 def render_timeline(trace: Trace, width: int = 72) -> str:
     """All processes' lanes plus a fault row and a time ruler."""
-    pids = sorted(p for p in trace.pids() if p >= 0)
+    pids = sorted(trace.pids())
     if not pids:
         return "(empty trace)"
     lines = []

@@ -7,7 +7,7 @@ Subcommands::
             shrink + archive hits — shrinking and artifacts stay
             single-process, so a parallel-found violation replays through
             the unchanged pipeline
-    shrink  re-minimize an existing artifact (e.g. one uploaded by CI)
+    shrink  re-minimize an existing violation artifact (e.g. one uploaded by CI)
     replay  re-execute an artifact and verify the violation byte-identically
 
 ``run`` is the one campaign CLI.  ``--windows 0`` samples the empty
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", type=Path, default=None,
                      help="write a machine-readable summary here")
 
-    shrink = sub.add_parser("shrink", help="re-minimize an existing artifact")
+    shrink = sub.add_parser("shrink", help="re-minimize an existing violation artifact")
     shrink.add_argument("artifact", type=Path)
     shrink.add_argument("-o", "--output", type=Path, default=None,
                         help="where to write the shrunk artifact "
@@ -352,6 +352,13 @@ def _load(path: Path) -> Optional[Artifact]:
 def _cmd_shrink(args: argparse.Namespace) -> int:
     artifact = _load(args.artifact)
     if artifact is None:
+        return 2
+    if artifact.kind == "stabilization":
+        print(
+            f"error: cannot shrink {str(args.artifact)!r}: a stabilization "
+            f"artifact archives a converged run, so it has no violation to shrink",
+            file=sys.stderr,
+        )
         return 2
     if artifact.substrate == "sim":
         shrunk = shrink_sim(

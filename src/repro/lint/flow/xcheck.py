@@ -195,7 +195,7 @@ def dynamic_access_set(
         result = engine.run()
     observed = set()
     trace_counts = {kind: 0 for kind in _SHARED_KINDS}
-    for event in result.trace.events:
+    for event in result.trace:
         if event.kind in trace_counts:
             trace_counts[event.kind] += 1
         if event.register is None or event.kind not in _SHARED_KINDS:

@@ -53,7 +53,7 @@ from .process import Process, ProcessState, Program, ProgramFactory
 from .registers import Memory
 from .scheduler import FifoTieBreak, TieBreak
 from .timing import TimingModel
-from .trace import EventKind, Trace, TraceEvent
+from .trace import FAULT_PID, EventKind, Trace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - repro.net imports this module
     from repro.net.transport import Transport
@@ -127,9 +127,6 @@ _COMPLETE = "complete"
 _CRASH = "crash"
 _RESTART = "restart"
 _FAULT = "fault"
-
-#: Pseudo-pid used for scheduler bookkeeping of injected memory faults.
-FAULT_PID = -1
 
 # Heap entries are plain tuples, ordered lexicographically by
 # (time, priority, seq).  ``seq`` is unique per entry, so comparison never
@@ -474,11 +471,9 @@ class Engine:
         shared = op.is_shared
         # Only a shared step can be a timing failure.
         exceeded = shared and (now - issued) > self.delta * (1.0 + _DELTA_TOLERANCE)
-        self.trace.append(
-            TraceEvent(
-                next(self._event_seq), pid, kind, issued, now, target, value, None,
-                exceeded,
-            )
+        self.trace.record(
+            next(self._event_seq), pid, kind, issued, now, target, value, None,
+            exceeded,
         )
         if self._tracer is not None:
             self._tracer.op(kind, pid, target, issued, now, exceeded)
@@ -518,11 +513,9 @@ class Engine:
                 ) from exc
 
             if isinstance(op, Label):
-                self.trace.append(
-                    TraceEvent(
-                        next(self._event_seq), pid, EventKind.LABEL, now, now,
-                        None, op.payload, op.kind,
-                    )
+                self.trace.record(
+                    next(self._event_seq), pid, EventKind.LABEL, now, now,
+                    None, op.payload, op.kind,
                 )
                 if self._tracer is not None:
                     self._tracer.label(pid, op.kind, now)

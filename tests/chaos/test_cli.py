@@ -203,6 +203,16 @@ class TestCommittedRecoverArtifacts:
     def test_nonconvergence_replays_identically(self):
         assert main(["replay", str(self.NONCONVERGENCE)]) == 0
 
+    def test_shrinking_a_stabilization_artifact_is_a_usage_error(self, tmp_path, capsys):
+        # It archives a converged run: refused before any run, exit 2 (exit 1
+        # would read as "did not reproduce"), and nothing written.
+        output = tmp_path / "shrunk.json"
+        assert main(["shrink", str(self.STABILIZATION), "-o", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(self.STABILIZATION) in err
+        assert "converged run" in err and "no violation to shrink" in err
+        assert not output.exists()
+
     def test_the_contrast(self):
         # Same fault class, opposite fates: corruption against the
         # stabilizing ring ends in a convergence verdict with zero

@@ -54,6 +54,20 @@ class TestInjection:
         assert len(faults) == 1
         assert faults[0].value == 7
 
+    def test_fault_pseudo_pid_is_not_a_process(self):
+        r = Register("cell", 0)
+
+        def prog(pid):
+            yield read(r)
+
+        eng = Engine(delta=1.0, timing=ConstantTiming(0.5),
+                     faults=[MemoryFault(at=0.1, register=r, value=7)])
+        eng.spawn(prog(0))
+        eng.spawn(prog(1))
+        res = eng.run()
+        assert [e.pid for e in res.trace if e.kind == "fault"] == [-1]
+        assert res.trace.pids() == {0, 1}
+
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             MemoryFault(at=-1.0, register=Register("x"), value=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import ops
-from repro.sim.trace import EventKind, Trace, TraceEvent
+from repro.sim.trace import FAULT_PID, EventKind, Trace, TraceEvent
 from repro.spec import (
     check_mutex,
     check_mutual_exclusion,
@@ -95,6 +95,20 @@ class TestStarvation:
         starved, worst = check_starvation(tr)
         assert starved == [0]
         assert worst >= 12
+
+    def test_a_memory_fault_is_not_a_participating_process(self):
+        # Seven bypasses: above the default bound for 2 processes (6),
+        # below the one a phantom third process would set (8).
+        evs = [(0, ops.ENTRY_START, 0.0)]
+        t = 0.5
+        for k in range(7):
+            evs += session(1, t, t + 0.1, t + 0.2, t + 0.3)
+            t += 0.5
+        tr = build(evs)
+        tr.append(TraceEvent(len(tr), FAULT_PID, EventKind.FAULT, t, t, "x", 9))
+        assert tr.pids() == {0, 1}
+        starved, worst = check_starvation(tr)
+        assert starved == [0] and worst == 7
 
     def test_bound_override(self):
         evs = [(0, ops.ENTRY_START, 0.0)]
