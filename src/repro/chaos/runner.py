@@ -416,7 +416,12 @@ def run_sim(
     everyone = frozenset(factories)
     stalled, stall_until = _stalls(windows, everyone, 0)
     generating = schedule is None
-    rng = random.Random(seed_key(campaign, run_seed)) if generating else None
+    # The scheduler's draw is random.Random.choice, inlined: k bits, drawn
+    # again while they name no runnable pid — the same stream of
+    # getrandbits calls, so the same schedules (TestInlinedDraw pins it).
+    getrandbits = (
+        random.Random(seed_key(campaign, run_seed)).getrandbits if generating else None
+    )
 
     recorded: List[int] = []
     violations: List[ChaosViolation] = []
@@ -490,17 +495,20 @@ def run_sim(
         crash_after_pending = any(pid not in halted for pid in crash_after)
 
     stopped = False
+    step = sandbox.step
+    record = recorded.append
     for pid in itertools.repeat(None) if generating else schedule:
         if generating and clock >= max_steps:
             break
         # The sandbox keeps its runnable list current (finished, at the op
-        # bound, restarted); the crashed pids are this loop's to drop.
-        runnable = sandbox.enabled()
+        # bound, restarted) and this loop only reads it, before the step
+        # that may change it; the crashed pids are this loop's to drop.
+        runnable = sandbox._runnable
         if halted:
             runnable = [p for p in runnable if p not in halted]
         if clock >= due or crash_after_pending or (recover_at and not runnable):
             settle()
-            runnable = [p for p in sandbox.enabled() if p not in halted]
+            runnable = [p for p in sandbox._runnable if p not in halted]
         if pid is None:
             if not runnable:
                 break
@@ -509,12 +517,17 @@ def run_sim(
             if stalled:
                 free = [p for p in runnable if p not in stalled]
                 runnable = free or runnable
-            pid = rng.choice(runnable)
+            n = len(runnable)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            pid = runnable[r]
         elif pid not in runnable:
             continue  # tolerant replay: skip unrunnable slots
         pending = sandbox.pending_op(pid) if tracer is not None else None
-        sandbox.step(pid)
-        recorded.append(pid)
+        step(pid)
+        record(pid)
         clock += 1
         if tracer is not None:
             tracer.op(

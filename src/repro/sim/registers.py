@@ -14,7 +14,8 @@ register arrays (``x[1..∞, 0..1]``, ``y[1..∞]``) for free — an
 until a cell is first written.
 
 ``Memory`` also keeps an audit of every distinct register ever *touched*
-(read or written), which experiment E9 uses to compare the space
+(read or written) — the names whose initial value it has checked —
+which experiment E9 uses to compare the space
 consumption of the mutual-exclusion algorithms against the Burns–Lynch /
 Lynch–Shavit lower bound of Theorem 3.1.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, Set, Tuple
 
 from .ops import Read, Write
 
@@ -36,7 +37,8 @@ class Register:
     Handles are value objects: two handles with the same ``name`` refer to
     the same storage cell.  ``initial`` is the value read before any write;
     executors trust the handle for the default, so all handles for one name
-    should agree on it (``Memory`` checks this in debug mode).
+    must agree on it (``Memory`` checks this on every read, write and
+    read-modify-write, and raises ``ValueError`` when they do not).
     """
 
     __slots__ = ("name", "initial")
@@ -103,7 +105,6 @@ class Memory:
 
     __slots__ = (
         "_store",
-        "_touched",
         "_write_count",
         "_read_count",
         "_rmw_count",
@@ -113,7 +114,8 @@ class Memory:
 
     def __init__(self) -> None:
         self._store: Dict[Hashable, Any] = {}
-        self._touched: Set[Hashable] = set()
+        # name -> the initial value of the first handle that touched it: the
+        # check that every handle agrees, and the audit of touched names.
         self._initials: Dict[Hashable, Any] = {}
         # name -> (sort key, frozen name), filled by fingerprint().
         self._fingerprint_keys: Dict[Hashable, Tuple[str, Hashable]] = {}
@@ -121,17 +123,27 @@ class Memory:
         self._read_count = 0
         self._rmw_count = 0
 
+    # The three accessors check the handle's initial value inline (one
+    # lookup that also records a first touch; the same object needs no
+    # ``==``): they run once per shared step of every interpreter.
+
     def read(self, register: Register) -> Any:
         """Atomically read ``register`` (its initial value if unwritten)."""
-        self._touch(register)
+        name, initial = register.name, register.initial
+        known = self._initials.setdefault(name, initial)
+        if known is not initial and known != initial:
+            raise _conflicting_initials(name, known, initial)
         self._read_count += 1
-        return self._store.get(register.name, register.initial)
+        return self._store.get(name, initial)
 
     def write(self, register: Register, value: Any) -> None:
         """Atomically write ``value`` to ``register``."""
-        self._touch(register)
+        name, initial = register.name, register.initial
+        known = self._initials.setdefault(name, initial)
+        if known is not initial and known != initial:
+            raise _conflicting_initials(name, known, initial)
         self._write_count += 1
-        self._store[register.name] = value
+        self._store[name] = value
 
     def rmw(self, register: Register, transform: Any) -> Any:
         """Atomically apply ``transform(old) -> (new, result)``.
@@ -139,13 +151,15 @@ class Memory:
         Counts as one read and one write for the access statistics (the
         primitive both observes and updates the cell).
         """
-        self._touch(register)
+        name, initial = register.name, register.initial
+        known = self._initials.setdefault(name, initial)
+        if known is not initial and known != initial:
+            raise _conflicting_initials(name, known, initial)
         self._read_count += 1
         self._write_count += 1
         self._rmw_count += 1
-        old = self._store.get(register.name, register.initial)
-        new, result = transform(old)
-        self._store[register.name] = new
+        new, result = transform(self._store.get(name, initial))
+        self._store[name] = new
         return result
 
     def peek(self, register: Register) -> Any:
@@ -156,28 +170,17 @@ class Memory:
         """Write without counting as a touch (for test setup)."""
         self._store[register.name] = value
 
-    def _touch(self, register: Register) -> None:
-        name = register.name
-        if name not in self._touched:
-            self._touched.add(name)
-            self._initials[name] = register.initial
-        elif self._initials.get(name) != register.initial:
-            raise ValueError(
-                f"register {name!r} used with conflicting initial values: "
-                f"{self._initials[name]!r} vs {register.initial!r}"
-            )
-
     # -- auditing ---------------------------------------------------------
 
     @property
     def touched_registers(self) -> Set[Hashable]:
         """Names of every register ever read or written."""
-        return set(self._touched)
+        return set(self._initials)
 
     @property
     def register_count(self) -> int:
         """Number of distinct registers ever touched (experiment E9)."""
-        return len(self._touched)
+        return len(self._initials)
 
     @property
     def read_count(self) -> int:
@@ -222,10 +225,17 @@ class Memory:
         return tuple([cell for _, cell in items])
 
     def __repr__(self) -> str:
-        return f"Memory({len(self._store)} cells, {len(self._touched)} touched)"
+        return f"Memory({len(self._store)} cells, {len(self._initials)} touched)"
 
 
 _sort_key = itemgetter(0)
+
+
+def _conflicting_initials(name: Hashable, known: Any, initial: Any) -> ValueError:
+    return ValueError(
+        f"register {name!r} used with conflicting initial values: "
+        f"{known!r} vs {initial!r}"
+    )
 
 
 def _freeze(value: Any) -> Hashable:

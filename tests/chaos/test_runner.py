@@ -1,6 +1,7 @@
 """Tests for campaign execution on both substrates."""
 
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.chaos.runner import (
     run_sim,
     run_sim_campaign,
     sample_net_workload,
+    seed_key,
     sim_target,
 )
 from repro.obs import Tracer, trace_scope
@@ -231,6 +233,41 @@ class TestStallSets:
         window = TimingFailureWindow(2.0, math.inf, pids=frozenset({1}))
         assert _stalls((window,), self.PIDS, 0) == (frozenset(), 2)
         assert _stalls((window,), self.PIDS, 2) == ({1}, math.inf)
+
+
+class TestInlinedDraw:
+    """``run_sim`` draws the next pid as ``random.Random.choice`` does,
+    without calling it: a CPython change to ``choice`` fails here before
+    any pinned schedule moves."""
+
+    STEPS = 6
+
+    @staticmethod
+    def spinners(n):
+        """``n`` pids that read forever: the runnable list is always all."""
+        reg = Register("spin", 0)
+
+        def build():
+            def prog(pid):
+                while True:
+                    yield ops.read(reg)
+
+            return {pid: prog for pid in range(n)}, [], {}
+
+        return SimTarget(f"spin{n}", "never finishes", build, max_ops=100,
+                         pids=tuple(range(n)), expect_violation=False)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_draw_is_random_choice(self, n):
+        target = self.spinners(n)
+        campaign = Campaign(substrate="sim", seed="draw")
+        pids = list(range(n))
+        for seed in range(1000):
+            run_seed = str(seed)
+            outcome = run_sim(target, campaign, run_seed=run_seed,
+                              max_steps=self.STEPS, monitors=[])
+            rng = random.Random(seed_key(campaign, run_seed))
+            assert list(outcome.schedule) == [rng.choice(pids) for _ in range(self.STEPS)], seed
 
 
 class TestRunSimCampaign:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos.plan import Campaign
 from repro.chaos.runner import SimTarget, run_sim
-from repro.sim import ops
+from repro.sim import ConstantTiming, Engine, ops
 from repro.sim.registers import Array, Memory, Register, RegisterNamespace
 from repro.verify import explore
 
@@ -62,6 +62,32 @@ class TestMemory:
         with pytest.raises(ValueError):
             mem.read(Register("a", 1))
 
+    # Each accessor checks the handle on its own, whichever touched first.
+
+    ACCESSES = {
+        "read": lambda mem, reg: mem.read(reg),
+        "write": lambda mem, reg: mem.write(reg, 5),
+        "rmw": lambda mem, reg: mem.rmw(reg, lambda old: (old + 1, old)),
+    }
+
+    @pytest.mark.parametrize("first", sorted(ACCESSES))
+    @pytest.mark.parametrize("then", sorted(ACCESSES))
+    def test_conflicting_initials_rejected_on_every_access(self, first, then):
+        mem = Memory()
+        self.ACCESSES[first](mem, Register("a", 0))
+        before = (mem.snapshot(), mem.read_count, mem.write_count, mem.rmw_count)
+        with pytest.raises(ValueError, match="conflicting initial values: 0 vs 1"):
+            self.ACCESSES[then](mem, Register("a", 1))
+        # Rejected before it counted or changed anything.
+        assert (mem.snapshot(), mem.read_count, mem.write_count, mem.rmw_count) == before
+
+    def test_equal_initials_that_are_distinct_objects_agree(self):
+        mem = Memory()
+        mem.write(Register("a", [0, 0]), [1, 0])
+        assert mem.rmw(Register("a", [0, 0]), lambda old: (old, old)) == [1, 0]
+        assert mem.read(Register("a", [0, 0])) == [1, 0]
+        assert mem.touched_registers == {"a"}
+
     # The interpreters must keep asking Memory: a faster step that stopped
     # going through Memory.read/write would drop the check silently.
 
@@ -84,6 +110,16 @@ class TestMemory:
     def test_conflicting_initials_rejected_through_explore(self):
         with pytest.raises(ValueError, match="conflicting initial"):
             explore(self.conflicting_programs(), [], max_ops=5)
+
+    def test_conflicting_initials_rejected_through_the_engine(self):
+        def program(pid):
+            yield ops.write(Register("a", pid), pid)
+
+        eng = Engine(delta=1.0, timing=ConstantTiming(0.5))
+        for pid in (0, 1):
+            eng.spawn(program(pid), pid=pid)
+        with pytest.raises(ValueError, match="conflicting initial"):
+            eng.run()
 
     def test_register_count_tracks_touches(self):
         mem = Memory()

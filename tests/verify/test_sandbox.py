@@ -220,6 +220,47 @@ class TestRestart:
             sb.restart(7, incrementer)
 
 
+class TestLazyFreeze:
+    """``step`` keeps what a read returned as it is; ``fingerprint`` freezes
+    it, so the reference digest is what freezing at every read gave."""
+
+    L = Register("l", None)
+
+    @classmethod
+    def reader(cls, pid):
+        yield ops.read(cls.L)
+        yield ops.read(cls.L)
+
+    def after_reading(self, value, restart=False):
+        """A sandbox whose pid 0 maybe restarted, then read ``value``, with
+        the register back at its initial value: only the read history
+        tells the runs apart (a restart before the first read leaves the
+        op count, the pending op and memory as they were)."""
+        sb = Sandbox({0: self.reader}, max_ops=10)
+        if restart:
+            sb.restart(0, self.reader)
+        sb.memory.poke(self.L, value)
+        sb.step(0)
+        sb.memory.poke(self.L, None)
+        return sb
+
+    def test_equal_lists_read_give_equal_fingerprints(self):
+        first, second = [1, [2, 3]], [1, [2, 3]]
+        a, b = self.after_reading(first), self.after_reading(second)
+        assert first is not second
+        assert a.fingerprint() == b.fingerprint()
+        hash(a.fingerprint())  # frozen: no list left in it
+
+    def test_a_different_list_read_gives_a_different_fingerprint(self):
+        assert (self.after_reading([1, [2, 3]]).fingerprint()
+                != self.after_reading([1, [2, 4]]).fingerprint())
+
+    def test_a_restarted_pid_still_differs(self):
+        restarted = self.after_reading([1, 2], restart=True)
+        assert restarted.fingerprint() == self.after_reading([1, 2], restart=True).fingerprint()
+        assert restarted.fingerprint() != self.after_reading([1, 2]).fingerprint()
+
+
 class TestKeptRunnableList:
     """``enabled()`` is kept current by ``step`` and ``restart``; it must
     always say what the per-pid state says."""
